@@ -421,6 +421,12 @@ def cmd_manybody(config: RunConfig) -> dict:
         "scheme": "adaptive-lanczos-expm",
         "tolerances": {"local_error": 1e-9, "krylov_dim": 30},
         "quasi_conservation_max_deviation": quasi_conservation_report(series),
+        "max_norm_deviation": float(np.max(np.abs(series.norms - 1.0))),
+        # relative to |E(0)|, absolute when E(0) = 0 (h = 0, one flip)
+        "max_relative_energy_drift": float(
+            np.max(np.abs(series.energies - series.energies[0]))
+            / (abs(series.energies[0]) or 1.0)
+        ),
     }
     if config.compare_single_particle:
         deviation = 0.0

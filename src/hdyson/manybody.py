@@ -9,6 +9,11 @@ has site x spin-down exactly when bit x-1 of s is set, so spin-up carries
 bit 0 and the polarized state |up...up> is index 0; the local excitation
 number is n(x) = (1 - <sz_x>)/2 = Prob(bit x-1 set).
 
+The Hamiltonian is stored as complex CSR and assembled row by row.  The
+states it acts on are complex, and scipy copies a real matrix to complex on
+every product; writing the CSR arrays directly also skips the COO triplets
+and their conversion, which at L = 16 dominated build time and peak memory.
+
 Time stepping uses an adaptive Lanczos (Krylov) approximation of the
 matrix exponential: subspace dimension <= 30, local error target 1e-9,
 step halving on rejection.  Full diagonalization stays feasible up to
@@ -110,34 +115,36 @@ def build_spin_hamiltonian(params: ModelParams, cap: int = SPARSE_CAP) -> Sparse
     """Assemble the full pair-coupling + transverse-field operator.
 
     Each sx sx term connects basis states differing in exactly the two
-    flipped bits, so every column holds L(L-1)/2 off-diagonal entries of
-    value -J_{r-1}; the diagonal is -h (L - 2 #down).
+    flipped bits, so every row s holds L(L-1)/2 off-diagonal entries
+    -J_{r-1} at the columns s ^ mask; the diagonal -h (L - 2 #down) is
+    stored only when h != 0.  Each row lists its columns in ascending
+    order, as a COO-to-CSR conversion leaves them, so each row of a
+    product sums in that same order.
     """
     L = params.geom.length
     if L > cap:
         raise ResourceLimitError(f"L = {L} exceeds the sparse cap {cap}")
     dim = 1 << L
     couplings = params.level_coupling_array()
-    base = np.arange(dim, dtype=np.int64)
+    pairs = [(i, j) for i in range(L) for j in range(i + 1, L)]
+    pair_flips = [(1 << i) | (1 << j) for i, j in pairs]
+    diagonal = params.h != 0.0
+    flips = pair_flips + [0] if diagonal else pair_flips
 
-    rows, cols, data = [], [], []
-    for i in range(L):
-        for j in range(i + 1, L):
-            level = (i ^ j).bit_length() - 1  # r(i+1, j+1) - 1
-            mask = (1 << i) | (1 << j)
-            rows.append((base ^ mask).astype(np.int32))
-            cols.append(base.astype(np.int32))
-            data.append(np.full(dim, -couplings[level]))
-    if params.h != 0.0:
-        ups_minus_downs = L - 2 * popcount(base)
-        rows.append(base.astype(np.int32))
-        cols.append(base.astype(np.int32))
-        data.append(-params.h * ups_minus_downs.astype(float))
+    rows = np.arange(dim, dtype=np.int32)[:, None]
+    indices = rows ^ np.array(flips, dtype=np.int32)
+    indices.sort(axis=1)
+    flipped = indices ^ rows  # the flip mask of every stored entry
+    value_of_flip = np.zeros(dim, dtype=complex)
+    # level r(i+1, j+1) - 1 of the pair is the top bit of i ^ j
+    value_of_flip[pair_flips] = [-couplings[(i ^ j).bit_length() - 1] for i, j in pairs]
+    data = value_of_flip[flipped]
+    if diagonal:
+        ups_minus_downs = L - 2 * popcount(np.arange(dim, dtype=np.int64))
+        data[flipped == 0] = -params.h * ups_minus_downs.astype(float)
 
-    matrix = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim),
-    ).tocsr()
+    indptr = np.arange(0, indices.size + 1, len(flips), dtype=np.int32)
+    matrix = sp.csr_matrix((data.ravel(), indices.ravel(), indptr), shape=(dim, dim))
     return SparseHamiltonian(matrix, params)
 
 
@@ -235,14 +242,17 @@ def _lanczos_step(matvec, psi: np.ndarray, dt: float,
 
     Lanczos with full reorthogonalization; the small tridiagonal
     exponential comes from its own eigendecomposition.  The returned error
-    estimate is the classical residual term beta_{m+1} |y_m|.
+    estimate is the classical residual term beta_{m+1} |y_m|.  Each basis
+    vector is conjugated once, when it is made, for the reorthogonalization.
     """
     dim = psi.size
     m = min(m_max, dim)
     basis = np.empty((m, dim), dtype=complex)
+    conj = np.empty((m, dim), dtype=complex)
     alphas = np.empty(m)
     betas = np.zeros(m)
     basis[0] = psi
+    np.conjugate(basis[0], out=conj[0])
     beta_next = 0.0
     used = m
     w = None
@@ -253,7 +263,7 @@ def _lanczos_step(matvec, psi: np.ndarray, dt: float,
         alphas[j] = np.real(np.vdot(basis[j], w))
         w = w - alphas[j] * basis[j]
         # one reorthogonalization pass keeps the basis clean
-        w = w - basis[: j + 1].T @ (basis[: j + 1].conj() @ w)
+        w = w - basis[: j + 1].T @ (conj[: j + 1] @ w)
         beta_next = float(np.linalg.norm(w))
         if j + 1 < m:
             if beta_next < 1e-13 * max(1.0, float(np.max(np.abs(alphas[: j + 1])))):
@@ -262,6 +272,7 @@ def _lanczos_step(matvec, psi: np.ndarray, dt: float,
                 break
             betas[j + 1] = beta_next
             basis[j + 1] = w / beta_next
+            np.conjugate(basis[j + 1], out=conj[j + 1])
     alphas = alphas[:used]
     offdiag = betas[1:used]
     evals, evecs = eigh_tridiagonal(alphas, offdiag)
@@ -300,14 +311,24 @@ def evolve_spin(hamiltonian: SparseHamiltonian, psi0: SpinState, times,
                 keep_states: bool = False) -> ObservableSeries:
     """Evolve |psi0> (given at t = 0) and sample observables on `times`.
 
-    The grid must be ascending and nonnegative; each interval is crossed
-    with adaptive Lanczos substeps at the requested local error target.
+    The grid must be finite, ascending and nonnegative; each interval is
+    crossed with adaptive Lanczos substeps at the requested local error
+    target.  A Krylov space needs at least two vectors for its error
+    estimate to shrink with the step.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise InputError("times must be a nonempty 1-d ascending grid")
+    if not np.all(np.isfinite(times)):
+        raise InputError("times must be finite")
     if times[0] < 0 or np.any(np.diff(times) <= 0):
         raise InputError("times must be ascending and nonnegative")
+    if not isinstance(krylov_dim, (int, np.integer)) or krylov_dim < 2:
+        raise InputError(f"krylov_dim must be an integer >= 2, got {krylov_dim!r}")
+    if not (np.isfinite(local_tol) and local_tol > 0):
+        raise InputError(f"local_tol must be finite and positive, got {local_tol!r}")
+    if not np.all(np.isfinite(psi0.amplitudes)):
+        raise InputError("initial state has non-finite amplitudes")
     if abs(psi0.norm() - 1.0) > 1e-8:
         raise InputError("initial state is not normalized")
     if psi0.amplitudes.size != hamiltonian.dimension:
@@ -315,8 +336,7 @@ def evolve_spin(hamiltonian: SparseHamiltonian, psi0: SpinState, times,
 
     geom = hamiltonian.params.geom
     sites = psi0.sites
-    matrix = hamiltonian.matrix
-    matvec = matrix.dot
+    matvec = hamiltonian.matrix.dot
 
     psi = psi0.amplitudes.astype(complex).copy()
     t_now = 0.0
@@ -335,7 +355,7 @@ def evolve_spin(hamiltonian: SparseHamiltonian, psi0: SpinState, times,
         n_rows.append(n)
         totals.append(float(n.sum()))
         norms.append(float(np.linalg.norm(psi)))
-        energies.append(float(np.real(np.vdot(psi, matrix @ psi))))
+        energies.append(energy_expectation(psi, hamiltonian))
         if compute_entropy:
             entropies.append(
                 [entanglement_entropy(psi, cut) for cut in range(1, sites)]

@@ -4,14 +4,17 @@ Everything here deliberately avoids the library's own fast paths: distances
 come from scanning the partition hierarchy, eigenvalues from summing
 couplings shell by shell, evolution from hand-assembled mode sums or dense
 matrix exponentials, second-order couplings from squaring the dense hopping
-matrix.  Tests freeze values computed by these routines.
+matrix, the spin Hamiltonian from a COO triplet list converted to CSR.  Tests
+freeze values computed by these routines.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from hdyson import build_hopping_matrix
+from hdyson._util import popcount
 
 
 def partition_scan_distance(i: int, j: int, levels: int) -> int:
@@ -85,6 +88,38 @@ def second_order_level_couplings(params) -> tuple[float, ...]:
         -hop[0, 1 << p] + square[0, 1 << p] / (4.0 * params.h)
         for p in range(params.geom.levels)
     )
+
+
+def coo_spin_hamiltonian(params) -> sp.csr_matrix:
+    """Real CSR spin Hamiltonian assembled as COO triplets, one pair at a time.
+
+    Each sx sx term connects basis states differing in exactly the two
+    flipped bits, so every column holds L(L-1)/2 off-diagonal entries of
+    value -J_{r-1}; the diagonal is -h (L - 2 #down), stored only if h != 0.
+    """
+    L = params.geom.length
+    dim = 1 << L
+    couplings = params.level_coupling_array()
+    base = np.arange(dim, dtype=np.int64)
+
+    rows, cols, data = [], [], []
+    for i in range(L):
+        for j in range(i + 1, L):
+            level = (i ^ j).bit_length() - 1  # r(i+1, j+1) - 1
+            mask = (1 << i) | (1 << j)
+            rows.append((base ^ mask).astype(np.int32))
+            cols.append(base.astype(np.int32))
+            data.append(np.full(dim, -couplings[level]))
+    if params.h != 0.0:
+        ups_minus_downs = L - 2 * popcount(base)
+        rows.append(base.astype(np.int32))
+        cols.append(base.astype(np.int32))
+        data.append(-params.h * ups_minus_downs.astype(float))
+
+    return sp.coo_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(dim, dim),
+    ).tocsr()
 
 
 def ladder_coupling_from_gaps(distinct_evals: np.ndarray, sigma: float) -> float:

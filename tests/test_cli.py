@@ -148,6 +148,8 @@ def test_manybody_two_site_toy(tmp_path):
     manifest = json.loads((tmp_path / "mb.manifest.json").read_text())
     assert manifest["quasi_conservation_max_deviation"] < 1e-10
     assert manifest["scheme"] == "adaptive-lanczos-expm"
+    assert 0.0 <= manifest["max_norm_deviation"] < 1e-10
+    assert 0.0 <= manifest["max_relative_energy_drift"] < 1e-10  # E(0) = 0: absolute
     _, p_rows = read_csv(tmp_path / "mb_P.csv")
     t0 = [row for row in p_rows if row["t"] == 0.0]
     assert t0[0]["P"] == 1.0 and all(row["P"] == 0.0 for row in t0[1:])
@@ -170,6 +172,8 @@ def test_manybody_comparison_field(tmp_path):
                "--compare-single-particle", "--out", stem) == 0
     manifest = json.loads((tmp_path / "cmp.manifest.json").read_text())
     assert 0.0 < manifest["single_particle_max_deviation"] < 0.05
+    assert 0.0 <= manifest["max_norm_deviation"] < 1e-8
+    assert 0.0 <= manifest["max_relative_energy_drift"] < 1e-8
 
 
 def test_entropy_single_mode(tmp_path):

@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdyson import (
     InputError,
@@ -21,9 +23,10 @@ from hdyson import (
     total_excitations,
     wave_profile_finite,
 )
-from hdyson.manybody import spin_parity_expectation
+from hdyson.manybody import SparseHamiltonian, spin_parity_expectation
 
 from reference import (
+    coo_spin_hamiltonian,
     dense_expm_evolve,
     second_order_level_couplings,
     two_spin_defect_occupations,
@@ -62,6 +65,51 @@ def test_polarized_diagonal_and_offdiag_count():
     assert np.allclose(dense, dense.T)
     offdiag = (dense != 0).sum(axis=0) - (np.diag(dense) != 0)
     assert np.all(offdiag == length * (length - 1) // 2)
+
+
+@st.composite
+def spin_params(draw):
+    length = draw(st.sampled_from([2, 4, 8]))
+    levels = length.bit_length() - 1
+    custom = st.lists(st.floats(-5.0, 5.0), min_size=levels, max_size=levels)
+    return ModelParams(
+        TreeGeometry.from_length(length),
+        J=draw(st.floats(0.0, 5.0)),
+        sigma=draw(st.floats(0.0, 3.0)),
+        h=draw(st.just(0.0) | st.floats(0.0, 50.0)),
+        level_couplings=draw(st.none() | custom),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(spin_params())
+def test_csr_assembly_matches_coo_reference(params):
+    matrix = build_spin_hamiltonian(params).matrix
+    reference = coo_spin_hamiltonian(params)
+    assert matrix.dtype == np.complex128
+    for start, stop in zip(matrix.indptr[:-1], matrix.indptr[1:]):
+        assert np.all(np.diff(matrix.indices[start:stop]) > 0)
+    assert matrix.nnz == reference.nnz
+    np.testing.assert_array_equal(matrix.indptr, reference.indptr)
+    np.testing.assert_array_equal(matrix.indices, reference.indices)
+    np.testing.assert_array_equal(matrix.data, reference.data)
+
+
+@pytest.mark.parametrize("sigma, h, couplings", [
+    (1.0, 40.0, None), (0.5, 0.0, None), (1.0, 3.0, (0.7, -0.2, 0.0)),
+])
+def test_csr_and_coo_hamiltonians_evolve_bitwise_equal(sigma, h, couplings):
+    params = ModelParams(TreeGeometry.from_length(8), sigma=sigma, h=h,
+                         level_couplings=couplings)
+    rng = np.random.default_rng(7)
+    amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+    psi0 = one_defect_state(amps / np.linalg.norm(amps))
+    times = np.linspace(0.0, 2.0, 5)
+    library = evolve_spin(build_spin_hamiltonian(params), psi0, times, keep_states=True)
+    reference = evolve_spin(SparseHamiltonian(coo_spin_hamiltonian(params), params),
+                            psi0, times, keep_states=True)
+    assert library.states.tobytes() == reference.states.tobytes()
+    assert library.energies.tobytes() == reference.energies.tobytes()
 
 
 def test_sparse_cap():
@@ -297,6 +345,19 @@ def test_evolve_input_validation():
         evolve_spin(ham, SpinState(np.full(16, 0.5 + 0j)), np.array([0.0, 1.0]))
     with pytest.raises(InputError):
         evolve_spin(ham, SpinState.single_flip(2), np.array([0.0, 1.0]))
+    for times in ([np.nan], [np.inf], [0.0, np.nan], [0.5, np.inf]):
+        with pytest.raises(InputError):
+            evolve_spin(ham, good, times)
+    for krylov_dim in (0, 1, -3, 2.5):
+        with pytest.raises(InputError):
+            evolve_spin(ham, good, [0.0, 1.0], krylov_dim=krylov_dim)
+    for local_tol in (np.nan, 0.0, -1e-9, np.inf):
+        with pytest.raises(InputError):
+            evolve_spin(ham, good, [0.0, 1.0], local_tol=local_tol)
+    nan_state = good.amplitudes.copy()
+    nan_state[3] = np.nan
+    with pytest.raises(InputError):
+        evolve_spin(ham, SpinState(nan_state), [0.0, 1.0])
     with pytest.raises(InputError):
         SpinState.single_flip(4, site=5)
     with pytest.raises(InputError):
