@@ -12,15 +12,7 @@ THREADS_ENV = "HDYSON_THREADS"
 
 def popcount(values: np.ndarray) -> np.ndarray:
     """Number of set bits of each entry of an unsigned/int array."""
-    values = np.asarray(values)
-    if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(values).astype(np.int64)
-    out = np.zeros(values.shape, dtype=np.int64)
-    work = values.astype(np.uint64).copy()
-    while np.any(work):
-        out += (work & 1).astype(np.int64)
-        work >>= 1
-    return out
+    return np.bitwise_count(np.asarray(values)).astype(np.int64)
 
 
 def thread_count() -> int:

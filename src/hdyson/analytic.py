@@ -42,6 +42,7 @@ from .profiles import (
     TruncationPolicy,
     WaveProfile,
     expand_shells_to_sites,
+    shell_weights,
 )
 from .spectral import ModelParams, eigenvalues, renormalized_coupling
 
@@ -65,7 +66,6 @@ __all__ = [
     "binary_entropy",
     "cumulative_probability",
     "single_particle_entropy",
-    "entropy_profile",
     "estimate_dynamical_exponent",
 ]
 
@@ -77,10 +77,6 @@ SIGMA_NEAR_ZERO = 1e-6
 def _as_time_array(t) -> tuple[np.ndarray, bool]:
     arr = np.asarray(t, dtype=float)
     return arr, arr.ndim == 0
-
-
-def _shell_weight(r: int) -> float:
-    return 1.0 if r == 0 else 2.0 ** (r - 1)
 
 
 def _check_sigma(sigma: float) -> None:
@@ -240,23 +236,16 @@ def probability(r: int, t, source):
     """
     if isinstance(source, ModelParams):
         amp = psi_finite(r, t, source)
-        return _shell_weight(r) * np.abs(amp) ** 2
+        return shell_weights(r)[r] * np.abs(amp) ** 2
     if isinstance(source, WaveProfile):
         if not np.isclose(source.time, float(np.asarray(t)), atol=1e-12, rtol=1e-9):
             raise InputError(
                 f"profile holds t = {source.time}, probability asked at t = {t}"
             )
-        if source.mode == SHELL_MODE:
-            if r >= source.length:
-                raise InputError(f"profile truncated at r_max = {source.length - 1}")
-            return _shell_weight(r) * abs(source.amplitudes[r]) ** 2
-        geom = TreeGeometry.from_length(source.length)
-        if r > geom.levels:
-            raise InputError(f"shell index {r} outside 0..{geom.levels}")
-        if r == 0:
-            return abs(source.amplitudes[0]) ** 2
-        block = source.amplitudes[1 << (r - 1) : 1 << r]
-        return float(np.sum(np.abs(block) ** 2))
+        values = probability_profile(source).values
+        if not 0 <= r < values.size:
+            raise InputError(f"shell index {r} outside 0..{values.size - 1}")
+        return values[r]
     raise InputError(f"unsupported probability source {type(source).__name__}")
 
 
@@ -264,15 +253,13 @@ def probability_thermo(r: int, t, sigma: float, J: float = 1.0,
                        policy: TruncationPolicy = DEFAULT_POLICY):
     """Thermodynamic-limit P(r, t); vectorized over t."""
     amp = psi_thermo(r, t, sigma, J, policy)
-    return _shell_weight(r) * np.abs(amp) ** 2
+    return shell_weights(r)[r] * np.abs(amp) ** 2
 
 
 def probability_profile(source: WaveProfile) -> ProbabilityProfile:
     """Shell-resolved probabilities of a profile (either mode)."""
     if source.mode == SHELL_MODE:
-        r = np.arange(source.length)
-        weights = np.where(r == 0, 1.0, 2.0 ** np.clip(r - 1, 0, None))
-        values = weights * np.abs(source.amplitudes) ** 2
+        values = shell_weights(source.length - 1) * np.abs(source.amplitudes) ** 2
     else:
         geom = TreeGeometry.from_length(source.length)
         values = np.empty(geom.levels + 1)
@@ -378,15 +365,17 @@ def sigma_zero_probability(r: int, t, J: float = 1.0):
 # single-defect entanglement
 # ---------------------------------------------------------------------------
 
-def binary_entropy(p: float) -> float:
-    """-p ln p - (1-p) ln(1-p), with 0 ln 0 = 0; p clipped to [0, 1]."""
-    p = min(1.0, max(0.0, float(p)))
-    out = 0.0
-    if p > 0.0:
-        out -= p * math.log(p)
-    if p < 1.0:
-        out -= (1.0 - p) * math.log(1.0 - p)
-    return out
+def binary_entropy(p):
+    """-p ln p - (1-p) ln(1-p), with 0 ln 0 = 0; p clipped to [0, 1].
+
+    Vectorized over p; a scalar p gives a float.  p = 0 and p = 1 give -0.0,
+    which the entropy tables print as -0.
+    """
+    p = np.clip(np.asarray(p, dtype=float), 0.0, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = -np.where(p > 0, p * np.log(p), 0.0)
+        out -= np.where(p < 1, (1 - p) * np.log(1 - p), 0.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def cumulative_probability(source: WaveProfile, x: int) -> float:
@@ -422,13 +411,6 @@ def single_particle_entropy(x: int, t, source: WaveProfile) -> float:
     if source.mode == SITE_MODE and not 1 <= x < source.length:
         raise InputError(f"cut {x} outside 1..{source.length - 1}")
     return binary_entropy(cumulative_probability(source, x))
-
-
-def entropy_profile(source: WaveProfile, cuts) -> np.ndarray:
-    """Entanglement entropy at each cut position (vectorized convenience)."""
-    return np.array(
-        [single_particle_entropy(x, source.time, source) for x in np.asarray(cuts)]
-    )
 
 
 # ---------------------------------------------------------------------------

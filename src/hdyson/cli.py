@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+import typing
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -25,6 +27,7 @@ import numpy as np
 from . import __version__
 from ._util import fmt17
 from .analytic import (
+    binary_entropy,
     closed_form_average,
     estimate_dynamical_exponent,
     psi_finite,
@@ -38,13 +41,21 @@ from .analytic import (
 from .errors import ConvergenceError, InputError, ResourceLimitError
 from .geometry import TreeGeometry
 from .manybody import (
+    KRYLOV_DIM,
+    LOCAL_TOL,
     SpinState,
     build_spin_hamiltonian,
     evolve_spin,
     quasi_conservation_report,
 )
 from .oracle import benchmark_fast_ops, dense_evolve_series, fast_evolve_series
-from .profiles import SITE_MODE, TruncationPolicy, WaveProfile, expand_shells_to_sites
+from .profiles import (
+    SITE_MODE,
+    TruncationPolicy,
+    WaveProfile,
+    expand_shells_to_sites,
+    shell_weights,
+)
 from .spectral import ModelParams, eigenvalues
 
 __all__ = [
@@ -90,18 +101,7 @@ class RunConfig:
     nmax: int | None = None
     repeats: int | None = None
     compare_single_particle: bool = False
-    seed: int = 0  # reserved: every computation here is deterministic
 
-
-_COMMON_DEFAULTS = {
-    "sigma": 1.0,
-    "J": 1.0,
-    "h": 0.0,
-    "K": 64,
-    "format": "csv",
-    "seed": 0,
-    "compare_single_particle": False,
-}
 
 _COMMAND_DEFAULTS = {
     "spectrum": {"N": 6, "out": "spectrum.csv"},
@@ -121,12 +121,19 @@ _COMMAND_DEFAULTS = {
     "bench": {"nmin": 16, "nmax": 22, "repeats": 5, "out": "bench.csv"},
 }
 
+
+def _converter(hint):
+    """Config-file parser for a RunConfig field type (`X | None` parses as X)."""
+    base = next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
+    if base is bool:
+        return lambda text: text.lower() in ("1", "true", "yes")
+    return base
+
+
 _CONVERTERS = {
-    "N": int, "L": int, "sigma": float, "J": float, "h": float,
-    "tmax": float, "dt": float, "K": int, "mode": str, "out": str,
-    "format": str, "rmin": int, "rmax": int, "points": int, "nmin": int,
-    "nmax": int, "repeats": int, "seed": int,
-    "compare_single_particle": lambda s: str(s).lower() in ("1", "true", "yes"),
+    key: _converter(hint)
+    for key, hint in typing.get_type_hints(RunConfig).items()
+    if key != "command"
 }
 
 
@@ -163,7 +170,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--mode", help="evaluation mode of the subcommand")
     common.add_argument("--out", help="output path (or stem for manybody)")
     common.add_argument("--format", choices=("csv", "json"), help="table format")
-    common.add_argument("--seed", type=int, help="reserved")
 
     parser = argparse.ArgumentParser(
         prog="hdyson",
@@ -209,15 +215,14 @@ def build_run_config(argv) -> RunConfig:
     config_path = args.pop("config", None)
     file_values = _load_config_file(config_path) if config_path else {}
 
-    resolved = dict(_COMMON_DEFAULTS)
-    resolved.update(_COMMAND_DEFAULTS[command])
-    for key, value in file_values.items():
-        resolved[key] = value
+    resolved = dict(_COMMAND_DEFAULTS[command])
+    resolved.update(file_values)
     for key, value in args.items():
         if value is not None:
             resolved[key] = value
-    allowed = {f for f in RunConfig.__dataclass_fields__ if f != "command"}
-    resolved = {k: v for k, v in resolved.items() if k in allowed}
+    for key, value in resolved.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise InputError(f"{key} must be finite, got {value}")
     return RunConfig(command=command, **resolved)
 
 
@@ -323,7 +328,7 @@ def cmd_evolve(config: RunConfig) -> dict:
             picks = [0] + [1 << (r - 1) for r in range(1, r_top + 1)]
             shell_amps = sites[:, picks].T
 
-    weights = np.array([1.0] + [2.0 ** (r - 1) for r in range(1, r_top + 1)])
+    weights = shell_weights(r_top)
     rows = []
     for it, t in enumerate(grid):
         for r in range(r_top + 1):
@@ -392,8 +397,6 @@ def cmd_timeavg(config: RunConfig) -> dict:
 
 
 def cmd_manybody(config: RunConfig) -> dict:
-    if config.L is None or config.L < 2 or config.L & (config.L - 1):
-        raise InputError(f"manybody L must be a power of two >= 2, got {config.L}")
     geom = TreeGeometry.from_length(config.L)
     params = ModelParams(geom, J=config.J, sigma=config.sigma, h=config.h)
     if config.compare_single_particle and config.h == 0:
@@ -419,7 +422,7 @@ def cmd_manybody(config: RunConfig) -> dict:
     ]
     extras = {
         "scheme": "adaptive-lanczos-expm",
-        "tolerances": {"local_error": 1e-9, "krylov_dim": 30},
+        "tolerances": {"local_error": LOCAL_TOL, "krylov_dim": KRYLOV_DIM},
         "quasi_conservation_max_deviation": quasi_conservation_report(series),
         "max_norm_deviation": float(np.max(np.abs(series.norms - 1.0))),
         # relative to |E(0)|, absolute when E(0) = 0 (h = 0, one flip)
@@ -453,18 +456,10 @@ def cmd_entropy(config: RunConfig) -> dict:
             site_probs = np.abs(
                 expand_shells_to_sites(profile.amplitudes, geom)
             ) ** 2
-            inside = np.cumsum(site_probs)[:-1]
-            inside = np.clip(inside, 0.0, 1.0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                entropy = -np.where(inside > 0, inside * np.log(inside), 0.0)
-                entropy -= np.where(
-                    inside < 1, (1 - inside) * np.log(1 - inside), 0.0
-                )
+            entropy = binary_entropy(np.cumsum(site_probs)[:-1])
             for x in range(1, geom.length):
                 rows.append((t, x, entropy[x - 1]))
     else:
-        if config.L is None or config.L < 2 or config.L & (config.L - 1):
-            raise InputError(f"manybody L must be a power of two >= 2, got {config.L}")
         geom = TreeGeometry.from_length(config.L)
         params = ModelParams(geom, J=config.J, sigma=config.sigma, h=config.h)
         series = evolve_spin(build_spin_hamiltonian(params),

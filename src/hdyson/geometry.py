@@ -87,9 +87,8 @@ def shell_size(r: int, geom: TreeGeometry) -> int:
 
     Equals 1 for r = 0 and 2^(r-1) otherwise; the shells partition the chain.
     """
-    if not 0 <= r <= geom.levels:
-        raise InputError(f"shell index {r} outside 0..{geom.levels}")
-    return 1 if r == 0 else 1 << (r - 1)
+    first, last = shell_sites(r, geom)
+    return last - first + 1
 
 
 def shell_sites(r: int, geom: TreeGeometry) -> tuple[int, int]:

@@ -31,6 +31,7 @@ from scipy.linalg import eigh_tridiagonal
 from ._util import popcount
 from .errors import ConvergenceError, InputError, ResourceLimitError
 from .geometry import TreeGeometry, shell_sites
+from .profiles import shell_weights
 from .spectral import ModelParams
 
 __all__ = [
@@ -203,12 +204,13 @@ def shell_probability(source, geom: TreeGeometry) -> np.ndarray:
     n = np.atleast_2d(n)
     if n.shape[1] != geom.length:
         raise InputError("site count does not match geometry")
+    weights = shell_weights(geom.levels)
     out = np.empty((n.shape[0], geom.levels + 1))
     out[:, 0] = n[:, 0]
     for r in range(1, geom.levels + 1):
         first, last = shell_sites(r, geom)
         block = n[:, first - 1 : last]
-        out[:, r] = block.mean(axis=1) * (1 << (r - 1))
+        out[:, r] = block.mean(axis=1) * weights[r]
     return out[0] if squeeze else out
 
 

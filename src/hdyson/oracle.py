@@ -5,9 +5,9 @@ Two exact routes complement the closed forms of `analytic`:
 * a dense route: numerically diagonalize the hopping matrix and evolve by
   spectral decomposition (O(L^3) once, O(L^2) per time), and
 * a fast route: an O(L) orthogonal transform onto the tree eigenbasis
-  (a pairwise sum/difference cascade), a per-mode phase multiply, and the
-  inverse transform, giving O(L) exact evolution per time point up to
-  L ~ 2^24.
+  (a pairwise sum/difference cascade), a phase multiply built from the
+  N+1 distinct eigenvalues, and the inverse transform, giving O(L) exact
+  evolution per time point up to L ~ 2^24.
 
 `fast_apply` is the matching O(L) matrix-vector product: an upward pass
 accumulates all block sums, a downward pass accumulates the field each
@@ -22,7 +22,6 @@ thread-local: concurrent maps over time points are safe.
 
 from __future__ import annotations
 
-import functools
 import threading
 import time
 from dataclasses import dataclass, field
@@ -49,7 +48,6 @@ __all__ = [
     "fast_apply",
     "tree_transform",
     "inverse_tree_transform",
-    "eigenvalue_slots",
     "fast_evolve",
     "fast_evolve_series",
     "benchmark_fast_ops",
@@ -141,13 +139,8 @@ def dense_evolve(params: ModelParams, t: float, initial: WaveProfile,
                  op: DenseOperator | None = None,
                  dense_cap: int = DENSE_CAP) -> WaveProfile:
     """Evolve by spectral decomposition of the numerically diagonalized matrix."""
-    amp = _check_initial(initial, params.geom.length)
-    if op is None:
-        op = dense_operator(params, dense_cap)
-    evals, evecs = op.eigensystem()
-    modes = evecs.conj().T @ amp
-    out = evecs @ (np.exp(-1j * evals * t) * modes)
-    return WaveProfile(out, float(t), SITE_MODE)
+    amp = dense_evolve_series(params, [t], initial, op, dense_cap)[0]
+    return WaveProfile(amp, float(t), SITE_MODE)
 
 
 def dense_evolve_series(params: ModelParams, times, initial: WaveProfile,
@@ -276,42 +269,24 @@ def inverse_tree_transform(coeffs: TreeCoefficients,
     return out
 
 
-@functools.lru_cache(maxsize=32)
-def _eigenvalue_slot_cache(params: ModelParams) -> np.ndarray:
-    spec = eigenvalues(params)
-    n = params.geom.levels
-    slots = np.empty(params.geom.length)
-    slots[0] = spec.eps[0]
-    for k in range(1, n + 1):
-        slots[1 << (k - 1) : 1 << k] = spec.eps[k]
-    slots.flags.writeable = False
-    return slots
-
-
-def eigenvalue_slots(params: ModelParams) -> np.ndarray:
-    """Eigenvalue of the basis vector held by each coefficient slot."""
-    return _eigenvalue_slot_cache(params).copy()
-
-
 def fast_evolve(params: ModelParams, t: float, initial: np.ndarray,
                 out: np.ndarray | None = None) -> np.ndarray:
-    """Exact evolution in O(L): transform, phase-multiply, transform back."""
-    v = np.asarray(initial, dtype=complex)
-    length = v.size
-    slot = _scratch("fast_evolve", length, np.complex128)
-    coeff_buf = slot.get("coeffs")
-    phase_buf = slot.get("phases")
-    if coeff_buf is None:
-        coeff_buf = slot["coeffs"] = np.empty(length, dtype=complex)
-        phase_buf = slot["phases"] = np.empty(length, dtype=complex)
-    slots = _eigenvalue_slot_cache(params)
+    """Exact evolution in O(L): transform, phase-multiply, transform back.
 
+    Only the N+1 distinct phases exp(-i eps_k t) are computed; repeating
+    each over its multiplet's slots gives the per-slot phase vector.
+    """
+    v = np.asarray(initial, dtype=complex)
+    slot = _scratch("fast_evolve", v.size, np.complex128)
+    coeff_buf = slot.get("coeffs")
+    if coeff_buf is None:
+        coeff_buf = slot["coeffs"] = np.empty(v.size, dtype=complex)
     coeffs = tree_transform(v, out=coeff_buf)
-    np.multiply(slots, -1j * t, out=phase_buf)
-    np.exp(phase_buf, out=phase_buf)
-    np.multiply(coeffs.values, phase_buf, out=phase_buf)
-    rotated = TreeCoefficients(phase_buf, coeffs.levels)
-    return inverse_tree_transform(rotated, out=out)
+    spec = eigenvalues(params)
+    np.multiply(coeffs.values,
+                np.repeat(np.exp(spec.eps * (-1j * t)), spec.degeneracy),
+                out=coeffs.values)
+    return inverse_tree_transform(coeffs, out=out)
 
 
 def fast_evolve_series(params: ModelParams, times, initial: np.ndarray) -> np.ndarray:

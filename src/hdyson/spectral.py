@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import InputError, ResourceLimitError, SingularLimitError
 from .geometry import TreeGeometry
-from .profiles import SITE_MODE, WaveProfile
+from .profiles import SITE_MODE, WaveProfile, shell_weights
 
 __all__ = [
     "ModelParams",
@@ -83,6 +83,9 @@ class ModelParams:
                     f"need {self.geom.levels} level couplings, got {len(couplings)}"
                 )
             object.__setattr__(self, "level_couplings", couplings)
+        values = (self.J, self.sigma, self.h, *(self.level_couplings or ()))
+        if not all(math.isfinite(value) for value in values):
+            raise InputError(f"model parameters must be finite, got {self}")
 
     def level_coupling(self, p: int) -> float:
         """Interaction J_p between sibling blocks of the level-p partition."""
@@ -178,13 +181,14 @@ def _eigenvalues_from_coupling_sums(params: ModelParams) -> np.ndarray:
     """
     n = params.geom.levels
     couplings = params.level_coupling_array()
+    weights = shell_weights(n)
     eps = np.empty(n + 1)
     for k in range(n + 1):
-        attract = -sum((1 << (r - 1)) * couplings[r - 1] for r in range(1, n - k + 1))
+        attract = -sum(weights[r] * couplings[r - 1] for r in range(1, n - k + 1))
         if k == 0:
             eps[k] = attract
         else:
-            eps[k] = attract + (1 << (n - k)) * couplings[n - k]
+            eps[k] = attract + weights[n - k + 1] * couplings[n - k]
     return eps
 
 

@@ -4,8 +4,9 @@ Everything here deliberately avoids the library's own fast paths: distances
 come from scanning the partition hierarchy, eigenvalues from summing
 couplings shell by shell, evolution from hand-assembled mode sums or dense
 matrix exponentials, second-order couplings from squaring the dense hopping
-matrix, the spin Hamiltonian from a COO triplet list converted to CSR.  Tests
-freeze values computed by these routines.
+matrix, the spin Hamiltonian from a COO triplet list converted to CSR, the
+per-slot eigenvalues of the tree basis from an explicit slot-by-slot layout.
+Tests freeze values computed by these routines.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from hdyson import build_hopping_matrix
+from hdyson import build_hopping_matrix, eigenvalues
 from hdyson._util import popcount
 
 
@@ -120,6 +121,21 @@ def coo_spin_hamiltonian(params) -> sp.csr_matrix:
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(dim, dim),
     ).tocsr()
+
+
+def eigenvalue_slots(params) -> np.ndarray:
+    """Eigenvalue of the basis vector held by each tree-coefficient slot.
+
+    Slot 0 holds the uniform mode; multiplet k >= 1 fills slots
+    2^(k-1) .. 2^k - 1.
+    """
+    spec = eigenvalues(params)
+    n = params.geom.levels
+    slots = np.empty(params.geom.length)
+    slots[0] = spec.eps[0]
+    for k in range(1, n + 1):
+        slots[1 << (k - 1) : 1 << k] = spec.eps[k]
+    return slots
 
 
 def ladder_coupling_from_gaps(distinct_evals: np.ndarray, sigma: float) -> float:

@@ -270,6 +270,12 @@ def test_binary_entropy_special_values():
     assert binary_entropy(0.0) == 0.0
     assert binary_entropy(1.0) == 0.0
     assert binary_entropy(0.5) == pytest.approx(np.log(2.0))
+    assert isinstance(binary_entropy(0.3), float)
+    p = np.array([-0.1, 0.0, 0.2, 0.5, 0.9, 1.0, 1.5])
+    values = binary_entropy(p)
+    assert values.shape == p.shape
+    assert np.array_equal(values, [binary_entropy(q) for q in p])
+    assert values[0] == values[1] == values[-1] == 0.0  # clipped to [0, 1]
 
 
 def test_entropy_zero_at_t0():

@@ -1,11 +1,13 @@
+import dataclasses
 import json
 import math
+import typing
 
 import numpy as np
 import pytest
 
 from hdyson import TruncationPolicy, eigenvalues, ModelParams, TreeGeometry, psi_thermo
-from hdyson.cli import build_run_config, main
+from hdyson.cli import RunConfig, build_run_config, main
 
 from reference import two_spin_defect_occupations
 
@@ -244,6 +246,64 @@ def test_config_file_layering(tmp_path):
     assert run(tmp_path, "spectrum", "--config", bad, "--out", tmp_path / "x.csv") == 2
 
 
-def test_seed_flag_reserved(tmp_path):
-    config = build_run_config(["spectrum", "--seed", "7", "--out", "s.csv"])
-    assert config.seed == 7
+# one value per RunConfig field except `command`, none equal to a default
+CONFIG_SAMPLE = {
+    "N": 3, "L": 4, "sigma": 0.5, "J": 2.0, "h": 1.5, "tmax": 2.0, "dt": 0.5,
+    "K": 32, "mode": "fast", "out": "run.json", "format": "json", "rmin": 1,
+    "rmax": 2, "points": 5, "nmin": 2, "nmax": 3, "repeats": 1,
+    "compare_single_particle": True,
+}
+
+
+def test_config_file_accepts_every_field(tmp_path):
+    fields = {f.name for f in dataclasses.fields(RunConfig)} - {"command"}
+    assert set(CONFIG_SAMPLE) == fields
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("".join(f"{key}={value}\n" for key, value in CONFIG_SAMPLE.items()))
+    config = build_run_config(["spectrum", "--config", str(cfg)])
+    for key, value in CONFIG_SAMPLE.items():
+        assert getattr(config, key) == value
+        assert type(getattr(config, key)) is type(value)
+
+
+@pytest.mark.parametrize("line", ["seed=0", "unknown_key=3"])
+def test_config_file_rejects_unknown_keys(tmp_path, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "x.csv"
+    assert run(tmp_path, "spectrum", "--config", cfg, "--out", out) == 2
+    assert not out.exists()
+
+
+def test_seed_flag_is_gone(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, "spectrum", "--seed", 7, "--out", tmp_path / "s.csv")
+    assert exc.value.code == 2
+
+
+def test_manifest_config_keys_are_run_config_fields(tmp_path):
+    out = tmp_path / "s.csv"
+    assert run(tmp_path, "spectrum", "--N", 2, "--out", out) == 0
+    manifest = json.loads((tmp_path / "s.csv.manifest.json").read_text())
+    assert set(manifest["config"]) == {f.name for f in dataclasses.fields(RunConfig)}
+
+
+FLOAT_KEYS = [key for key, hint in typing.get_type_hints(RunConfig).items()
+              if float in (typing.get_args(hint) or (hint,))]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_non_finite_values_rejected(tmp_path, capsys, source, key, value):
+    out = tmp_path / "e.csv"
+    argv = ["evolve", "--mode", "fast", "--N", 3, "--out", out]
+    if source == "flag":
+        argv.append(f"--{key}={value}")
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        argv += ["--config", cfg]
+    assert run(tmp_path, *argv) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("input error:")

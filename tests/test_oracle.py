@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdyson import (
     InputError,
     ModelParams,
     ResourceLimitError,
+    TreeCoefficients,
     TreeGeometry,
     WaveProfile,
     build_hopping_matrix,
@@ -23,9 +26,8 @@ from hdyson import (
     tree_transform,
     wave_profile_finite,
 )
-from hdyson.oracle import eigenvalue_slots
 
-from reference import four_site_evolution
+from reference import eigenvalue_slots, four_site_evolution
 
 
 def params_for(levels, sigma=1.0, J=1.0):
@@ -225,14 +227,33 @@ def test_fast_evolve_unitarity_over_many_steps():
     assert abs(np.linalg.norm(state) - 1.0) < 1e-10
 
 
-def test_eigenvalue_slots_layout():
-    params = params_for(4)
-    slots = eigenvalue_slots(params)
-    spec = eigenvalues(params)
-    assert slots[0] == spec.eps[0]
-    for k in range(1, 5):
-        block = slots[1 << (k - 1) : 1 << k]
-        assert np.all(block == spec.eps[k])
+@st.composite
+def tree_params(draw):
+    levels = draw(st.integers(1, 12))
+    custom = st.lists(st.floats(-5.0, 5.0), min_size=levels, max_size=levels)
+    return ModelParams(
+        TreeGeometry(levels),
+        J=draw(st.floats(0.0, 5.0)),
+        sigma=draw(st.floats(0.05, 3.0)),
+        level_couplings=draw(st.none() | custom),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(tree_params(),
+       st.sampled_from([0.0, 1e4, 1e7]) | st.floats(0.0, 100.0),
+       st.integers(0, 2**32 - 1))
+def test_fast_evolve_matches_slot_phase_reference(params, t, seed):
+    # the N+1 multiplet phases, repeated over the slots, reproduce the
+    # per-slot exponentials of the explicit slot layout bit for bit
+    rng = np.random.default_rng(seed)
+    L = params.geom.length
+    v = rng.normal(size=L) + 1j * rng.normal(size=L)
+    v /= np.linalg.norm(v)
+    phases = np.exp(eigenvalue_slots(params) * (-1j * t))
+    rotated = TreeCoefficients(tree_transform(v).values * phases, params.geom.levels)
+    expected = inverse_tree_transform(rotated)
+    assert np.array_equal(fast_evolve(params, t, v), expected)
 
 
 def test_shell_constancy_of_evolved_delta():

@@ -237,3 +237,11 @@ def test_model_params_validation():
         ModelParams(geom, level_couplings=(1.0,))
     with pytest.raises(InputError):
         ModelParams(geom).level_coupling(2)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("key", ["J", "sigma", "h", "level_couplings"])
+def test_model_params_reject_non_finite(key, value):
+    kwargs = {key: (1.0, value) if key == "level_couplings" else value}
+    with pytest.raises(InputError):
+        ModelParams(TreeGeometry(2), **kwargs)
