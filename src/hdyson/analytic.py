@@ -32,8 +32,9 @@ import warnings
 
 import numpy as np
 
+from ._util import time_steps
 from .errors import InputError, SingularLimitError
-from .geometry import TreeGeometry
+from .geometry import TreeGeometry, block_range
 from .profiles import (
     DEFAULT_POLICY,
     SHELL_MODE,
@@ -42,6 +43,7 @@ from .profiles import (
     TruncationPolicy,
     WaveProfile,
     expand_shells_to_sites,
+    shell_sums,
     shell_weights,
 )
 from .spectral import ModelParams, eigenvalues, renormalized_coupling
@@ -262,11 +264,7 @@ def probability_profile(source: WaveProfile) -> ProbabilityProfile:
         values = shell_weights(source.length - 1) * np.abs(source.amplitudes) ** 2
     else:
         geom = TreeGeometry.from_length(source.length)
-        values = np.empty(geom.levels + 1)
-        values[0] = abs(source.amplitudes[0]) ** 2
-        for r in range(1, geom.levels + 1):
-            block = source.amplitudes[1 << (r - 1) : 1 << r]
-            values[r] = np.sum(np.abs(block) ** 2)
+        values = shell_sums(np.abs(source.amplitudes) ** 2, geom)
     return ProbabilityProfile(values, source.time)
 
 
@@ -303,14 +301,14 @@ def time_average(r: int, T: float, sigma: float, J: float = 1.0,
     The grid step defaults to 0.01/J, about two hundred points per period
     of the fastest mode.  Convergence to `closed_form_average(r)` requires
     a horizon with 2^(r sigma) << J T; the relative error then decays like
-    2^(r sigma) / (J T).  Evaluation is chunked so arbitrarily long
-    horizons use bounded memory.
+    2^(r sigma) / (J T).  Evaluation is chunked so long horizons use bounded
+    memory; more than 2^24 steps raise ResourceLimitError.
     """
     if T <= 0:
         raise InputError(f"averaging horizon must be positive, got T = {T}")
     if dt is None:
         dt = 0.01 / J if J > 0 else 0.01
-    n_steps = max(1, int(round(T / dt)))
+    n_steps = time_steps(T, dt)
     step = T / n_steps
     total = 0.0
     chunk = 1 << 20
@@ -391,12 +389,13 @@ def cumulative_probability(source: WaveProfile, x: int) -> float:
         if x > source.length:
             raise InputError(f"cut {x} beyond chain of length {source.length}")
         return float(np.sum(np.abs(source.amplitudes[:x]) ** 2))
-    total = abs(source.amplitudes[0]) ** 2
-    for r in range(1, source.length):
-        inside = min(max(x - (1 << (r - 1)), 0), 1 << (r - 1))
-        if inside == 0:
+    total = 0.0
+    for r, amp in enumerate(source.amplitudes):
+        start, stop = block_range(r)
+        inside = min(x, stop) - start
+        if inside <= 0:
             break
-        total += inside * abs(source.amplitudes[r]) ** 2
+        total += inside * abs(amp) ** 2
     return float(total)
 
 

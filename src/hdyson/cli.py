@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._util import fmt17
+from ._util import fmt17, time_steps
 from .analytic import (
     binary_entropy,
     closed_form_average,
@@ -53,6 +53,7 @@ from .profiles import (
     SITE_MODE,
     TruncationPolicy,
     WaveProfile,
+    collapse_sites_to_shells,
     expand_shells_to_sites,
     shell_weights,
 )
@@ -268,10 +269,7 @@ def _write_manifest(config: RunConfig, outputs: list[str], extras: dict) -> str:
 
 
 def _time_grid(tmax: float, dt: float) -> np.ndarray:
-    if tmax < 0 or dt <= 0:
-        raise InputError(f"need tmax >= 0 and dt > 0, got tmax={tmax}, dt={dt}")
-    steps = max(1, int(round(tmax / dt)))
-    return np.linspace(0.0, tmax, steps + 1)
+    return np.linspace(0.0, tmax, time_steps(tmax, dt) + 1)
 
 
 def _sided_path(out: str, tag: str) -> str:
@@ -325,8 +323,7 @@ def cmd_evolve(config: RunConfig) -> dict:
                 sites = dense_evolve_series(params, grid, _delta_profile(params.geom))
             else:
                 sites = fast_evolve_series(params, grid, _delta_profile(params.geom).amplitudes)
-            picks = [0] + [1 << (r - 1) for r in range(1, r_top + 1)]
-            shell_amps = sites[:, picks].T
+            shell_amps = collapse_sites_to_shells(sites, params.geom).T
 
     weights = shell_weights(r_top)
     rows = []

@@ -7,17 +7,26 @@ r(1,2) = 1, r(1,3) = r(1,4) = 2, and r(1,x) = ceil(log2 x) for x >= 2.
 
 Everything here reduces to bit arithmetic on the zero-based site labels:
 r(i, j) is the bit length of (i-1) XOR (j-1).
+
+The dyadic layout lives here only: `block_bounds(N)` = (0, 1, 2, ..., 2^N)
+cuts a site array into shells r = 0..N and a tree-coefficient array into
+multiplets k = 0..N; `pair_level` is the coupling level of two labels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InputError
 
 __all__ = [
     "TreeGeometry",
     "BlockId",
+    "block_bounds",
+    "block_range",
+    "pair_level",
     "hierarchical_distance",
     "distance_of_site",
     "shell_size",
@@ -43,7 +52,7 @@ class TreeGeometry:
     @classmethod
     def from_length(cls, length: int) -> "TreeGeometry":
         if length < 2 or length & (length - 1):
-            raise InputError(f"chain length must be a power of two >= 2, got {length}")
+            raise InputError(f"length must be a power of two >= 2, got {length}")
         return cls(length.bit_length() - 1)
 
     def check_site(self, x: int) -> None:
@@ -70,11 +79,32 @@ class BlockId:
         return (self.index - 1) * width + 1, self.index * width
 
 
+def block_range(b: int) -> tuple[int, int]:
+    """Index range [start, stop) of block b: (0, 1), then (2^(b-1), 2^b)."""
+    return (0, 1) if b == 0 else (1 << (b - 1), 1 << b)
+
+
+def block_bounds(levels: int) -> tuple[int, ...]:
+    """(0, 1, 2, 4, ..., 2^levels): block b spans indices bounds[b]:bounds[b+1]."""
+    return (0, *(block_range(b)[1] for b in range(levels + 1)))
+
+
+def pair_level(i, j):
+    """Coupling level r - 1 of 0-based labels: top bit of i ^ j, -1 if i == j.
+
+    Elementwise on integer arrays (labels below 2^53).
+    """
+    xor = i ^ j
+    if isinstance(xor, int):
+        return xor.bit_length() - 1
+    return np.frexp(xor)[1] - 1
+
+
 def hierarchical_distance(i: int, j: int, geom: TreeGeometry) -> int:
     """Smallest level p at which sites i and j share a block of pi_p."""
     geom.check_site(i)
     geom.check_site(j)
-    return ((i - 1) ^ (j - 1)).bit_length()
+    return pair_level(i - 1, j - 1) + 1
 
 
 def distance_of_site(x: int, geom: TreeGeometry) -> int:
@@ -95,9 +125,8 @@ def shell_sites(r: int, geom: TreeGeometry) -> tuple[int, int]:
     """First and last site (inclusive) of shell r: {1} or (2^(r-1), 2^r]."""
     if not 0 <= r <= geom.levels:
         raise InputError(f"shell index {r} outside 0..{geom.levels}")
-    if r == 0:
-        return 1, 1
-    return (1 << (r - 1)) + 1, 1 << r
+    start, stop = block_range(r)
+    return start + 1, stop
 
 
 def sibling_block(block: BlockId, geom: TreeGeometry) -> BlockId:

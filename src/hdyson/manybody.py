@@ -30,8 +30,8 @@ from scipy.linalg import eigh_tridiagonal
 
 from ._util import popcount
 from .errors import ConvergenceError, InputError, ResourceLimitError
-from .geometry import TreeGeometry, shell_sites
-from .profiles import shell_weights
+from .geometry import TreeGeometry, pair_level
+from .profiles import shell_sums
 from .spectral import ModelParams
 
 __all__ = [
@@ -64,13 +64,12 @@ class SpinState:
 
     def __post_init__(self):
         amp = np.asarray(self.amplitudes, dtype=complex)
-        if amp.size < 2 or amp.size & (amp.size - 1):
-            raise InputError("state dimension must be a power of two")
+        TreeGeometry.from_length(amp.size)
         object.__setattr__(self, "amplitudes", amp)
 
     @property
     def sites(self) -> int:
-        return self.amplitudes.size.bit_length() - 1
+        return TreeGeometry.from_length(self.amplitudes.size).levels
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
@@ -127,18 +126,17 @@ def build_spin_hamiltonian(params: ModelParams, cap: int = SPARSE_CAP) -> Sparse
         raise ResourceLimitError(f"L = {L} exceeds the sparse cap {cap}")
     dim = 1 << L
     couplings = params.level_coupling_array()
-    pairs = [(i, j) for i in range(L) for j in range(i + 1, L)]
-    pair_flips = [(1 << i) | (1 << j) for i, j in pairs]
+    first, second = np.triu_indices(L, 1)
+    pair_flips = (1 << first) | (1 << second)
     diagonal = params.h != 0.0
-    flips = pair_flips + [0] if diagonal else pair_flips
+    flips = np.append(pair_flips, 0) if diagonal else pair_flips
 
     rows = np.arange(dim, dtype=np.int32)[:, None]
-    indices = rows ^ np.array(flips, dtype=np.int32)
+    indices = rows ^ flips.astype(np.int32)
     indices.sort(axis=1)
     flipped = indices ^ rows  # the flip mask of every stored entry
     value_of_flip = np.zeros(dim, dtype=complex)
-    # level r(i+1, j+1) - 1 of the pair is the top bit of i ^ j
-    value_of_flip[pair_flips] = [-couplings[(i ^ j).bit_length() - 1] for i, j in pairs]
+    value_of_flip[pair_flips] = -couplings[pair_level(first, second)]
     data = value_of_flip[flipped]
     if diagonal:
         ups_minus_downs = L - 2 * popcount(np.arange(dim, dtype=np.int64))
@@ -190,28 +188,17 @@ def entanglement_entropy(psi, cut: int) -> float:
 def shell_probability(source, geom: TreeGeometry) -> np.ndarray:
     """Many-body P(r, t) from site occupations.
 
-    P(r) = 2^(r-1) nbar(r) with nbar the arithmetic mean of n(x) over the
-    2^(r-1) sites of shell r (the permutation symmetry of the couplings
-    makes those sites equivalent); P(0) = n(site 1).  Accepts a series, a
-    (T, L) block, or a single profile; shells then satisfy
+    P(r) is the sum of n(x) over the 2^(r-1) sites of shell r, i.e.
+    2^(r-1) times their common value (the permutation symmetry of the
+    couplings makes those sites equivalent); P(0) = n(site 1).  Accepts a
+    series, a (T, L) block, or a single profile; shells then satisfy
     sum_r P(r) = sum_x n(x) identically.
     """
     if isinstance(source, ObservableSeries):
         n = source.n
     else:
         n = np.asarray(source, dtype=float)
-    squeeze = n.ndim == 1
-    n = np.atleast_2d(n)
-    if n.shape[1] != geom.length:
-        raise InputError("site count does not match geometry")
-    weights = shell_weights(geom.levels)
-    out = np.empty((n.shape[0], geom.levels + 1))
-    out[:, 0] = n[:, 0]
-    for r in range(1, geom.levels + 1):
-        first, last = shell_sites(r, geom)
-        block = n[:, first - 1 : last]
-        out[:, r] = block.mean(axis=1) * weights[r]
-    return out[0] if squeeze else out
+    return shell_sums(n, geom)
 
 
 @dataclass

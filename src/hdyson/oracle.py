@@ -17,7 +17,8 @@ The O(L) kernels keep their intermediate pyramids in a per-thread scratch
 cache (repeatedly faulting fresh pages costs several times the arithmetic
 at these sizes) and accept an optional preallocated `out` array, so a time
 series at fixed L runs allocation-free in steady state.  Scratch is
-thread-local: concurrent maps over time points are safe.
+thread-local, so concurrent maps over time points are safe, and holds one
+size per kernel: a call at another L replaces it.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import numpy as np
 
 from ._util import parallel_map
 from .errors import InputError
+from .geometry import TreeGeometry, block_bounds, block_range
 from .profiles import SITE_MODE, WaveProfile
 from .spectral import (
     DENSE_CAP,
@@ -57,34 +59,28 @@ _INV_SQRT2 = 2.0 ** -0.5
 _SCRATCH = threading.local()
 
 
-def _levels_of(length: int) -> int:
-    if length < 2 or length & (length - 1):
-        raise InputError(f"vector length must be a power of two >= 2, got {length}")
-    return length.bit_length() - 1
-
-
 def _scratch(kernel: str, length: int, dtype) -> dict:
-    """Per-thread reusable work arrays for one kernel at one size."""
+    """Per-thread reusable work arrays for one kernel and dtype.
+
+    The slot holds arrays for one length; a call at another length
+    replaces it, so the store never holds more than one size per kernel.
+    """
     store = getattr(_SCRATCH, "store", None)
     if store is None:
         store = _SCRATCH.store = {}
-    key = (kernel, length, np.dtype(dtype).str)
+    key = (kernel, np.dtype(dtype).str)
     slot = store.get(key)
-    if slot is None:
-        slot = store[key] = {}
+    if slot is None or slot["length"] != length:
+        slot = store[key] = {"length": length}
     return slot
 
 
-def _pyramid(slot: dict, name: str, length: int, dtype) -> list[np.ndarray]:
-    """Arrays of sizes length/2, length/4, ..., 1."""
+def _pyramid(slot: dict, name: str, levels: int, dtype) -> list[np.ndarray]:
+    """Arrays of sizes 2^(levels-1), ..., 2, 1 (blocks levels..1)."""
     pyramid = slot.get(name)
     if pyramid is None:
-        pyramid = []
-        size = length // 2
-        while size >= 1:
-            pyramid.append(np.empty(size, dtype=dtype))
-            size //= 2
-        slot[name] = pyramid
+        sizes = block_bounds(levels)[-2:0:-1]
+        pyramid = slot[name] = [np.empty(size, dtype=dtype) for size in sizes]
     return pyramid
 
 
@@ -120,6 +116,13 @@ class DenseOperator:
 
 def dense_operator(params: ModelParams, dense_cap: int = DENSE_CAP) -> DenseOperator:
     return DenseOperator(build_hopping_matrix(params, dense_cap))
+
+
+def _check_length(params: ModelParams, v: np.ndarray) -> None:
+    if v.shape != (params.geom.length,):
+        raise InputError(
+            f"vector shape {v.shape} does not match chain length {params.geom.length}"
+        )
 
 
 def _check_initial(initial: WaveProfile, length: int) -> np.ndarray:
@@ -166,16 +169,13 @@ def fast_apply(params: ModelParams, v: np.ndarray,
     block sum; the output at a leaf is minus its accumulated field.
     """
     v = np.asarray(v)
-    n = _levels_of(v.size)
-    if n != params.geom.levels:
-        raise InputError(
-            f"vector length {v.size} does not match chain length {params.geom.length}"
-        )
+    _check_length(params, v)
+    n = params.geom.levels
     couplings = params.level_coupling_array()
     dtype = np.result_type(v.dtype, float)
     slot = _scratch("fast_apply", v.size, dtype)
-    sums = _pyramid(slot, "sums", v.size, dtype)      # sums[p-1]: level-p block sums
-    fields = _pyramid(slot, "fields", v.size, dtype)  # fields[p-1]: level-p fields
+    sums = _pyramid(slot, "sums", n, dtype)      # sums[p-1]: level-p block sums
+    fields = _pyramid(slot, "fields", n, dtype)  # fields[p-1]: level-p fields
     out = _prepare_out(out, v.size, dtype, v)
 
     src = v
@@ -201,8 +201,8 @@ def fast_apply(params: ModelParams, v: np.ndarray,
 class TreeCoefficients:
     """Expansion over the tree eigenbasis, one slot per basis vector.
 
-    Slot 0 is the uniform mode; multiplet k >= 1 occupies slots
-    2^(k-1) .. 2^k - 1, members ordered left to right by support block.
+    Multiplet k occupies block k of `geometry.block_bounds` (slot 0 is the
+    uniform mode), members ordered left to right by support block.
     """
 
     values: np.ndarray
@@ -213,9 +213,7 @@ class TreeCoefficients:
             raise InputError(f"multiplet index {k} outside 0..{self.levels}")
         if not 1 <= m <= multiplet_degeneracy(k):
             raise InputError(f"member index {m} invalid for multiplet {k}")
-        if k == 0:
-            return complex(self.values[0])
-        return complex(self.values[(1 << (k - 1)) + m - 1])
+        return complex(self.values[block_range(k)[0] + m - 1])
 
 
 def tree_transform(v: np.ndarray, out: np.ndarray | None = None) -> TreeCoefficients:
@@ -226,16 +224,17 @@ def tree_transform(v: np.ndarray, out: np.ndarray | None = None) -> TreeCoeffici
     multiplet k = N - p + 1 coefficients.
     """
     v = np.asarray(v)
-    n = _levels_of(v.size)
+    n = TreeGeometry.from_length(v.size).levels
+    bounds = block_bounds(n)
     dtype = np.result_type(v.dtype, float)
     slot = _scratch("tree_transform", v.size, dtype)
-    work = _pyramid(slot, "work", v.size, dtype)
+    work = _pyramid(slot, "work", n, dtype)
     values = _prepare_out(out, v.size, dtype, v)
 
     src = v
     for p in range(1, n + 1):
         k = n - p + 1
-        detail = values[1 << (k - 1) : 1 << k]
+        detail = values[bounds[k] : bounds[k + 1]]
         np.subtract(src[0::2], src[1::2], out=detail)
         detail *= _INV_SQRT2
         np.add(src[0::2], src[1::2], out=work[p - 1])
@@ -250,17 +249,18 @@ def inverse_tree_transform(coeffs: TreeCoefficients,
     """Exact adjoint of `tree_transform`; round-trip is the identity."""
     values = np.asarray(coeffs.values)
     n = coeffs.levels
-    if values.size != 1 << n:
+    bounds = block_bounds(n)
+    if values.size != bounds[-1]:
         raise InputError("coefficient slot count does not match levels")
     dtype = np.result_type(values.dtype, float)
     slot = _scratch("inverse_tree", values.size, dtype)
-    work = _pyramid(slot, "work", values.size, dtype)  # sizes L/2 .. 1
+    work = _pyramid(slot, "work", n, dtype)  # sizes L/2 .. 1
     out = _prepare_out(out, values.size, dtype, values)
 
     smooth = work[-1]
     smooth[0] = values[0]
     for k in range(1, n + 1):
-        detail = values[1 << (k - 1) : 1 << k]
+        detail = values[bounds[k] : bounds[k + 1]]
         target = out if k == n else work[n - k - 1]
         np.add(smooth, detail, out=target[0::2])
         np.subtract(smooth, detail, out=target[1::2])
@@ -277,6 +277,7 @@ def fast_evolve(params: ModelParams, t: float, initial: np.ndarray,
     each over its multiplet's slots gives the per-slot phase vector.
     """
     v = np.asarray(initial, dtype=complex)
+    _check_length(params, v)
     slot = _scratch("fast_evolve", v.size, np.complex128)
     coeff_buf = slot.get("coeffs")
     if coeff_buf is None:
@@ -318,8 +319,6 @@ def benchmark_fast_ops(n_values, repeats: int = 5, sigma: float = 1.0,
     phase of the host biases every size equally, and a warmup pass also
     calibrates the per-window call counts.
     """
-    from .geometry import TreeGeometry
-
     n_values = [int(n) for n in n_values]
     cases = []
     for n in n_values:

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
-from .geometry import TreeGeometry
+from .errors import InputError, ResourceLimitError
+from .geometry import TreeGeometry, block_bounds
 
 __all__ = [
     "SITE_MODE",
@@ -24,11 +24,16 @@ __all__ = [
     "ProbabilityProfile",
     "expand_shells_to_sites",
     "collapse_sites_to_shells",
+    "shell_sums",
     "shell_weights",
 ]
 
 SITE_MODE = "site"
 SHELL_MODE = "shell"
+
+# Term k of the series carries 2^(-k-1), exactly 0 for k >= 1074: a larger K
+# only adds zero terms.
+MAX_SERIES_TERMS = 1074
 
 
 @dataclass(frozen=True)
@@ -44,6 +49,11 @@ class TruncationPolicy:
     def __post_init__(self):
         if self.K < 1:
             raise InputError(f"series cutoff K must be >= 1, got {self.K}")
+        if self.K > MAX_SERIES_TERMS:
+            raise ResourceLimitError(
+                f"series cutoff K = {self.K} exceeds {MAX_SERIES_TERMS}, "
+                "beyond which every term is zero"
+            )
 
     @property
     def tail_bound(self) -> float:
@@ -66,8 +76,8 @@ class WaveProfile:
             raise InputError(f"unknown profile mode {self.mode!r}")
         amp = np.asarray(self.amplitudes, dtype=complex)
         object.__setattr__(self, "amplitudes", amp)
-        if self.mode == SITE_MODE and (amp.size < 2 or amp.size & (amp.size - 1)):
-            raise InputError("site-mode profile length must be a power of two >= 2")
+        if self.mode == SITE_MODE:
+            TreeGeometry.from_length(amp.size)
 
     @property
     def length(self) -> int:
@@ -84,7 +94,6 @@ class ProbabilityProfile:
 
     values: np.ndarray
     time: float
-    mode: str = SHELL_MODE
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
@@ -102,35 +111,38 @@ def shell_weights(r_max: int) -> np.ndarray:
 
 
 def expand_shells_to_sites(shell_values: np.ndarray, geom: TreeGeometry) -> np.ndarray:
-    """Broadcast per-shell values onto the L sites of the chain.
+    """Broadcast per-shell values (last axis) onto the L sites of the chain.
 
-    Shell r >= 1 occupies sites 2^(r-1)+1 .. 2^r, i.e. array indices
-    2^(r-1) .. 2^r - 1.
+    Shell r occupies block r of `geometry.block_bounds`.
     """
     shell_values = np.asarray(shell_values)
-    if shell_values.size != geom.levels + 1:
-        raise InputError(
-            f"need {geom.levels + 1} shell values for N={geom.levels}, "
-            f"got {shell_values.size}"
-        )
-    out = np.empty(geom.length, dtype=shell_values.dtype)
-    out[0] = shell_values[0]
-    for r in range(1, geom.levels + 1):
-        out[1 << (r - 1) : 1 << r] = shell_values[r]
-    return out
+    if shell_values.shape[-1:] != (geom.levels + 1,):
+        raise InputError(f"need {geom.levels + 1} shell values for N={geom.levels}")
+    return np.repeat(shell_values, np.diff(block_bounds(geom.levels)), axis=-1)
+
+
+def _site_array(site_values, geom: TreeGeometry) -> np.ndarray:
+    site_values = np.asarray(site_values)
+    if site_values.shape[-1:] != (geom.length,):
+        raise InputError("site array length does not match geometry")
+    return site_values
 
 
 def collapse_sites_to_shells(site_values: np.ndarray, geom: TreeGeometry) -> np.ndarray:
-    """Read one representative value per shell from a site-indexed array.
+    """Read one representative value per shell from the last (site) axis.
 
     Valid when the array is constant on shells (the permutation symmetry of
     the couplings guarantees this for states launched from site 1).
     """
-    site_values = np.asarray(site_values)
-    if site_values.size != geom.length:
-        raise InputError("site array length does not match geometry")
-    out = np.empty(geom.levels + 1, dtype=site_values.dtype)
-    out[0] = site_values[0]
-    for r in range(1, geom.levels + 1):
-        out[r] = site_values[1 << (r - 1)]
-    return out
+    site_values = _site_array(site_values, geom)
+    return site_values[..., list(block_bounds(geom.levels)[:-1])]
+
+
+def shell_sums(site_values: np.ndarray, geom: TreeGeometry) -> np.ndarray:
+    """Sum of a site-indexed array over each shell, along the last axis."""
+    site_values = _site_array(site_values, geom)
+    bounds = block_bounds(geom.levels)
+    return np.stack(
+        [site_values[..., lo:hi].sum(axis=-1) for lo, hi in zip(bounds, bounds[1:])],
+        axis=-1,
+    )

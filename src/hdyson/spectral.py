@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ResourceLimitError, SingularLimitError
-from .geometry import TreeGeometry
+from .geometry import TreeGeometry, block_bounds, block_range, pair_level
 from .profiles import SITE_MODE, WaveProfile, shell_weights
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "SpectrumData",
     "EigvecDescriptor",
     "multiplet_degeneracy",
-    "degeneracy_list",
     "eigenvalues",
     "eigenvector",
     "eigvec_descriptor",
@@ -144,11 +143,8 @@ def multiplet_degeneracy(k: int) -> int:
     """Dimension of the k-th eigenspace: 1, 1, 2, 4, ..., 2^(k-1)."""
     if k < 0:
         raise InputError(f"multiplet index must be >= 0, got {k}")
-    return 1 if k <= 1 else 1 << (k - 1)
-
-
-def degeneracy_list(levels: int) -> np.ndarray:
-    return np.array([multiplet_degeneracy(k) for k in range(levels + 1)], dtype=int)
+    start, stop = block_range(k)
+    return stop - start
 
 
 def renormalized_coupling(sigma: float, J: float) -> float:
@@ -195,8 +191,9 @@ def _eigenvalues_from_coupling_sums(params: ModelParams) -> np.ndarray:
 def eigenvalues(params: ModelParams) -> SpectrumData:
     """All distinct eigenvalues of the hopping matrix with multiplicities."""
     n = params.geom.levels
+    degeneracy = np.diff(block_bounds(n))
     if params.level_couplings is not None:
-        return SpectrumData(_eigenvalues_from_coupling_sums(params), degeneracy_list(n))
+        return SpectrumData(_eigenvalues_from_coupling_sums(params), degeneracy)
     if params.sigma == 0:
         raise SingularLimitError(
             "closed-form spectrum diverges at sigma = 0; "
@@ -206,7 +203,7 @@ def eigenvalues(params: ModelParams) -> SpectrumData:
     k = np.arange(n + 1)
     band = np.exp2(sigma * (k - n))  # 2^(k sigma) / L^sigma
     eps = -J / (1.0 - 2.0 ** -sigma) * (1.0 - band) + J * band * (k != 0)
-    return SpectrumData(eps, degeneracy_list(n))
+    return SpectrumData(eps, degeneracy)
 
 
 def eigvec_descriptor(k: int, m: int, geom: TreeGeometry) -> EigvecDescriptor:
@@ -227,7 +224,7 @@ def eigvec_descriptor(k: int, m: int, geom: TreeGeometry) -> EigvecDescriptor:
     width = 1 << (n - k + 1)  # support block size
     first = (m - 1) * width + 1
     half = width >> 1
-    amplitude = math.sqrt(2.0 ** (k - 1.0) / geom.length)
+    amplitude = math.sqrt(multiplet_degeneracy(k) / geom.length)
     return EigvecDescriptor(
         k, m, (first, first + half - 1), (first + half, first + width - 1), amplitude
     )
@@ -247,14 +244,10 @@ def build_hopping_matrix(params: ModelParams, dense_cap: int = DENSE_CAP) -> np.
             f"L = {geom.length} exceeds the dense cap {dense_cap}"
         )
     couplings = params.level_coupling_array()
-    L = geom.length
-    labels = np.arange(L)
-    # r(i, j) - 1 = index of the highest differing bit of the 0-based labels
-    xor = labels[:, None] ^ labels[None, :]
-    mat = np.zeros((L, L))
-    nz = xor != 0
-    level = np.zeros_like(xor)
-    level[nz] = np.floor(np.log2(xor[nz])).astype(int)
+    labels = np.arange(geom.length)
+    level = pair_level(labels[:, None], labels[None, :])
+    mat = np.zeros(level.shape)
+    nz = level >= 0
     mat[nz] = -couplings[level[nz]]
     return mat
 
@@ -266,8 +259,5 @@ def delta_decomposition(geom: TreeGeometry) -> list[tuple[int, int, float]]:
     mode with weight 1/sqrt(L) and, for k = 1..N, the member containing
     site 1 with weight sqrt(2^(k-1)/L).
     """
-    L = geom.length
-    terms = [(0, 1, L ** -0.5)]
-    for k in range(1, geom.levels + 1):
-        terms.append((k, 1, math.sqrt(2.0 ** (k - 1.0) / L)))
-    return terms
+    degeneracy = np.diff(block_bounds(geom.levels))
+    return [(k, 1, math.sqrt(d / geom.length)) for k, d in enumerate(degeneracy)]

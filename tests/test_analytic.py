@@ -5,6 +5,7 @@ import pytest
 
 from hdyson import (
     InputError,
+    ResourceLimitError,
     ModelParams,
     SingularLimitError,
     TreeGeometry,
@@ -343,3 +344,12 @@ def test_estimate_dynamical_exponent_blind():
     assert abs(z - 1.0) <= 0.02
     with pytest.raises(InputError):
         estimate_dynamical_exponent(fn, [2], s_grid)
+
+
+def test_truncation_policy_cap():
+    # 2^(-k-1) is exactly zero from k = 1074 on, so K = 1074 is the longest series
+    assert TruncationPolicy(1074).tail_bound == 2.0 ** -1074
+    with pytest.raises(ResourceLimitError):
+        TruncationPolicy(1075)
+    with pytest.raises(ResourceLimitError):
+        time_average(0, 1e9, 1.0, dt=1e-6)

@@ -307,3 +307,24 @@ def test_non_finite_values_rejected(tmp_path, capsys, source, key, value):
     assert run(tmp_path, *argv) == 2
     assert not out.exists()
     assert capsys.readouterr().err.startswith("input error:")
+
+
+@pytest.mark.parametrize("argv, table, index, count", [
+    (["evolve", "--rmax", 1], "e.csv", "r", 2),
+    (["manybody", "--L", 2], "e_n.csv", "x", 2),
+    (["entropy", "--N", 2], "e.csv", "x", 3),
+])
+def test_zero_horizon_writes_one_time_point(tmp_path, argv, table, index, count):
+    out = tmp_path / ("e" if argv[0] == "manybody" else "e.csv")
+    assert run(tmp_path, *argv, "--tmax", 0, "--out", out) == 0
+    _, rows = read_csv(tmp_path / table)
+    assert [row["t"] for row in rows] == [0.0] * count
+    assert [row[index] for row in rows] == sorted({row[index] for row in rows})
+
+
+@pytest.mark.parametrize("command", ["evolve", "timeavg"])
+def test_time_step_cap(tmp_path, capsys, command):
+    out = tmp_path / "big.csv"
+    assert run(tmp_path, command, "--tmax", 1e9, "--dt", 1e-6, "--out", out) == 3
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("resource limit:")

@@ -1,16 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdyson import (
     BlockId,
     InputError,
     TreeGeometry,
+    collapse_sites_to_shells,
     distance_of_site,
+    expand_shells_to_sites,
     hierarchical_distance,
+    multiplet_degeneracy,
     shell_sites,
     shell_size,
     sibling_block,
 )
+from hdyson.geometry import block_bounds, block_range, pair_level
+from hdyson.profiles import shell_sums, shell_weights
 
 from reference import partition_scan_distance
 
@@ -136,3 +143,41 @@ def test_input_validation():
     with pytest.raises(InputError):
         TreeGeometry.from_length(12)
     assert TreeGeometry.from_length(8) == TreeGeometry(3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(levels=st.integers(1, 20), data=st.data())
+def test_block_layout_properties(levels, data):
+    geom = TreeGeometry(levels)
+    bounds = block_bounds(levels)
+    # the N+2 bounds cut [0, 2^N) into N+1 consecutive nonempty blocks
+    assert len(bounds) == levels + 2
+    assert bounds[0] == 0 and bounds[-1] == geom.length
+    widths = np.diff(bounds)
+    assert np.all(widths > 0)
+    for r, width in enumerate(widths):
+        assert block_range(r) == (bounds[r], bounds[r + 1])
+        assert width == shell_size(r, geom) == multiplet_degeneracy(r)
+        assert shell_sites(r, geom) == (bounds[r] + 1, bounds[r + 1])
+    assert np.array_equal(widths, shell_weights(levels))
+
+    labels = st.integers(0, geom.length - 1)
+    i = np.array(data.draw(st.lists(labels, min_size=1, max_size=50)))
+    j = np.array(data.draw(st.lists(labels, min_size=i.size, max_size=i.size)))
+    expected = [(int(a) ^ int(b)).bit_length() - 1 for a, b in zip(i, j)]
+    assert pair_level(i, j).tolist() == expected
+    assert [pair_level(int(a), int(b)) for a, b in zip(i, j)] == expected
+
+    small = min(levels, 12)  # arrays of 2^N sites stay small
+    geom = TreeGeometry(small)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    shells = rng.normal(size=(3, small + 1)) + 1j * rng.normal(size=(3, small + 1))
+    assert np.array_equal(
+        collapse_sites_to_shells(expand_shells_to_sites(shells, geom), geom), shells
+    )
+    sites = rng.normal(size=(3, geom.length))
+    bounds = block_bounds(small)
+    per_block = np.array([[np.sum(row[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+                          for row in sites])
+    assert np.array_equal(shell_sums(sites, geom), per_block)
+    assert np.array_equal(shell_sums(sites[0], geom), per_block[0])

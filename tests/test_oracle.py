@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,8 @@ from hdyson import (
     tree_transform,
     wave_profile_finite,
 )
+
+from hdyson import oracle
 
 from reference import eigenvalue_slots, four_site_evolution
 
@@ -92,6 +96,11 @@ def test_fast_apply_validation():
         fast_apply(params, v, out=v)
     with pytest.raises(InputError):
         fast_apply(params, v, out=np.zeros(8))  # dtype mismatch with complex input
+    # fast_evolve shares the length check
+    with pytest.raises(InputError):
+        fast_evolve(params, 1.0, np.ones(16) / 4)
+    with pytest.raises(InputError):
+        fast_evolve(params, 1.0, np.ones((2, 4)) / 8 ** 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -273,3 +282,20 @@ def test_threaded_series_matches_sequential(monkeypatch):
     monkeypatch.setenv("HDYSON_THREADS", "2")
     threaded = fast_evolve_series(params, times, d)
     assert np.array_equal(sequential, threaded)
+
+
+def test_scratch_store_holds_one_size_per_kernel():
+    seen = {}
+
+    def work():
+        for levels in (6, 8, 10):
+            fast_evolve(params_for(levels), 1.0, delta_state(1 << levels))
+        seen.update(oracle._SCRATCH.store)
+
+    worker = threading.Thread(target=work)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    kernels = sorted(kernel for kernel, _ in seen)
+    assert kernels == ["fast_evolve", "inverse_tree", "tree_transform"]
+    assert all(slot["length"] == 1 << 10 for slot in seen.values())
