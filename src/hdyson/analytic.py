@@ -416,6 +416,9 @@ def single_particle_entropy(x: int, t, source: WaveProfile) -> float:
 # blind recovery of the dynamical exponent
 # ---------------------------------------------------------------------------
 
+# Time points per psi_fn call in the exponent scan; bounds its memory.
+_SCAN_BLOCK_POINTS = 1 << 18
+
 def estimate_dynamical_exponent(psi_fn, r_values, s_grid,
                                 z_min: float = 0.1, z_max: float = 6.0,
                                 scan: int = 3001, refine: int = 60) -> float:
@@ -428,11 +431,27 @@ def estimate_dynamical_exponent(psi_fn, r_values, s_grid,
     with the largest r and rescaled time in play), so a dense geometric
     scan locates the dip before golden-section refinement; keep the s grid
     within a few oscillation periods or sharpen the scan accordingly.
+
+    The scan hands `psi_fn` 2-d time arrays, one row per trial z, so
+    `psi_fn` must act elementwise and return an array of the shape it was
+    given (`psi_thermo` and `psi_finite` do).  Rows go out in blocks of at
+    most 2^18 time points (one row if the grid is longer), which bounds the
+    memory; a row's cost does not depend on the block it is in.
     """
     r_values = sorted(set(int(r) for r in r_values))
     if len(r_values) < 2:
         raise InputError("need at least two distinct r values to collapse")
-    s_grid = np.asarray(s_grid, dtype=float)
+    if scan < 2:
+        raise InputError(f"scan needs at least 2 trial exponents, got {scan}")
+    if refine < 0:
+        raise InputError(f"refine must be >= 0, got {refine}")
+    if not (math.isfinite(z_min) and z_min > 0):
+        raise InputError(f"z_min must be finite and positive, got {z_min}")
+    if not (math.isfinite(z_max) and z_max > z_min):
+        raise InputError(f"need a finite z_max > z_min, got {z_min}..{z_max}")
+    s_grid = np.asarray(s_grid, dtype=float).ravel()
+    if s_grid.size == 0 or not np.all(np.isfinite(s_grid)):
+        raise InputError("s_grid must be nonempty and finite")
     r0 = r_values[0]
 
     def spread(z: float) -> float:
@@ -443,8 +462,25 @@ def estimate_dynamical_exponent(psi_fn, r_values, s_grid,
             acc += float(np.mean(np.abs(cur - ref) ** 2))
         return acc / (len(r_values) - 1)
 
+    def scaled_rows(r: int, zs: np.ndarray) -> np.ndarray:
+        # scalar powers, as in spread(): np.power over an array rounds some
+        # of them differently
+        scales = np.array([2.0 ** (z * r) for z in zs])
+        return 2.0 ** r * psi_fn(r, s_grid[None, :] * scales[:, None])
+
+    def spreads(zs: np.ndarray) -> np.ndarray:
+        """spread(z) for each z, from one psi_fn call per shell."""
+        ref = scaled_rows(r0, zs)
+        acc = np.zeros(zs.size)
+        for r in r_values[1:]:
+            acc += np.mean(np.abs(scaled_rows(r, zs) - ref) ** 2, axis=-1)
+        return acc / (len(r_values) - 1)
+
     zs = np.geomspace(z_min, z_max, scan)
-    costs = np.array([spread(z) for z in zs])
+    block = max(1, _SCAN_BLOCK_POINTS // s_grid.size)
+    costs = np.concatenate(
+        [spreads(zs[i:i + block]) for i in range(0, scan, block)]
+    )
     best = int(np.argmin(costs))
     lo = zs[max(best - 1, 0)]
     hi = zs[min(best + 1, scan - 1)]

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._util import fmt17, time_steps
+from ._util import MAX_TIME_STEPS, fmt17, time_steps
 from .analytic import (
     binary_entropy,
     closed_form_average,
@@ -77,6 +77,10 @@ COMMANDS = ("spectrum", "evolve", "collapse", "timeavg", "manybody", "entropy", 
 
 EVOLVE_MODES = ("thermo", "finite", "dense", "fast")
 ENTROPY_MODES = ("single", "manybody")
+
+# Largest --rmax: 2^r, the scale of shell r's weight and amplitude, is a
+# finite double up to r = 1023.
+MAX_SHELL = 1023
 
 
 @dataclass(frozen=True)
@@ -277,6 +281,15 @@ def _sided_path(out: str, tag: str) -> str:
     return str(path.with_name(path.stem + tag + path.suffix))
 
 
+def _check_rmax(rmax: int, sigma: float = 0.0) -> None:
+    """Cap rmax, and sigma * rmax for commands that rescale time by 2^(sigma r)."""
+    exponent = max(rmax, sigma * rmax)
+    if exponent > MAX_SHELL:
+        raise ResourceLimitError(
+            f"rmax = {rmax} needs 2^{exponent:g}, beyond the shell cap 2^{MAX_SHELL}"
+        )
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -302,6 +315,9 @@ def _delta_profile(geom: TreeGeometry) -> WaveProfile:
 def cmd_evolve(config: RunConfig) -> dict:
     if config.mode not in EVOLVE_MODES:
         raise InputError(f"evolve mode must be one of {EVOLVE_MODES}, got {config.mode!r}")
+    if config.rmax < 0:
+        raise InputError(f"rmax must be >= 0, got {config.rmax}")
+    _check_rmax(config.rmax)
     grid = _time_grid(config.tmax, config.dt)
     policy = TruncationPolicy(config.K)
 
@@ -338,6 +354,13 @@ def cmd_evolve(config: RunConfig) -> dict:
 def cmd_collapse(config: RunConfig) -> dict:
     if config.rmin < 1 or config.rmax < config.rmin:
         raise InputError(f"need 1 <= rmin <= rmax, got {config.rmin}..{config.rmax}")
+    _check_rmax(config.rmax, config.sigma)
+    if config.points < 1:
+        raise InputError(f"points must be >= 1, got {config.points}")
+    if config.points > MAX_TIME_STEPS:
+        raise ResourceLimitError(
+            f"points = {config.points} exceeds the cap of {MAX_TIME_STEPS} time steps"
+        )
     policy = TruncationPolicy(config.K)
     s_grid = np.linspace(0.0, config.tmax, config.points)
     rows = []
@@ -362,6 +385,7 @@ def cmd_collapse(config: RunConfig) -> dict:
 def cmd_timeavg(config: RunConfig) -> dict:
     if config.rmin < 0 or config.rmax < config.rmin:
         raise InputError(f"need 0 <= rmin <= rmax, got {config.rmin}..{config.rmax}")
+    _check_rmax(config.rmax, 0.0 if config.tmax else config.sigma)
     policy = TruncationPolicy(config.K)
     horizons, averages, rows = [], [], []
     for r in range(config.rmin, config.rmax + 1):

@@ -23,16 +23,18 @@ L = 10 and is used as a cross-check in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import eigh_tridiagonal
 
 from ._util import popcount
 from .errors import ConvergenceError, InputError, ResourceLimitError
 from .geometry import TreeGeometry, pair_level
 from .profiles import shell_sums
 from .spectral import ModelParams
+
+if TYPE_CHECKING:  # scipy loads on first use, off the import path of hdyson
+    import scipy.sparse as sp
 
 __all__ = [
     "SPARSE_CAP",
@@ -121,6 +123,8 @@ def build_spin_hamiltonian(params: ModelParams, cap: int = SPARSE_CAP) -> Sparse
     order, as a COO-to-CSR conversion leaves them, so each row of a
     product sums in that same order.
     """
+    import scipy.sparse as sp
+
     L = params.geom.length
     if L > cap:
         raise ResourceLimitError(f"L = {L} exceeds the sparse cap {cap}")
@@ -234,6 +238,8 @@ def _lanczos_step(matvec, psi: np.ndarray, dt: float,
     estimate is the classical residual term beta_{m+1} |y_m|.  Each basis
     vector is conjugated once, when it is made, for the reorthogonalization.
     """
+    from scipy.linalg import eigh_tridiagonal
+
     dim = psi.size
     m = min(m_max, dim)
     basis = np.empty((m, dim), dtype=complex)

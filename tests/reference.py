@@ -5,16 +5,19 @@ come from scanning the partition hierarchy, eigenvalues from summing
 couplings shell by shell, evolution from hand-assembled mode sums or dense
 matrix exponentials, second-order couplings from squaring the dense hopping
 matrix, the spin Hamiltonian from a COO triplet list converted to CSR, the
-per-slot eigenvalues of the tree basis from an explicit slot-by-slot layout.
+per-slot eigenvalues of the tree basis from an explicit slot-by-slot layout,
+the dynamical-exponent scan from one amplitude call per trial exponent.
 Tests freeze values computed by these routines.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.sparse as sp
 
-from hdyson import build_hopping_matrix, eigenvalues
+from hdyson import InputError, build_hopping_matrix, eigenvalues
 from hdyson._util import popcount
 
 
@@ -159,3 +162,49 @@ def cluster_distinct(evals: np.ndarray, tolerance: float) -> list[tuple[float, i
         else:
             clusters.append([value])
     return [(float(np.mean(c)), len(c)) for c in clusters]
+
+
+def per_z_dynamical_exponent(psi_fn, r_values, s_grid,
+                             z_min: float = 0.1, z_max: float = 6.0,
+                             scan: int = 3001, refine: int = 60) -> float:
+    """`analytic.estimate_dynamical_exponent` with the scan done one z at a time.
+
+    The library batches the scan into 2-d time arrays; this keeps the
+    original loop, one `psi_fn` call per trial z and shell, whose result the
+    batched scan must reproduce to the bit.
+    """
+    r_values = sorted(set(int(r) for r in r_values))
+    if len(r_values) < 2:
+        raise InputError("need at least two distinct r values to collapse")
+    s_grid = np.asarray(s_grid, dtype=float)
+    r0 = r_values[0]
+
+    def spread(z: float) -> float:
+        ref = 2.0 ** r0 * psi_fn(r0, s_grid * 2.0 ** (z * r0))
+        acc = 0.0
+        for r in r_values[1:]:
+            cur = 2.0 ** r * psi_fn(r, s_grid * 2.0 ** (z * r))
+            acc += float(np.mean(np.abs(cur - ref) ** 2))
+        return acc / (len(r_values) - 1)
+
+    zs = np.geomspace(z_min, z_max, scan)
+    costs = np.array([spread(z) for z in zs])
+    best = int(np.argmin(costs))
+    lo = zs[max(best - 1, 0)]
+    hi = zs[min(best + 1, scan - 1)]
+
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - ratio * (b - a)
+    d = a + ratio * (b - a)
+    fc, fd = spread(c), spread(d)
+    for _ in range(refine):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - ratio * (b - a)
+            fc = spread(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + ratio * (b - a)
+            fd = spread(d)
+    return 0.5 * (a + b)

@@ -1,8 +1,12 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hdyson import analytic
 from hdyson import (
     InputError,
     ResourceLimitError,
@@ -33,6 +37,8 @@ from hdyson import (
     wave_profile_thermo,
 )
 from hdyson.profiles import collapse_sites_to_shells, expand_shells_to_sites
+
+from reference import per_z_dynamical_exponent
 
 
 def params_for(levels, sigma=1.0, J=1.0):
@@ -344,6 +350,83 @@ def test_estimate_dynamical_exponent_blind():
     assert abs(z - 1.0) <= 0.02
     with pytest.raises(InputError):
         estimate_dynamical_exponent(fn, [2], s_grid)
+
+
+def _time_rows_by_shell(psi_fn, log):
+    """Wrap psi_fn so that `log[r]` collects every time row it is handed."""
+
+    def recording(r, t):
+        log.setdefault(r, []).extend(np.atleast_2d(t))
+        return psi_fn(r, t)
+
+    return recording
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    sigma=st.floats(0.3, 2.5),
+    shells=st.sets(st.integers(0, 10), min_size=2, max_size=8),
+    s_grid=st.lists(st.floats(0.0, 8.0), min_size=1, max_size=80),
+    scan=st.integers(2, 400),
+    refine=st.integers(0, 12),
+    finite=st.booleans(),
+    block=st.sampled_from([analytic._SCAN_BLOCK_POINTS, 1, 97]),
+)
+def test_batched_exponent_scan_matches_per_z_reference(
+    sigma, shells, s_grid, scan, refine, finite, block
+):
+    if finite:
+        params = params_for(10, sigma=sigma)
+        fn = lambda r, t: psi_finite(r, t, params)
+    else:
+        fn = lambda r, t: psi_thermo(r, t, sigma)
+    batched, per_z = {}, {}
+    with mock.patch.object(analytic, "_SCAN_BLOCK_POINTS", block):
+        z = estimate_dynamical_exponent(
+            _time_rows_by_shell(fn, batched), shells, s_grid, scan=scan, refine=refine
+        )
+    assert z == per_z_dynamical_exponent(
+        _time_rows_by_shell(fn, per_z), shells, s_grid, scan=scan, refine=refine
+    )
+    # every trial time array, scan rows included, is the reference's to the bit
+    assert batched.keys() == per_z.keys()
+    for r in per_z:
+        assert np.array_equal(np.array(batched[r]), np.array(per_z[r]))
+
+
+def test_exponent_scan_makes_one_call_per_shell():
+    shapes = []
+
+    def fn(r, t):
+        shapes.append(np.shape(t))
+        return psi_thermo(r, t, 1.0)
+
+    s_grid = np.linspace(0.0, 6.0, 61)[1:]
+    estimate_dynamical_exponent(fn, range(1, 5), s_grid, scan=301, refine=7)
+    # one scan call and 2 + refine golden-section spreads, each over 4 shells
+    assert len(shapes) == 4 * (3 + 7)
+    assert shapes[:4] == [(301, 60)] * 4
+    assert shapes[4:] == [(60,)] * (4 * 9)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"scan": 1}, {"scan": 0}, {"refine": -1},
+    {"z_min": 0.0}, {"z_min": -1.0}, {"z_min": float("nan")},
+    {"z_max": 0.1}, {"z_max": 0.05}, {"z_max": float("inf")},
+    {"s_grid": []}, {"s_grid": [1.0, float("nan")]}, {"s_grid": [float("inf")]},
+])
+def test_estimate_dynamical_exponent_validation(kwargs):
+    calls = []
+
+    def fn(r, t):
+        calls.append(r)
+        return psi_thermo(r, t, 1.0)
+
+    kwargs = dict(kwargs)
+    s_grid = kwargs.pop("s_grid", np.linspace(0.1, 6.0, 20))
+    with pytest.raises(InputError):
+        estimate_dynamical_exponent(fn, range(1, 4), s_grid, **kwargs)
+    assert calls == []
 
 
 def test_truncation_policy_cap():

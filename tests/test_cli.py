@@ -1,11 +1,16 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hdyson
 from hdyson import TruncationPolicy, eigenvalues, ModelParams, TreeGeometry, psi_thermo
 from hdyson.cli import RunConfig, build_run_config, main
 
@@ -328,3 +333,52 @@ def test_time_step_cap(tmp_path, capsys, command):
     assert run(tmp_path, command, "--tmax", 1e9, "--dt", 1e-6, "--out", out) == 3
     assert not out.exists()
     assert capsys.readouterr().err.startswith("resource limit:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--rmax", 1100, "--tmax", 0],
+    ["collapse", "--rmin", 1, "--rmax", 1100, "--points", 2, "--tmax", 1],
+    ["collapse", "--sigma", 2, "--rmin", 1, "--rmax", 600, "--points", 2, "--tmax", 1],
+    ["timeavg", "--rmax", 1100, "--tmax", 1],
+    ["timeavg", "--sigma", 2, "--rmin", 600, "--rmax", 600],
+], ids=["evolve", "collapse", "collapse-sigma", "timeavg", "timeavg-horizon"])
+def test_shell_cap(tmp_path, capsys, argv):
+    out = tmp_path / "big.csv"
+    assert run(tmp_path, *argv, "--out", out) == 3
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("resource limit:")
+
+
+def test_evolve_negative_rmax(tmp_path, capsys):
+    out = tmp_path / "neg.csv"
+    assert run(tmp_path, "evolve", "--rmax", -1, "--tmax", 0, "--out", out) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("input error:")
+
+
+def test_shell_cap_is_inclusive(tmp_path):
+    out = tmp_path / "edge.csv"
+    assert run(tmp_path, "evolve", "--rmax", 1023, "--tmax", 0, "--out", out) == 0
+    _, rows = read_csv(out)
+    assert len(rows) == 1024
+    assert all(math.isfinite(row["P"]) for row in rows)
+
+
+def test_collapse_points_cap(tmp_path, capsys):
+    out = tmp_path / "big.csv"
+    assert run(tmp_path, "collapse", "--points", 10 ** 12, "--out", out) == 3
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("resource limit:")
+    assert run(tmp_path, "collapse", "--points", 0, "--out", out) == 2
+    assert not out.exists()
+
+
+def test_import_leaves_scipy_unloaded():
+    code = (
+        "import sys, hdyson, hdyson.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(hdyson.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
