@@ -53,8 +53,6 @@ def parallel_map(fn, items):
 
 def fmt17(value) -> str:
     """17-significant-digit decimal: round-trips any float64 exactly."""
-    if isinstance(value, str):
-        return value
     if isinstance(value, (bool, np.bool_)):
         return str(int(value))
     if isinstance(value, (int, np.integer)):

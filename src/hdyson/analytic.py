@@ -28,12 +28,13 @@ time-dependent evaluators accept scalar or array t.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 
 import numpy as np
 
 from ._util import time_steps
-from .errors import InputError, SingularLimitError
+from .errors import InputError, ResourceLimitError, SingularLimitError
 from .geometry import TreeGeometry, block_range
 from .profiles import (
     DEFAULT_POLICY,
@@ -114,9 +115,10 @@ def psi_finite(r: int, t, params: ModelParams):
     L = params.geom.length
     tarr, scalar = _as_time_array(t)
     acc = np.full(tarr.shape, 1.0 / L, dtype=complex) * np.exp(-1j * eps[0] * tarr)
+    weights = shell_weights(n)
     k_top = n if r == 0 else n - r
     for k in range(1, k_top + 1):
-        acc += (2.0 ** (k - 1) / L) * np.exp(-1j * eps[k] * tarr)
+        acc += (weights[k] / L) * np.exp(-1j * eps[k] * tarr)
     if r >= 1:
         acc -= 2.0 ** (-r) * np.exp(-1j * eps[n - r + 1] * tarr)
     return complex(acc[()]) if scalar else acc
@@ -436,7 +438,9 @@ def estimate_dynamical_exponent(psi_fn, r_values, s_grid,
     `psi_fn` must act elementwise and return an array of the shape it was
     given (`psi_thermo` and `psi_finite` do).  Rows go out in blocks of at
     most 2^18 time points (one row if the grid is longer), which bounds the
-    memory; a row's cost does not depend on the block it is in.
+    memory; a row's cost does not depend on the block it is in.  If 2^r or
+    2^(z_max r) overflows for the largest r, ResourceLimitError is raised
+    before any `psi_fn` call (overflowed scales would give NaN costs).
     """
     r_values = sorted(set(int(r) for r in r_values))
     if len(r_values) < 2:
@@ -452,6 +456,10 @@ def estimate_dynamical_exponent(psi_fn, r_values, s_grid,
     s_grid = np.asarray(s_grid, dtype=float).ravel()
     if s_grid.size == 0 or not np.all(np.isfinite(s_grid)):
         raise InputError("s_grid must be nonempty and finite")
+    # 2^x is a finite double exactly when x < sys.float_info.max_exp = 1024
+    exponent = max(r_values[-1], z_max * r_values[-1])
+    if exponent >= sys.float_info.max_exp:
+        raise ResourceLimitError(f"r = {r_values[-1]} needs 2^{exponent:g} in the z scan")
     r0 = r_values[0]
 
     def spread(z: float) -> float:

@@ -1,11 +1,17 @@
 """Command-line front end: reproducible runs that emit CSV/JSON tables.
 
-Subcommands: spectrum | evolve | collapse | timeavg | manybody | entropy |
-bench.  Flags beat an optional `--config key=value` file, which beats the
-built-in defaults; the fully resolved configuration is written beside every
-output as `<out>.manifest.json`, and identical configurations produce
-byte-identical outputs (floats are printed with 17 significant digits, so
-every table re-parses to the exact values that produced it).
+Subcommands: spectrum | evolve | collapse | timeavg | manybody | entropy.
+Each is declared once, in `SUBCOMMANDS`: the function that runs it, its
+help line and the `RunConfig` fields it reads with their defaults.  The
+parser, the dispatch, the config-file check and the manifest all come from
+that table and from `RunConfig`'s annotations, so a subcommand takes
+exactly the settings it reads: any other flag is a usage error, and any
+other key in a `--config key=value` file an input error.  Flags beat the
+file, which beats the defaults.  The command and its resolved settings are
+written beside every output as `<out>.manifest.json`, and identical
+configurations produce byte-identical outputs (floats are printed with 17
+significant digits, so every table re-parses to the exact values that
+produced it).
 
 Exit codes: 0 success, 2 input error, 3 resource cap, 4 convergence
 failure.  The HDYSON_THREADS environment variable sets the worker count
@@ -19,8 +25,9 @@ import json
 import math
 import sys
 import typing
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Annotated
 
 import numpy as np
 
@@ -48,7 +55,7 @@ from .manybody import (
     evolve_spin,
     quasi_conservation_report,
 )
-from .oracle import benchmark_fast_ops, dense_evolve_series, fast_evolve_series
+from .oracle import dense_evolve_series, fast_evolve_series
 from .profiles import (
     SITE_MODE,
     TruncationPolicy,
@@ -61,6 +68,7 @@ from .spectral import ModelParams, eigenvalues
 
 __all__ = [
     "RunConfig",
+    "SUBCOMMANDS",
     "build_run_config",
     "cmd_spectrum",
     "cmd_evolve",
@@ -68,15 +76,13 @@ __all__ = [
     "cmd_timeavg",
     "cmd_manybody",
     "cmd_entropy",
-    "cmd_bench",
     "main",
     "console_main",
 ]
 
-COMMANDS = ("spectrum", "evolve", "collapse", "timeavg", "manybody", "entropy", "bench")
-
 EVOLVE_MODES = ("thermo", "finite", "dense", "fast")
 ENTROPY_MODES = ("single", "manybody")
+FORMATS = ("csv", "json")
 
 # Largest --rmax: 2^r, the scale of shell r's weight and amplitude, is a
 # finite double up to r = 1023.
@@ -85,64 +91,51 @@ MAX_SHELL = 1023
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved settings of one run; a run is reproducible from this."""
+    """Fully resolved settings of one run; a run is reproducible from this.
+
+    A field is set only when the command reads it (its `SUBCOMMANDS`
+    entry); the others stay None.  Each annotation carries the flag's help.
+    """
 
     command: str
-    N: int | None = None
-    L: int | None = None
-    sigma: float = 1.0
-    J: float = 1.0
-    h: float = 0.0
-    tmax: float | None = None
-    dt: float | None = None
-    K: int = 64
-    mode: str | None = None
-    out: str = "out.csv"
-    format: str = "csv"
-    rmin: int | None = None
-    rmax: int | None = None
-    points: int | None = None
-    nmin: int | None = None
-    nmax: int | None = None
-    repeats: int | None = None
-    compare_single_particle: bool = False
+    N: Annotated[int | None, "tree depth, chain length L = 2^N"] = None
+    L: Annotated[int | None, "spin-chain length (power of two <= 16)"] = None
+    sigma: Annotated[float | None, "interaction decay exponent"] = None
+    J: Annotated[float | None, "coupling strength"] = None
+    h: Annotated[float | None, "transverse field"] = None
+    tmax: Annotated[float | None, "time horizon (units of 1/J)"] = None
+    dt: Annotated[float | None, "output grid step"] = None
+    K: Annotated[int | None, "mode-series cutoff"] = None
+    mode: Annotated[str | None, "evaluation mode"] = None
+    out: Annotated[str | None, "output path (or stem for manybody)"] = None
+    format: Annotated[str | None, "table format, csv or json"] = None
+    rmin: Annotated[int | None, "smallest shell"] = None
+    rmax: Annotated[int | None, "largest shell"] = None
+    points: Annotated[int | None, "rescaled-time samples"] = None
+    compare_single_particle: Annotated[bool | None, "compare with 1-particle theory"] = None
 
 
-_COMMAND_DEFAULTS = {
-    "spectrum": {"N": 6, "out": "spectrum.csv"},
-    "evolve": {
-        "N": 6, "mode": "thermo", "tmax": 20.0, "dt": 0.1, "rmax": 12,
-        "out": "evolve.csv",
-    },
-    "collapse": {
-        "tmax": 20.0, "points": 201, "rmin": 1, "rmax": 8, "out": "collapse.csv",
-    },
-    "timeavg": {"rmin": 0, "rmax": 5, "dt": 0.01, "out": "timeavg.csv"},
-    "manybody": {"L": 8, "h": 40.0, "tmax": 10.0, "dt": 0.1, "out": "manybody"},
-    "entropy": {
-        "mode": "single", "N": 8, "L": 8, "h": 40.0, "tmax": 10.0, "dt": 0.5,
-        "out": "entropy.csv",
-    },
-    "bench": {"nmin": 16, "nmax": 22, "repeats": 5, "out": "bench.csv"},
-}
+def _field(hint) -> tuple[type, str]:
+    """Value type (`X | None` is X) and help text of an annotated field."""
+    inner, help_text = typing.get_args(hint)
+    return next(t for t in typing.get_args(inner) if t is not type(None)), help_text
 
 
-def _converter(hint):
-    """Config-file parser for a RunConfig field type (`X | None` parses as X)."""
-    base = next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
-    if base is bool:
-        return lambda text: text.lower() in ("1", "true", "yes")
-    return base
-
-
-_CONVERTERS = {
-    key: _converter(hint)
-    for key, hint in typing.get_type_hints(RunConfig).items()
+_FIELDS = {
+    key: _field(hint)
+    for key, hint in typing.get_type_hints(RunConfig, include_extras=True).items()
     if key != "command"
 }
 
 
-def _load_config_file(path: str) -> dict:
+def _parse_value(key: str, text: str):
+    kind = _FIELDS[key][0]
+    if kind is bool:
+        return text.lower() in ("1", "true", "yes")
+    return kind(text)
+
+
+def _load_config_file(path: str, command: str) -> dict:
     values = {}
     text = Path(path).read_text()
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -153,63 +146,34 @@ def _load_config_file(path: str) -> dict:
             raise InputError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in _CONVERTERS:
-            raise InputError(f"{path}:{lineno}: unknown configuration key {key!r}")
+        if key not in SUBCOMMANDS[command].settings:
+            raise InputError(f"{path}:{lineno}: {command} has no setting {key!r}")
         try:
-            values[key] = _CONVERTERS[key](value.strip())
+            values[key] = _parse_value(key, value.strip())
         except ValueError as exc:
             raise InputError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return values
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="key=value file; flags win on conflict")
-    common.add_argument("--N", type=int, help="tree depth, chain length L = 2^N")
-    common.add_argument("--sigma", type=float, help="interaction decay exponent")
-    common.add_argument("--J", type=float, help="coupling strength")
-    common.add_argument("--h", type=float, help="transverse field")
-    common.add_argument("--tmax", type=float, help="time horizon (units of 1/J)")
-    common.add_argument("--dt", type=float, help="output grid step")
-    common.add_argument("--K", type=int, help="mode-series cutoff")
-    common.add_argument("--mode", help="evaluation mode of the subcommand")
-    common.add_argument("--out", help="output path (or stem for manybody)")
-    common.add_argument("--format", choices=("csv", "json"), help="table format")
-
     parser = argparse.ArgumentParser(
         prog="hdyson",
         description="hierarchical-chain excitation dynamics",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("spectrum", parents=[common],
-                   help="distinct hopping eigenvalues with multiplicities")
-    p_evolve = sub.add_parser("evolve", parents=[common],
-                              help="shell amplitudes and probabilities over time")
-    p_evolve.add_argument("--rmax", type=int, help="largest shell to emit")
-    p_collapse = sub.add_parser("collapse", parents=[common],
-                                help="scaling-collapse curves and exponent fit")
-    p_collapse.add_argument("--rmin", type=int)
-    p_collapse.add_argument("--rmax", type=int)
-    p_collapse.add_argument("--points", type=int, help="rescaled-time samples")
-    p_timeavg = sub.add_parser("timeavg", parents=[common],
-                               help="finite-horizon averages vs closed forms")
-    p_timeavg.add_argument("--rmin", type=int)
-    p_timeavg.add_argument("--rmax", type=int)
-    p_many = sub.add_parser("manybody", parents=[common],
-                            help="exact full-spin evolution at small L")
-    p_many.add_argument("--L", type=int, help="chain length (power of two <= 16)")
-    p_many.add_argument("--compare-single-particle", action="store_true",
-                        default=None, dest="compare_single_particle")
-    p_entropy = sub.add_parser("entropy", parents=[common],
-                               help="bipartite entanglement entropy profiles")
-    p_entropy.add_argument("--L", type=int, help="chain length for manybody mode")
-    p_bench = sub.add_parser("bench", parents=[common],
-                             help="wall-time scaling of the O(L) kernels")
-    p_bench.add_argument("--nmin", type=int)
-    p_bench.add_argument("--nmax", type=int)
-    p_bench.add_argument("--repeats", type=int)
+    for name, subcommand in SUBCOMMANDS.items():
+        # no abbreviations: where `--h` is not a flag it would abbreviate `--help`
+        p = sub.add_parser(name, help=subcommand.help, allow_abbrev=False)
+        p.add_argument("--config", help="key=value file; flags win on conflict")
+        for key, default in subcommand.settings.items():
+            kind, help_text = _FIELDS[key]
+            flag = "--" + key.replace("_", "-")
+            help_text += f" (default: {default})"
+            if kind is bool:
+                p.add_argument(flag, action="store_true", default=None, help=help_text)
+            else:
+                p.add_argument(flag, type=kind, help=help_text)
     return parser
 
 
@@ -217,17 +181,16 @@ def build_run_config(argv) -> RunConfig:
     """Parse argv and resolve flags > config file > defaults."""
     args = vars(_build_parser().parse_args(argv))
     command = args.pop("command")
-    config_path = args.pop("config", None)
-    file_values = _load_config_file(config_path) if config_path else {}
-
-    resolved = dict(_COMMAND_DEFAULTS[command])
-    resolved.update(file_values)
-    for key, value in args.items():
-        if value is not None:
-            resolved[key] = value
+    config_path = args.pop("config")
+    resolved = dict(SUBCOMMANDS[command].settings)
+    if config_path:
+        resolved.update(_load_config_file(config_path, command))
+    resolved.update((key, value) for key, value in args.items() if value is not None)
     for key, value in resolved.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise InputError(f"{key} must be finite, got {value}")
+    if resolved["format"] not in FORMATS:
+        raise InputError(f"format must be one of {FORMATS}, got {resolved['format']!r}")
     return RunConfig(command=command, **resolved)
 
 
@@ -246,10 +209,8 @@ def write_table(path: str, header: list[str], rows, fmt: str) -> str:
         for row in rows:
             record = {}
             for key, value in zip(header, row):
-                if isinstance(value, (int, np.integer)) or key in ("k", "r", "x", "N", "L"):
+                if isinstance(value, (int, np.integer)):
                     record[key] = int(value)
-                elif isinstance(value, str):
-                    record[key] = value
                 else:
                     record[key] = float(value)
             records.append(record)
@@ -263,7 +224,8 @@ def _write_manifest(config: RunConfig, outputs: list[str], extras: dict) -> str:
     payload = {
         "package": "hdyson",
         "version": __version__,
-        "config": asdict(config),
+        "config": {key: getattr(config, key)
+                   for key in ("command", *SUBCOMMANDS[config.command].settings)},
         "outputs": sorted(outputs),
     }
     payload.update(extras)
@@ -295,8 +257,7 @@ def _check_rmax(rmax: int, sigma: float = 0.0) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_spectrum(config: RunConfig) -> dict:
-    params = ModelParams(TreeGeometry(config.N), J=config.J,
-                         sigma=config.sigma, h=config.h)
+    params = ModelParams(TreeGeometry(config.N), J=config.J, sigma=config.sigma)
     spec = eigenvalues(params)
     rows = [
         (k, spec.eps[k], int(spec.degeneracy[k]))
@@ -327,8 +288,7 @@ def cmd_evolve(config: RunConfig) -> dict:
             [psi_thermo(r, grid, config.sigma, config.J, policy) for r in range(r_top + 1)]
         )
     else:
-        params = ModelParams(TreeGeometry(config.N), J=config.J,
-                             sigma=config.sigma, h=config.h)
+        params = ModelParams(TreeGeometry(config.N), J=config.J, sigma=config.sigma)
         r_top = params.geom.levels
         if config.mode == "finite":
             shell_amps = np.array(
@@ -362,6 +322,13 @@ def cmd_collapse(config: RunConfig) -> dict:
             f"points = {config.points} exceeds the cap of {MAX_TIME_STEPS} time steps"
         )
     policy = TruncationPolicy(config.K)
+    fit_grid = np.linspace(0.0, min(config.tmax, 6.0), 61)[1:]
+    z_est = estimate_dynamical_exponent(
+        lambda r, t: psi_thermo(r, t, config.sigma, config.J, policy),
+        range(config.rmin, config.rmax + 1),
+        fit_grid,
+    )
+
     s_grid = np.linspace(0.0, config.tmax, config.points)
     rows = []
     for r in range(config.rmin, config.rmax + 1):
@@ -371,13 +338,6 @@ def cmd_collapse(config: RunConfig) -> dict:
         for s, value in zip(s_grid, curve):
             rows.append((s, value.real, value.imag, r))
     out = write_table(config.out, ["s", "F_re", "F_im", "r_source"], rows, config.format)
-
-    fit_grid = np.linspace(0.0, min(config.tmax, 6.0), 61)[1:]
-    z_est = estimate_dynamical_exponent(
-        lambda r, t: psi_thermo(r, t, config.sigma, config.J, policy),
-        range(config.rmin, config.rmax + 1),
-        fit_grid,
-    )
     print(f"recovered dynamical exponent z = {z_est:.6f} (sigma = {config.sigma})")
     return {"outputs": [out], "z_estimate": z_est}
 
@@ -493,33 +453,52 @@ def cmd_entropy(config: RunConfig) -> dict:
     return {"outputs": [out]}
 
 
-def cmd_bench(config: RunConfig) -> dict:
-    if config.nmin < 1 or config.nmax < config.nmin:
-        raise InputError(f"need 1 <= nmin <= nmax, got {config.nmin}..{config.nmax}")
-    bench = benchmark_fast_ops(range(config.nmin, config.nmax + 1),
-                               repeats=config.repeats,
-                               sigma=config.sigma, J=config.J)
-    rows = [(b["N"], b["L"], b["op"], b["mean_ns"], b["stddev_ns"]) for b in bench]
-    out = write_table(config.out, ["N", "L", "op", "mean_ns", "stddev_ns"],
-                      rows, config.format)
-    return {"outputs": [out]}
+class Subcommand(typing.NamedTuple):
+    """One CLI subcommand: the function that runs it, its help line, its settings."""
+
+    run: typing.Callable[[RunConfig], dict]
+    help: str
+    settings: dict  # every RunConfig field that `run` reads, with its default
 
 
-_DISPATCH = {
-    "spectrum": cmd_spectrum,
-    "evolve": cmd_evolve,
-    "collapse": cmd_collapse,
-    "timeavg": cmd_timeavg,
-    "manybody": cmd_manybody,
-    "entropy": cmd_entropy,
-    "bench": cmd_bench,
+SUBCOMMANDS = {
+    "spectrum": Subcommand(
+        cmd_spectrum, "distinct hopping eigenvalues with multiplicities",
+        {"N": 6, "sigma": 1.0, "J": 1.0, "out": "spectrum.csv", "format": "csv"},
+    ),
+    "evolve": Subcommand(
+        cmd_evolve, "shell amplitudes and probabilities over time",
+        {"mode": "thermo", "N": 6, "sigma": 1.0, "J": 1.0, "tmax": 20.0, "dt": 0.1,
+         "K": 64, "rmax": 12, "out": "evolve.csv", "format": "csv"},
+    ),
+    "collapse": Subcommand(
+        cmd_collapse, "scaling-collapse curves and exponent fit",
+        {"sigma": 1.0, "J": 1.0, "tmax": 20.0, "K": 64, "rmin": 1, "rmax": 8,
+         "points": 201, "out": "collapse.csv", "format": "csv"},
+    ),
+    "timeavg": Subcommand(
+        cmd_timeavg,
+        "finite-horizon averages vs closed forms (no --tmax: T = 100 * 2^(sigma r))",
+        {"sigma": 1.0, "J": 1.0, "tmax": None, "dt": 0.01, "K": 64, "rmin": 0,
+         "rmax": 5, "out": "timeavg.csv", "format": "csv"},
+    ),
+    "manybody": Subcommand(
+        cmd_manybody, "exact full-spin evolution at small L",
+        {"L": 8, "sigma": 1.0, "J": 1.0, "h": 40.0, "tmax": 10.0, "dt": 0.1,
+         "compare_single_particle": False, "out": "manybody", "format": "csv"},
+    ),
+    "entropy": Subcommand(
+        cmd_entropy, "bipartite entanglement entropy profiles",
+        {"mode": "single", "N": 8, "L": 8, "sigma": 1.0, "J": 1.0, "h": 40.0,
+         "tmax": 10.0, "dt": 0.5, "K": 64, "out": "entropy.csv", "format": "csv"},
+    ),
 }
 
 
 def main(argv=None) -> int:
     try:
         config = build_run_config(argv)
-        payload = _DISPATCH[config.command](config)
+        payload = SUBCOMMANDS[config.command].run(config)
         outputs = payload.pop("outputs")
         manifest = _write_manifest(config, outputs, payload)
         for path in outputs:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, ResourceLimitError
 
 __all__ = [
     "TreeGeometry",
@@ -35,6 +35,10 @@ __all__ = [
 ]
 
 
+# Deepest tree: the largest multiplicity, 2^(N-1), must fit in an int64.
+MAX_LEVELS = 63
+
+
 @dataclass(frozen=True)
 class TreeGeometry:
     """Chain of length 2**levels with its binary partition hierarchy."""
@@ -44,6 +48,10 @@ class TreeGeometry:
     def __post_init__(self):
         if self.levels < 1:
             raise InputError(f"levels must be >= 1, got {self.levels}")
+        if self.levels > MAX_LEVELS:
+            raise ResourceLimitError(
+                f"levels = {self.levels} exceeds the cap of {MAX_LEVELS}"
+            )
 
     @property
     def length(self) -> int:

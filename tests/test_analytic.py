@@ -409,6 +409,23 @@ def test_exponent_scan_makes_one_call_per_shell():
     assert shapes[4:] == [(60,)] * (4 * 9)
 
 
+def test_exponent_scan_rejects_overflowing_scales():
+    calls = []
+
+    def fn(r, t):
+        calls.append(r)
+        return psi_thermo(r, t, 1.0)
+
+    s_grid = np.linspace(0.0, 6.0, 61)[1:]
+    # 2^(6 * 170) is finite, 2^(6 * 171) is not; 2^1024 is not, whatever z_max
+    estimate_dynamical_exponent(fn, [1, 170], s_grid, scan=3, refine=0)
+    calls.clear()
+    for r_values, z_max in (([1, 171], 6.0), ([1, 1024], 0.5)):
+        with pytest.raises(ResourceLimitError):
+            estimate_dynamical_exponent(fn, r_values, s_grid, z_max=z_max)
+    assert calls == []
+
+
 @pytest.mark.parametrize("kwargs", [
     {"scan": 1}, {"scan": 0}, {"refine": -1},
     {"z_min": 0.0}, {"z_min": -1.0}, {"z_min": float("nan")},

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import typing
@@ -12,7 +13,7 @@ import pytest
 
 import hdyson
 from hdyson import TruncationPolicy, eigenvalues, ModelParams, TreeGeometry, psi_thermo
-from hdyson.cli import RunConfig, build_run_config, main
+from hdyson.cli import SUBCOMMANDS, RunConfig, build_run_config, main
 
 from reference import two_spin_defect_occupations
 
@@ -204,14 +205,11 @@ def test_entropy_manybody_mode(tmp_path):
     assert all(row["S"] >= 0.0 for row in rows)
 
 
-def test_bench_schema(tmp_path):
-    out = tmp_path / "bench.csv"
-    assert run(tmp_path, "bench", "--nmin", 4, "--nmax", 5, "--repeats", 2,
-               "--out", out) == 0
-    header, rows = read_csv(out)
-    assert header == ["N", "L", "op", "mean_ns", "stddev_ns"]
-    assert {row["op"] for row in rows} == {"fast_apply", "tree_transform", "fast_evolve"}
-    assert all(row["mean_ns"] > 0 for row in rows)
+def test_bench_subcommand_is_gone(tmp_path):
+    # kernel timings live in perfbench/ and oracle.benchmark_fast_ops
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, "bench", "--nmin", 4, "--nmax", 5, "--out", tmp_path / "b.csv")
+    assert exc.value.code == 2
 
 
 def test_byte_determinism(tmp_path):
@@ -251,24 +249,56 @@ def test_config_file_layering(tmp_path):
     assert run(tmp_path, "spectrum", "--config", bad, "--out", tmp_path / "x.csv") == 2
 
 
+FIELDS = {f.name for f in dataclasses.fields(RunConfig)} - {"command"}
+
 # one value per RunConfig field except `command`, none equal to a default
 CONFIG_SAMPLE = {
     "N": 3, "L": 4, "sigma": 0.5, "J": 2.0, "h": 1.5, "tmax": 2.0, "dt": 0.5,
     "K": 32, "mode": "fast", "out": "run.json", "format": "json", "rmin": 1,
-    "rmax": 2, "points": 5, "nmin": 2, "nmax": 3, "repeats": 1,
-    "compare_single_particle": True,
+    "rmax": 2, "points": 5, "compare_single_particle": True,
 }
 
 
 def test_config_file_accepts_every_field(tmp_path):
-    fields = {f.name for f in dataclasses.fields(RunConfig)} - {"command"}
-    assert set(CONFIG_SAMPLE) == fields
-    cfg = tmp_path / "all.cfg"
-    cfg.write_text("".join(f"{key}={value}\n" for key, value in CONFIG_SAMPLE.items()))
-    config = build_run_config(["spectrum", "--config", str(cfg)])
-    for key, value in CONFIG_SAMPLE.items():
-        assert getattr(config, key) == value
-        assert type(getattr(config, key)) is type(value)
+    assert set(CONFIG_SAMPLE) == FIELDS
+    assert set().union(*(sub.settings for sub in SUBCOMMANDS.values())) == FIELDS
+    for command, subcommand in SUBCOMMANDS.items():
+        cfg = tmp_path / f"{command}.cfg"
+        cfg.write_text("".join(f"{key}={CONFIG_SAMPLE[key]}\n"
+                               for key in subcommand.settings))
+        config = build_run_config([command, "--config", str(cfg)])
+        for key in FIELDS:
+            value = CONFIG_SAMPLE[key] if key in subcommand.settings else None
+            assert getattr(config, key) == value
+            assert type(getattr(config, key)) is type(value)
+
+
+UNREAD = [(command, key) for command, subcommand in SUBCOMMANDS.items()
+          for key in sorted(FIELDS - set(subcommand.settings))]
+
+
+@pytest.mark.parametrize("command, key", UNREAD)
+def test_unread_settings_are_rejected(tmp_path, capsys, command, key):
+    out = tmp_path / "x.csv"
+    flag = ["--" + key.replace("_", "-")]
+    if key != "compare_single_particle":
+        flag.append(CONFIG_SAMPLE[key])
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, command, *flag, "--out", out)
+    assert exc.value.code == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}={CONFIG_SAMPLE[key]}\n")
+    capsys.readouterr()
+    assert run(tmp_path, command, "--config", cfg, "--out", out) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("input error:")
+
+
+def test_readme_commands_parse():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    lines = [line for line in readme.splitlines() if line.startswith("hdyson ")]
+    configs = [build_run_config(shlex.split(line)[1:]) for line in lines]
+    assert {config.command for config in configs} == set(SUBCOMMANDS)
 
 
 @pytest.mark.parametrize("line", ["seed=0", "unknown_key=3"])
@@ -286,11 +316,26 @@ def test_seed_flag_is_gone(tmp_path):
     assert exc.value.code == 2
 
 
+# a quick run of each subcommand
+SMALL_RUNS = {
+    "spectrum": ["--N", 2],
+    "evolve": ["--rmax", 1, "--tmax", 0],
+    "collapse": ["--rmax", 2, "--points", 2, "--tmax", 1],
+    "timeavg": ["--rmax", 1, "--tmax", 1],
+    "manybody": ["--L", 2, "--tmax", 0],
+    "entropy": ["--N", 2, "--tmax", 0],
+}
+
+
 def test_manifest_config_keys_are_run_config_fields(tmp_path):
-    out = tmp_path / "s.csv"
-    assert run(tmp_path, "spectrum", "--N", 2, "--out", out) == 0
-    manifest = json.loads((tmp_path / "s.csv.manifest.json").read_text())
-    assert set(manifest["config"]) == {f.name for f in dataclasses.fields(RunConfig)}
+    assert set(SMALL_RUNS) == set(SUBCOMMANDS)
+    for command, argv in SMALL_RUNS.items():
+        out = tmp_path / command
+        assert run(tmp_path, command, *argv, "--out", out) == 0
+        config = json.loads((tmp_path / f"{command}.manifest.json").read_text())["config"]
+        assert config["command"] == command
+        assert set(config) == {"command", *SUBCOMMANDS[command].settings}
+        assert set(config) <= FIELDS | {"command"}
 
 
 FLOAT_KEYS = [key for key, hint in typing.get_type_hints(RunConfig).items()
@@ -301,8 +346,8 @@ FLOAT_KEYS = [key for key, hint in typing.get_type_hints(RunConfig).items()
 @pytest.mark.parametrize("key", FLOAT_KEYS)
 @pytest.mark.parametrize("source", ["flag", "file"])
 def test_non_finite_values_rejected(tmp_path, capsys, source, key, value):
-    out = tmp_path / "e.csv"
-    argv = ["evolve", "--mode", "fast", "--N", 3, "--out", out]
+    # manybody reads every float setting
+    argv = ["manybody", "--L", 2, "--out", tmp_path / "e"]
     if source == "flag":
         argv.append(f"--{key}={value}")
     else:
@@ -310,7 +355,7 @@ def test_non_finite_values_rejected(tmp_path, capsys, source, key, value):
         cfg.write_text(f"{key}={value}\n")
         argv += ["--config", cfg]
     assert run(tmp_path, *argv) == 2
-    assert not out.exists()
+    assert not list(tmp_path.glob("e*"))
     assert capsys.readouterr().err.startswith("input error:")
 
 
@@ -339,9 +384,14 @@ def test_time_step_cap(tmp_path, capsys, command):
     ["evolve", "--rmax", 1100, "--tmax", 0],
     ["collapse", "--rmin", 1, "--rmax", 1100, "--points", 2, "--tmax", 1],
     ["collapse", "--sigma", 2, "--rmin", 1, "--rmax", 600, "--points", 2, "--tmax", 1],
+    # the exponent scan's 2^(6 r) overflows from r = 171 on
+    ["collapse", "--rmin", 1, "--rmax", 171, "--points", 2, "--tmax", 1],
     ["timeavg", "--rmax", 1100, "--tmax", 1],
     ["timeavg", "--sigma", 2, "--rmin", 600, "--rmax", 600],
-], ids=["evolve", "collapse", "collapse-sigma", "timeavg", "timeavg-horizon"])
+    ["spectrum", "--N", 64],
+    ["evolve", "--mode", "finite", "--N", 70, "--tmax", 0],
+], ids=["evolve", "collapse", "collapse-sigma", "collapse-scan", "timeavg",
+        "timeavg-horizon", "spectrum-depth", "evolve-depth"])
 def test_shell_cap(tmp_path, capsys, argv):
     out = tmp_path / "big.csv"
     assert run(tmp_path, *argv, "--out", out) == 3
@@ -362,6 +412,14 @@ def test_shell_cap_is_inclusive(tmp_path):
     _, rows = read_csv(out)
     assert len(rows) == 1024
     assert all(math.isfinite(row["P"]) for row in rows)
+
+
+def test_depth_cap_is_inclusive(tmp_path):
+    out = tmp_path / "deep.csv"
+    assert run(tmp_path, "spectrum", "--N", 63, "--out", out) == 0
+    _, rows = read_csv(out)
+    assert len(rows) == 64
+    assert rows[-1]["degeneracy"] == 2.0 ** 62
 
 
 def test_collapse_points_cap(tmp_path, capsys):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from hdyson import (
     BlockId,
     InputError,
+    ResourceLimitError,
     TreeGeometry,
     collapse_sites_to_shells,
     distance_of_site,
@@ -143,6 +144,12 @@ def test_input_validation():
     with pytest.raises(InputError):
         TreeGeometry.from_length(12)
     assert TreeGeometry.from_length(8) == TreeGeometry(3)
+    # the largest multiplicity, 2^(N-1), must fit in an int64
+    assert TreeGeometry(63).length == 2 ** 63
+    with pytest.raises(ResourceLimitError):
+        TreeGeometry(64)
+    with pytest.raises(ResourceLimitError):
+        TreeGeometry.from_length(2 ** 70)
 
 
 @settings(max_examples=60, deadline=None)
