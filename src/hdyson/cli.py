@@ -21,6 +21,7 @@ used for parallel maps over time points.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -87,6 +88,12 @@ FORMATS = ("csv", "json")
 # Largest --rmax: 2^r, the scale of shell r's weight and amplitude, is a
 # finite double up to r = 1023.
 MAX_SHELL = 1023
+# Largest times x 2^N amplitude block of `evolve --mode fast` (2^27 complex
+# entries, 2 GiB); the README run, --N 20 at 81 times, holds 2^26.3.
+MAX_SITE_BLOCK = 1 << 27
+# Largest times x (2^N - 1) table of `entropy --mode single`: each row is a
+# Python tuple and a text line, about 0.2 KiB together.
+MAX_ENTROPY_ROWS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -191,6 +198,9 @@ def build_run_config(argv) -> RunConfig:
             raise InputError(f"{key} must be finite, got {value}")
     if resolved["format"] not in FORMATS:
         raise InputError(f"format must be one of {FORMATS}, got {resolved['format']!r}")
+    directory = Path(resolved["out"]).parent
+    if not directory.is_dir():
+        raise InputError(f"output directory {str(directory)!r} does not exist")
     return RunConfig(command=command, **resolved)
 
 
@@ -243,6 +253,14 @@ def _sided_path(out: str, tag: str) -> str:
     return str(path.with_name(path.stem + tag + path.suffix))
 
 
+def _check_block(name: str, times: int, width: int, cap: int) -> None:
+    """Cap a times x width block before anything of it is allocated."""
+    if times * width > cap:
+        raise ResourceLimitError(
+            f"{name}: {times} times x {width} = {times * width} exceeds the cap of {cap}"
+        )
+
+
 def _check_rmax(rmax: int, sigma: float = 0.0) -> None:
     """Cap rmax, and sigma * rmax for commands that rescale time by 2^(sigma r)."""
     exponent = max(rmax, sigma * rmax)
@@ -279,6 +297,9 @@ def cmd_evolve(config: RunConfig) -> dict:
     if config.rmax < 0:
         raise InputError(f"rmax must be >= 0, got {config.rmax}")
     _check_rmax(config.rmax)
+    if config.mode == "fast":
+        _check_block("amplitude block", time_steps(config.tmax, config.dt) + 1,
+                     TreeGeometry(config.N).length, MAX_SITE_BLOCK)
     grid = _time_grid(config.tmax, config.dt)
     policy = TruncationPolicy(config.K)
 
@@ -404,6 +425,7 @@ def cmd_manybody(config: RunConfig) -> dict:
     extras = {
         "scheme": "adaptive-lanczos-expm",
         "tolerances": {"local_error": LOCAL_TOL, "krylov_dim": KRYLOV_DIM},
+        "lanczos": dataclasses.asdict(series.lanczos),
         "quasi_conservation_max_deviation": quasi_conservation_report(series),
         "max_norm_deviation": float(np.max(np.abs(series.norms - 1.0))),
         # relative to |E(0)|, absolute when E(0) = 0 (h = 0, one flip)
@@ -426,6 +448,9 @@ def cmd_entropy(config: RunConfig) -> dict:
         raise InputError(
             f"entropy mode must be one of {ENTROPY_MODES}, got {config.mode!r}"
         )
+    if config.mode == "single":
+        _check_block("entropy table rows", time_steps(config.tmax, config.dt) + 1,
+                     TreeGeometry(config.N).length - 1, MAX_ENTROPY_ROWS)
     grid = _time_grid(config.tmax, config.dt)
     rows = []
     if config.mode == "single":
@@ -514,6 +539,9 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
         return 4
+    except OSError as exc:  # an unreadable config file or unwritable output path
+        print(f"input error: {exc}", file=sys.stderr)
+        return 2
 
 
 def console_main() -> None:

@@ -9,10 +9,19 @@ has site x spin-down exactly when bit x-1 of s is set, so spin-up carries
 bit 0 and the polarized state |up...up> is index 0; the local excitation
 number is n(x) = (1 - <sz_x>)/2 = Prob(bit x-1 set).
 
-The Hamiltonian is stored as complex CSR and assembled row by row.  The
-states it acts on are complex, and scipy copies a real matrix to complex on
-every product; writing the CSR arrays directly also skips the COO triplets
-and their conversion, which at L = 16 dominated build time and peak memory.
+Evolution runs matrix-free in the sx basis.  A Hadamard on every spin
+(`hadamard_all`, unitary and its own inverse) turns sx sx into sz sz and
+sz into a bit flip, so the Hamiltonian becomes `SigmaXOperator`: a real
+diagonal E(s) = -sum_p J_p sum_blocks M_left M_right, built from the
+magnetisations of the tree blocks, plus L single-bit flips of weight -h.
+A product is one diagonal multiply and L flipped-view subtractions, with
+no stored matrix.  The state is carried into that basis once per run and
+back at every output time, where n(x) and the Schmidt entropies are read
+off as before.
+
+`build_spin_hamiltonian` still assembles the z-basis operator as complex
+CSR, row by row.  It is the oracle the sx-basis engine is tested against;
+`evolve_spin` reads only its parameters.
 
 Time stepping uses an adaptive Lanczos (Krylov) approximation of the
 matrix exponential: subspace dimension <= 30, local error target 1e-9,
@@ -40,6 +49,9 @@ __all__ = [
     "SPARSE_CAP",
     "SpinState",
     "SparseHamiltonian",
+    "SigmaXOperator",
+    "LanczosStats",
+    "hadamard_all",
     "ObservableSeries",
     "build_spin_hamiltonian",
     "evolve_spin",
@@ -108,10 +120,6 @@ class SparseHamiltonian:
     matrix: sp.csr_matrix
     params: ModelParams
 
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
-
 
 def build_spin_hamiltonian(params: ModelParams, cap: int = SPARSE_CAP) -> SparseHamiltonian:
     """Assemble the full pair-coupling + transverse-field operator.
@@ -149,6 +157,77 @@ def build_spin_hamiltonian(params: ModelParams, cap: int = SPARSE_CAP) -> Sparse
     indptr = np.arange(0, indices.size + 1, len(flips), dtype=np.int32)
     matrix = sp.csr_matrix((data.ravel(), indices.ravel(), indptr), shape=(dim, dim))
     return SparseHamiltonian(matrix, params)
+
+
+def hadamard_all(amplitudes) -> np.ndarray:
+    """Amplitudes after a Hadamard on every spin: the sz <-> sx basis change.
+
+    A fast Walsh-Hadamard transform, one butterfly pass per site, scaled by
+    2^(-L/2) (a power of two for every chain, L = 2^N being even).  The
+    map is real, symmetric and unitary, so it is its own inverse.
+    """
+    source = np.array(amplitudes, dtype=complex)
+    sites = TreeGeometry.from_length(source.size).levels
+    target = np.empty_like(source)
+    for x in range(sites):
+        pairs = source.reshape(-1, 2, 1 << x)  # bit x of s picks the middle index
+        halves = target.reshape(-1, 2, 1 << x)
+        np.add(pairs[:, 0], pairs[:, 1], out=halves[:, 0])
+        np.subtract(pairs[:, 0], pairs[:, 1], out=halves[:, 1])
+        source, target = target, source
+    source *= 2.0 ** (-sites / 2)
+    return source
+
+
+class SigmaXOperator:
+    """The spin Hamiltonian conjugated by `hadamard_all`, applied matrix-free.
+
+    In the sx basis, with s_x = 1 - 2 (bit x-1 of s), the pair couplings
+    give the real diagonal E(s) = -sum_{i<j} J_{r(i,j)-1} s_i s_j and the
+    field gives L single-bit flips of weight -h.
+    """
+
+    def __init__(self, diagonal: np.ndarray, h: float):
+        self.diagonal = diagonal
+        self.h = h
+        # views of the (2,)*L tensor of an h phi buffer, made once: flipping
+        # axis a flips one bit of s, and the L axes cover every bit
+        self._shape = (2,) * (diagonal.size.bit_length() - 1)
+        self._scaled = np.empty(diagonal.size, dtype=complex)
+        tensor = self._scaled.reshape(self._shape)
+        self._flipped = [np.flip(tensor, axis) for axis in range(tensor.ndim)]
+
+    @classmethod
+    def from_params(cls, params: ModelParams, cap: int = SPARSE_CAP) -> "SigmaXOperator":
+        """E(s) from tree block magnetisations, one level at a time, O(2^L).
+
+        The level-p pairs are those whose sites sit in the two halves of
+        one level-(p+1) block, so they add -J_p M_left M_right, the product
+        of the halves' magnetisations.  Every block of a level has the same
+        energy function of its own spins, so a block's diagonal follows from
+        its halves' as an outer sum, with the index of the right half (the
+        higher bits) first.
+        """
+        L = params.geom.length
+        if L > cap:
+            raise ResourceLimitError(f"L = {L} exceeds the sparse cap {cap}")
+        diagonal = np.zeros(2)                  # one site: no pairs
+        magnetisation = np.array([1.0, -1.0])   # s = 1 - 2 bit
+        for coupling in params.level_coupling_array():
+            diagonal = (diagonal[:, None] + diagonal[None, :]
+                        - coupling * np.multiply.outer(magnetisation, magnetisation)).ravel()
+            magnetisation = np.add.outer(magnetisation, magnetisation).ravel()
+        return cls(diagonal, params.h)
+
+    def product(self, phi: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out = H phi; `out` must not share memory with `phi`."""
+        np.multiply(self.diagonal, phi, out=out)
+        if self.h != 0.0:
+            np.multiply(phi, self.h, out=self._scaled)
+            target = out.reshape(self._shape)
+            for flipped in self._flipped:
+                target -= flipped
+        return out
 
 
 def magnetization_profile(psi) -> np.ndarray:
@@ -217,6 +296,7 @@ class ObservableSeries:
     norms: np.ndarray | None = None
     energies: np.ndarray | None = None
     states: np.ndarray | None = None   # (T, 2^L) snapshots, if requested
+    lanczos: LanczosStats | None = None  # work and health counters
 
 
 def total_excitations(series: ObservableSeries) -> np.ndarray:
@@ -229,36 +309,69 @@ def quasi_conservation_report(series: ObservableSeries) -> float:
     return float(np.max(np.abs(series.total - 1.0)))
 
 
-def _lanczos_step(matvec, psi: np.ndarray, dt: float,
-                  m_max: int, tol: float) -> tuple[np.ndarray, float]:
-    """One exp(-i dt H) psi approximation plus its local error estimate.
+@dataclass
+class LanczosStats:
+    """Work and health counters of one adaptive Lanczos run.
+
+    They depend only on the inputs, so they come out the same on every run.
+    The step sizes and the worst local-error estimate are those of the
+    accepted substeps; the Krylov dimensions span every step tried.
+    """
+
+    accepted: int = 0
+    rejected: int = 0
+    dt_min: float | None = None
+    dt_max: float | None = None
+    max_local_error: float = 0.0
+    krylov_dim_min: int | None = None
+    krylov_dim_max: int | None = None
+
+    def record(self, dt: float, error: float, used: int, accepted: bool) -> None:
+        low, high = self.krylov_dim_min, self.krylov_dim_max
+        self.krylov_dim_min = used if low is None else min(low, used)
+        self.krylov_dim_max = used if high is None else max(high, used)
+        if not accepted:
+            self.rejected += 1
+            return
+        dt, error = float(dt), float(error)
+        self.accepted += 1
+        self.dt_min = dt if self.dt_min is None else min(self.dt_min, dt)
+        self.dt_max = dt if self.dt_max is None else max(self.dt_max, dt)
+        self.max_local_error = max(self.max_local_error, error)
+
+
+def _lanczos_step(product, psi: np.ndarray, dt: float,
+                  m_max: int) -> tuple[np.ndarray, float, int]:
+    """One exp(-i dt H) psi approximation, its local error estimate, its dimension.
 
     Lanczos with full reorthogonalization; the small tridiagonal
     exponential comes from its own eigendecomposition.  The returned error
-    estimate is the classical residual term beta_{m+1} |y_m|.  Each basis
-    vector is conjugated once, when it is made, for the reorthogonalization.
+    estimate is the classical residual term beta_{m+1} |y_m|.  `product(v,
+    out)` writes H v into `out`.  The residual `w` is updated in place, and
+    the overlaps with the basis are conj(basis @ conj(w)), so no conjugated
+    copy of the basis is kept.
     """
     from scipy.linalg import eigh_tridiagonal
 
     dim = psi.size
     m = min(m_max, dim)
     basis = np.empty((m, dim), dtype=complex)
-    conj = np.empty((m, dim), dtype=complex)
+    w = np.empty(dim, dtype=complex)
+    scratch = np.empty(dim, dtype=complex)
     alphas = np.empty(m)
     betas = np.zeros(m)
     basis[0] = psi
-    np.conjugate(basis[0], out=conj[0])
     beta_next = 0.0
     used = m
-    w = None
     for j in range(m):
-        w = matvec(basis[j])
+        product(basis[j], w)
         if j > 0:
-            w = w - betas[j] * basis[j - 1]
+            w -= np.multiply(basis[j - 1], betas[j], out=scratch)
         alphas[j] = np.real(np.vdot(basis[j], w))
-        w = w - alphas[j] * basis[j]
+        w -= np.multiply(basis[j], alphas[j], out=scratch)
         # one reorthogonalization pass keeps the basis clean
-        w = w - basis[: j + 1].T @ (conj[: j + 1] @ w)
+        overlaps = np.conjugate(basis[: j + 1] @ np.conjugate(w, out=scratch))
+        w -= np.matmul(basis[: j + 1].T, overlaps, out=scratch)
         beta_next = float(np.linalg.norm(w))
         if j + 1 < m:
             if beta_next < 1e-13 * max(1.0, float(np.max(np.abs(alphas[: j + 1])))):
@@ -266,25 +379,25 @@ def _lanczos_step(matvec, psi: np.ndarray, dt: float,
                 beta_next = 0.0
                 break
             betas[j + 1] = beta_next
-            basis[j + 1] = w / beta_next
-            np.conjugate(basis[j + 1], out=conj[j + 1])
+            np.divide(w, beta_next, out=basis[j + 1])
     alphas = alphas[:used]
     offdiag = betas[1:used]
     evals, evecs = eigh_tridiagonal(alphas, offdiag)
     y = evecs @ (np.exp(-1j * dt * evals) * evecs[0, :])
     psi_new = basis[:used].T @ y
     error = abs(beta_next * y[-1])
-    return psi_new, error
+    return psi_new, error, used
 
 
-def _advance(matvec, psi: np.ndarray, span: float, dt_hint: float,
-             m_max: int, tol: float) -> tuple[np.ndarray, float]:
+def _advance(product, psi: np.ndarray, span: float, dt_hint: float,
+             m_max: int, tol: float, stats: LanczosStats) -> tuple[np.ndarray, float]:
     """Adaptively substep across one output interval; returns new dt hint."""
     remaining = span
     dt = min(dt_hint, span) if span > 0 else span
     while remaining > 1e-14 * max(1.0, span):
         dt = min(dt, remaining)
-        psi_try, error = _lanczos_step(matvec, psi, dt, m_max, tol)
+        psi_try, error, used = _lanczos_step(product, psi, dt, m_max)
+        stats.record(dt, error, used, error <= tol)
         if error <= tol:
             psi = psi_try
             remaining -= dt
@@ -309,7 +422,9 @@ def evolve_spin(hamiltonian: SparseHamiltonian, psi0: SpinState, times,
     The grid must be finite, ascending and nonnegative; each interval is
     crossed with adaptive Lanczos substeps at the requested local error
     target.  A Krylov space needs at least two vectors for its error
-    estimate to shrink with the step.
+    estimate to shrink with the step.  Only `hamiltonian.params` is read:
+    the products run matrix-free in the sx basis (`SigmaXOperator`), and
+    every sampled state is carried back to the sz basis.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -326,14 +441,16 @@ def evolve_spin(hamiltonian: SparseHamiltonian, psi0: SpinState, times,
         raise InputError("initial state has non-finite amplitudes")
     if abs(psi0.norm() - 1.0) > 1e-8:
         raise InputError("initial state is not normalized")
-    if psi0.amplitudes.size != hamiltonian.dimension:
+    params = hamiltonian.params
+    if psi0.amplitudes.size != 1 << params.geom.length:
         raise InputError("state dimension does not match the Hamiltonian")
 
-    geom = hamiltonian.params.geom
     sites = psi0.sites
-    matvec = hamiltonian.matrix.dot
+    operator = SigmaXOperator.from_params(params)
+    applied = np.empty(psi0.amplitudes.size, dtype=complex)
+    stats = LanczosStats()
 
-    psi = psi0.amplitudes.astype(complex).copy()
+    phi = hadamard_all(psi0.amplitudes)
     t_now = 0.0
     dt_hint = 0.05
 
@@ -344,28 +461,31 @@ def evolve_spin(hamiltonian: SparseHamiltonian, psi0: SpinState, times,
     for target in times:
         span = target - t_now
         if span > 0:
-            psi, dt_hint = _advance(matvec, psi, span, dt_hint, krylov_dim, local_tol)
+            phi, dt_hint = _advance(operator.product, phi, span, dt_hint,
+                                    krylov_dim, local_tol, stats)
             t_now = target
+        psi = hadamard_all(phi)
         n = magnetization_profile(psi)
         n_rows.append(n)
         totals.append(float(n.sum()))
-        norms.append(float(np.linalg.norm(psi)))
-        energies.append(energy_expectation(psi, hamiltonian))
+        norms.append(float(np.linalg.norm(phi)))
+        energies.append(float(np.real(np.vdot(phi, operator.product(phi, applied)))))
         if compute_entropy:
             entropies.append(
                 [entanglement_entropy(psi, cut) for cut in range(1, sites)]
             )
         if keep_states:
-            states.append(psi.copy())
+            states.append(psi)
 
     n_block = np.asarray(n_rows)
     return ObservableSeries(
         times=times.copy(),
         n=n_block,
         total=np.asarray(totals),
-        shell_p=shell_probability(n_block, geom),
+        shell_p=shell_probability(n_block, params.geom),
         entropy=None if entropies is None else np.asarray(entropies),
         norms=np.asarray(norms),
         energies=np.asarray(energies),
         states=None if states is None else np.asarray(states),
+        lanczos=stats,
     )

@@ -165,6 +165,27 @@ def test_manybody_two_site_toy(tmp_path):
     assert all(row["S"] == 0.0 for row in s_rows if row["t"] == 0.0)
 
 
+def test_manybody_manifest_lanczos_counters(tmp_path):
+    # L = 2 from one flip: a 2-d Krylov space, exact steps of 0.05 (see
+    # test_lanczos_stats_of_two_site_defect)
+    assert run(tmp_path, "manybody", "--L", 2, "--h", 7, "--tmax", 0.1, "--dt", 0.1,
+               "--out", tmp_path / "two") == 0
+    manifest = json.loads((tmp_path / "two.manifest.json").read_text())
+    assert manifest["lanczos"] == {
+        "accepted": 2, "rejected": 0, "dt_min": 0.05, "dt_max": 0.05,
+        "max_local_error": 0.0, "krylov_dim_min": 2, "krylov_dim_max": 2,
+    }
+    for stem in ("a", "b"):
+        assert run(tmp_path, "manybody", "--L", 4, "--h", 2, "--tmax", 1,
+                   "--out", tmp_path / stem) == 0
+    first, second = (json.loads((tmp_path / f"{stem}.manifest.json").read_text())
+                     for stem in ("a", "b"))
+    for manifest in (first, second):
+        del manifest["outputs"], manifest["config"]["out"]
+    assert first == second
+    assert first["lanczos"]["accepted"] > 0
+
+
 def test_manybody_resource_and_input_errors(tmp_path):
     assert run(tmp_path, "manybody", "--L", 32, "--out", tmp_path / "x") == 3
     assert run(tmp_path, "manybody", "--L", 6, "--out", tmp_path / "x") == 2
@@ -429,6 +450,38 @@ def test_collapse_points_cap(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("resource limit:")
     assert run(tmp_path, "collapse", "--points", 0, "--out", out) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    # 3 x 2^40 complex amplitudes, 48 TiB
+    ["evolve", "--mode", "fast", "--N", 40, "--tmax", 1, "--dt", 0.5],
+    # 3 x (2^30 - 1) table rows
+    ["entropy", "--mode", "single", "--N", 30, "--tmax", 1, "--dt", 0.5],
+], ids=["evolve-fast", "entropy-single"])
+def test_site_block_caps(tmp_path, capsys, argv):
+    out = tmp_path / "big.csv"
+    assert run(tmp_path, *argv, "--out", out) == 3
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("resource limit:")
+
+
+def test_missing_config_file_is_input_error(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    assert run(tmp_path, "spectrum", "--config", tmp_path / "missing.cfg",
+               "--out", out) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, out", [
+    ("spectrum", "nodir/s.csv"), ("manybody", "nodir/stem"),
+])
+def test_output_in_missing_directory_is_input_error(tmp_path, capsys, command, out):
+    assert run(tmp_path, command, "--out", tmp_path / out) == 2
+    assert not (tmp_path / "nodir").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "Traceback" not in err
 
 
 def test_import_leaves_scipy_unloaded():

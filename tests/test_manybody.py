@@ -23,11 +23,20 @@ from hdyson import (
     total_excitations,
     wave_profile_finite,
 )
-from hdyson.manybody import SparseHamiltonian, spin_parity_expectation
+from hdyson.manybody import (
+    LanczosStats,
+    SigmaXOperator,
+    _lanczos_step,
+    hadamard_all,
+    spin_parity_expectation,
+)
 
 from reference import (
     coo_spin_hamiltonian,
+    csr_evolve_spin,
+    csr_lanczos_step,
     dense_expm_evolve,
+    dense_hadamard,
     second_order_level_couplings,
     two_spin_defect_occupations,
 )
@@ -95,26 +104,112 @@ def test_csr_assembly_matches_coo_reference(params):
     np.testing.assert_array_equal(matrix.data, reference.data)
 
 
-@pytest.mark.parametrize("sigma, h, couplings", [
-    (1.0, 40.0, None), (0.5, 0.0, None), (1.0, 3.0, (0.7, -0.2, 0.0)),
-])
-def test_csr_and_coo_hamiltonians_evolve_bitwise_equal(sigma, h, couplings):
-    params = ModelParams(TreeGeometry.from_length(8), sigma=sigma, h=h,
+def sigma_x_dense(params):
+    """The CSR Hamiltonian conjugated by the dense Hadamard matrix."""
+    hadamard = dense_hadamard(params.geom.length)
+    return hadamard @ build_spin_hamiltonian(params).matrix.toarray() @ hadamard
+
+
+@settings(max_examples=60, deadline=None)
+@given(spin_params(), st.integers(0, 2**32 - 1))
+def test_sigma_x_operator_matches_conjugated_csr(params, seed):
+    dense = sigma_x_dense(params)
+    scale = max(float(np.max(np.abs(dense).sum(axis=1))), 1.0)
+    operator = SigmaXOperator.from_params(params)
+    assert operator.diagonal.dtype == np.float64
+    assert np.max(np.abs(operator.diagonal - np.diag(dense))) <= 1e-12 * scale
+    rng = np.random.default_rng(seed)
+    phi = rng.normal(size=dense.shape[0]) + 1j * rng.normal(size=dense.shape[0])
+    out = np.empty_like(phi)
+    assert operator.product(phi, out) is out
+    reference = dense @ phi
+    assert np.max(np.abs(out - reference)) <= 1e-12 * scale * np.max(np.abs(phi))
+
+
+@pytest.mark.parametrize("sites", [1, 2, 3, 4, 8])
+def test_hadamard_all_is_unitary_involution(sites):
+    dim = 1 << sites
+    matrix = np.array([hadamard_all(column) for column in np.eye(dim)]).T
+    assert np.max(np.abs(matrix - dense_hadamard(sites))) < 1e-15
+    assert np.max(np.abs(matrix @ matrix.conj().T - np.eye(dim))) < 1e-14
+    rng = np.random.default_rng(sites)
+    state = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    assert np.max(np.abs(hadamard_all(hadamard_all(state)) - state)) < 1e-14
+    assert np.linalg.norm(hadamard_all(state)) == pytest.approx(np.linalg.norm(state))
+
+
+@pytest.mark.parametrize("length", [2, 4, 8, 16])
+def test_in_place_lanczos_matches_reference_bitwise(length):
+    params = params_for(length, sigma=0.8, h=9.0)
+    matrix = build_spin_hamiltonian(params).matrix
+    rng = np.random.default_rng(length)
+    psi = rng.normal(size=1 << length) + 1j * rng.normal(size=1 << length)
+    psi /= np.linalg.norm(psi)
+    expected, expected_error = csr_lanczos_step(matrix.dot, psi, 0.01, 30)
+    got, error, _ = _lanczos_step(
+        lambda v, out: np.copyto(out, matrix.dot(v)), psi, 0.01, 30
+    )
+    assert got.tobytes() == expected.tobytes()
+    assert error == expected_error
+
+
+@pytest.mark.parametrize("length, sigma, h, couplings, times", [
+    (2, 1.0, 7.0, None, np.linspace(0.0, 2.0, 5)),
+    (4, 1.0, 3.0, (0.7, -0.2), np.linspace(0.0, 2.0, 5)),
+    (8, 0.5, 0.0, None, np.linspace(0.0, 2.0, 5)),
+    (8, 1.0, 40.0, None, np.linspace(0.0, 2.0, 5)),
+    (8, 1.0, 3.0, (0.7, -0.2, 0.0), np.linspace(0.0, 2.0, 5)),
+    (16, 1.0, 40.0, None, np.array([0.0, 0.005, 0.01])),
+], ids=["L2", "L4-custom", "L8-h0", "L8-h40", "L8-custom", "L16"])
+def test_evolution_matches_csr_reference(length, sigma, h, couplings, times):
+    params = ModelParams(TreeGeometry.from_length(length), sigma=sigma, h=h,
                          level_couplings=couplings)
-    rng = np.random.default_rng(7)
-    amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+    rng = np.random.default_rng(length)
+    amps = rng.normal(size=length) + 1j * rng.normal(size=length)
     psi0 = one_defect_state(amps / np.linalg.norm(amps))
-    times = np.linspace(0.0, 2.0, 5)
-    library = evolve_spin(build_spin_hamiltonian(params), psi0, times, keep_states=True)
-    reference = evolve_spin(SparseHamiltonian(coo_spin_hamiltonian(params), params),
-                            psi0, times, keep_states=True)
-    assert library.states.tobytes() == reference.states.tobytes()
-    assert library.energies.tobytes() == reference.energies.tobytes()
+    hamiltonian = build_spin_hamiltonian(params)
+    series = evolve_spin(hamiltonian, psi0, times, compute_entropy=True,
+                         keep_states=True)
+    reference = csr_evolve_spin(hamiltonian, psi0, times)
+    assert np.max(np.abs(series.states - reference["states"])) < 1e-10
+    assert np.max(np.abs(series.n - reference["n"])) < 1e-10
+    assert np.max(np.abs(series.shell_p - reference["P"])) < 1e-10
+    assert np.max(np.abs(series.entropy - reference["S"])) < 1e-10
+    energy_scale = max(1.0, float(np.max(np.abs(reference["energies"]))))
+    assert np.max(np.abs(series.energies - reference["energies"])) < 1e-10 * energy_scale
+
+
+def test_lanczos_stats_of_two_site_defect():
+    # the one-defect pair spans a 2-d Krylov space, so every step is exact
+    # (error 0) and grows the next by 1.5: 0.05, then 0.05 to close t = 0.1
+    series = evolve_spin(build_spin_hamiltonian(params_for(2, h=7.0)),
+                         SpinState.single_flip(2), [0.0, 0.1])
+    assert series.lanczos == LanczosStats(
+        accepted=2, rejected=0, dt_min=0.05, dt_max=0.05, max_local_error=0.0,
+        krylov_dim_min=2, krylov_dim_max=2,
+    )
+    idle = evolve_spin(build_spin_hamiltonian(params_for(2, h=7.0)),
+                       SpinState.single_flip(2), [0.0])
+    assert idle.lanczos == LanczosStats()
+
+
+def test_lanczos_stats_count_rejections():
+    # 8 Krylov vectors miss the 1e-9 target at dt = 0.05 and 0.025, then
+    # dt = 0.0125 holds it (errors ~4e-11) across the 16 steps to t = 0.2
+    series = evolve_spin(build_spin_hamiltonian(params_for(8, h=3.0)),
+                         SpinState.single_flip(8), [0.0, 0.2], krylov_dim=8)
+    stats = series.lanczos
+    assert (stats.accepted, stats.rejected) == (16, 2)
+    assert stats.krylov_dim_min == stats.krylov_dim_max == 8
+    assert stats.dt_min == pytest.approx(0.0125) and stats.dt_max == 0.0125
+    assert 0.0 < stats.max_local_error <= 1e-9
 
 
 def test_sparse_cap():
     with pytest.raises(ResourceLimitError):
         build_spin_hamiltonian(params_for(16), cap=8)
+    with pytest.raises(ResourceLimitError):
+        SigmaXOperator.from_params(params_for(16), cap=8)
 
 
 def test_paramagnetic_ground_state_overlap():
