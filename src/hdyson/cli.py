@@ -144,7 +144,10 @@ def _parse_value(key: str, text: str):
 
 def _load_config_file(path: str, command: str) -> dict:
     values = {}
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+        raise InputError(f"cannot read config file: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -539,9 +542,6 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
         return 4
-    except OSError as exc:  # an unreadable config file or unwritable output path
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
 
 
 def console_main() -> None:

@@ -78,12 +78,12 @@ class SpinState:
 
     def __post_init__(self):
         amp = np.asarray(self.amplitudes, dtype=complex)
-        TreeGeometry.from_length(amp.size)
+        _spin_count(amp.size)
         object.__setattr__(self, "amplitudes", amp)
 
     @property
     def sites(self) -> int:
-        return TreeGeometry.from_length(self.amplitudes.size).levels
+        return _spin_count(self.amplitudes.size)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
@@ -159,6 +159,13 @@ def build_spin_hamiltonian(params: ModelParams, cap: int = SPARSE_CAP) -> Sparse
     return SparseHamiltonian(matrix, params)
 
 
+def _spin_count(size: int) -> int:
+    """Number of spins L of a 2^L amplitude vector."""
+    if size < 2 or size & (size - 1):
+        raise InputError(f"{size} amplitudes is not 2^L for some L >= 1")
+    return size.bit_length() - 1
+
+
 def hadamard_all(amplitudes) -> np.ndarray:
     """Amplitudes after a Hadamard on every spin: the sz <-> sx basis change.
 
@@ -167,7 +174,7 @@ def hadamard_all(amplitudes) -> np.ndarray:
     map is real, symmetric and unitary, so it is its own inverse.
     """
     source = np.array(amplitudes, dtype=complex)
-    sites = TreeGeometry.from_length(source.size).levels
+    sites = _spin_count(source.size)
     target = np.empty_like(source)
     for x in range(sites):
         pairs = source.reshape(-1, 2, 1 << x)  # bit x of s picks the middle index
@@ -192,13 +199,13 @@ class SigmaXOperator:
         self.h = h
         # views of the (2,)*L tensor of an h phi buffer, made once: flipping
         # axis a flips one bit of s, and the L axes cover every bit
-        self._shape = (2,) * (diagonal.size.bit_length() - 1)
+        self._shape = (2,) * _spin_count(diagonal.size)
         self._scaled = np.empty(diagonal.size, dtype=complex)
         tensor = self._scaled.reshape(self._shape)
         self._flipped = [np.flip(tensor, axis) for axis in range(tensor.ndim)]
 
     @classmethod
-    def from_params(cls, params: ModelParams, cap: int = SPARSE_CAP) -> "SigmaXOperator":
+    def from_params(cls, params: ModelParams) -> "SigmaXOperator":
         """E(s) from tree block magnetisations, one level at a time, O(2^L).
 
         The level-p pairs are those whose sites sit in the two halves of
@@ -209,8 +216,8 @@ class SigmaXOperator:
         higher bits) first.
         """
         L = params.geom.length
-        if L > cap:
-            raise ResourceLimitError(f"L = {L} exceeds the sparse cap {cap}")
+        if L > SPARSE_CAP:
+            raise ResourceLimitError(f"L = {L} exceeds the sparse cap {SPARSE_CAP}")
         diagonal = np.zeros(2)                  # one site: no pairs
         magnetisation = np.array([1.0, -1.0])   # s = 1 - 2 bit
         for coupling in params.level_coupling_array():

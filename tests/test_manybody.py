@@ -209,7 +209,7 @@ def test_sparse_cap():
     with pytest.raises(ResourceLimitError):
         build_spin_hamiltonian(params_for(16), cap=8)
     with pytest.raises(ResourceLimitError):
-        SigmaXOperator.from_params(params_for(16), cap=8)
+        SigmaXOperator.from_params(params_for(32))
 
 
 def test_paramagnetic_ground_state_overlap():
