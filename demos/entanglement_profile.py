@@ -16,7 +16,6 @@ from hdyson import (
     ModelParams,
     SpinState,
     TreeGeometry,
-    build_spin_hamiltonian,
     evolve_spin,
     single_particle_entropy,
     wave_profile_thermo,
@@ -49,7 +48,7 @@ def main():
     params = ModelParams(TreeGeometry.from_length(L), J=J, sigma=sigma, h=40.0)
     times = np.linspace(0.0, 5.0, 6)
     series = evolve_spin(
-        build_spin_hamiltonian(params), SpinState.single_flip(L), times,
+        params, SpinState.single_flip(L), times,
         compute_entropy=True,
     )
     print("    Jt |  S at cuts x = 1..7")

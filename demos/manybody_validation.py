@@ -16,7 +16,6 @@ from hdyson import (
     ModelParams,
     SpinState,
     TreeGeometry,
-    build_spin_hamiltonian,
     evolve_spin,
     quasi_conservation_report,
     wave_profile_finite,
@@ -36,7 +35,7 @@ def main():
     for h in (2.0, 5.0, 10.0, 20.0, 40.0):
         params = ModelParams(geom, J=J, sigma=sigma, h=h)
         series = evolve_spin(
-            build_spin_hamiltonian(params), SpinState.single_flip(L), times
+            params, SpinState.single_flip(L), times
         )
         dev = 0.0
         for i, t in enumerate(times):

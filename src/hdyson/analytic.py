@@ -152,8 +152,12 @@ def _return_series(s, sigma: float, J: float, policy: TruncationPolicy):
     coupling = renormalized_coupling(sigma, J)
     sarr = np.asarray(s, dtype=float)
     acc = np.zeros(sarr.shape, dtype=complex)
+    term = np.empty_like(acc)  # reused: a fresh large array is page-faulted in anew
     for k in range(policy.K):
-        acc += 2.0 ** (-k - 1) * np.exp(-1j * coupling * 2.0 ** (-sigma * k) * sarr)
+        np.multiply(-1j * coupling * 2.0 ** (-sigma * k), sarr, out=term)
+        np.exp(term, out=term)
+        np.multiply(2.0 ** (-k - 1), term, out=term)
+        acc += term
     return acc
 
 

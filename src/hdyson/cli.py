@@ -51,8 +51,8 @@ from .geometry import TreeGeometry
 from .manybody import (
     KRYLOV_DIM,
     LOCAL_TOL,
+    SPARSE_CAP,
     SpinState,
-    build_spin_hamiltonian,
     evolve_spin,
     quasi_conservation_report,
 )
@@ -91,9 +91,10 @@ MAX_SHELL = 1023
 # Largest times x 2^N amplitude block of `evolve --mode fast` (2^27 complex
 # entries, 2 GiB); the README run, --N 20 at 81 times, holds 2^26.3.
 MAX_SITE_BLOCK = 1 << 27
-# Largest times x (2^N - 1) table of `entropy --mode single`: each row is a
-# Python tuple and a text line, about 0.2 KiB together.
-MAX_ENTROPY_ROWS = 1 << 22
+# Largest table built row by row (`evolve --mode thermo`, `collapse`,
+# `entropy --mode single`): each row is a Python tuple and a text line,
+# about 0.2 KiB together.
+MAX_TABLE_ROWS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -303,6 +304,9 @@ def cmd_evolve(config: RunConfig) -> dict:
     if config.mode == "fast":
         _check_block("amplitude block", time_steps(config.tmax, config.dt) + 1,
                      TreeGeometry(config.N).length, MAX_SITE_BLOCK)
+    elif config.mode == "thermo":
+        _check_block("evolve table rows", time_steps(config.tmax, config.dt) + 1,
+                     config.rmax + 1, MAX_TABLE_ROWS)
     grid = _time_grid(config.tmax, config.dt)
     policy = TruncationPolicy(config.K)
 
@@ -345,6 +349,8 @@ def cmd_collapse(config: RunConfig) -> dict:
         raise ResourceLimitError(
             f"points = {config.points} exceeds the cap of {MAX_TIME_STEPS} time steps"
         )
+    _check_block("collapse table rows", config.points, config.rmax - config.rmin + 1,
+                 MAX_TABLE_ROWS)
     policy = TruncationPolicy(config.K)
     fit_grid = np.linspace(0.0, min(config.tmax, 6.0), 61)[1:]
     z_est = estimate_dynamical_exponent(
@@ -401,14 +407,20 @@ def cmd_timeavg(config: RunConfig) -> dict:
     return {"outputs": outputs}
 
 
-def cmd_manybody(config: RunConfig) -> dict:
+def _spin_params(config: RunConfig) -> ModelParams:
+    """Spin-chain parameters, with L capped before any 2^L state is built."""
     geom = TreeGeometry.from_length(config.L)
-    params = ModelParams(geom, J=config.J, sigma=config.sigma, h=config.h)
+    if geom.length > SPARSE_CAP:
+        raise ResourceLimitError(f"L = {geom.length} exceeds the sparse cap {SPARSE_CAP}")
+    return ModelParams(geom, J=config.J, sigma=config.sigma, h=config.h)
+
+
+def cmd_manybody(config: RunConfig) -> dict:
+    params = _spin_params(config)
     if config.compare_single_particle and config.h == 0:
         raise InputError("single-particle comparison needs h > 0 (paramagnetic phase)")
-    hamiltonian = build_spin_hamiltonian(params)
     grid = _time_grid(config.tmax, config.dt)
-    series = evolve_spin(hamiltonian, SpinState.single_flip(config.L),
+    series = evolve_spin(params, SpinState.single_flip(config.L),
                          grid, compute_entropy=True)
 
     ext = ".csv" if config.format == "csv" else ".json"
@@ -416,7 +428,7 @@ def cmd_manybody(config: RunConfig) -> dict:
     for it, t in enumerate(grid):
         for x in range(1, config.L + 1):
             n_rows.append((t, x, series.n[it, x - 1]))
-        for r in range(geom.levels + 1):
+        for r in range(params.geom.levels + 1):
             p_rows.append((t, r, series.shell_p[it, r]))
         for x in range(1, config.L):
             s_rows.append((t, x, series.entropy[it, x - 1]))
@@ -453,7 +465,7 @@ def cmd_entropy(config: RunConfig) -> dict:
         )
     if config.mode == "single":
         _check_block("entropy table rows", time_steps(config.tmax, config.dt) + 1,
-                     TreeGeometry(config.N).length - 1, MAX_ENTROPY_ROWS)
+                     TreeGeometry(config.N).length - 1, MAX_TABLE_ROWS)
     grid = _time_grid(config.tmax, config.dt)
     rows = []
     if config.mode == "single":
@@ -469,11 +481,8 @@ def cmd_entropy(config: RunConfig) -> dict:
             for x in range(1, geom.length):
                 rows.append((t, x, entropy[x - 1]))
     else:
-        geom = TreeGeometry.from_length(config.L)
-        params = ModelParams(geom, J=config.J, sigma=config.sigma, h=config.h)
-        series = evolve_spin(build_spin_hamiltonian(params),
-                             SpinState.single_flip(config.L), grid,
-                             compute_entropy=True)
+        series = evolve_spin(_spin_params(config), SpinState.single_flip(config.L),
+                             grid, compute_entropy=True)
         for it, t in enumerate(grid):
             for x in range(1, config.L):
                 rows.append((t, x, series.entropy[it, x - 1]))

@@ -465,6 +465,19 @@ def test_site_block_caps(tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith("resource limit:")
 
 
+@pytest.mark.parametrize("argv", [
+    # 10^7 + 1 times x 1024 shells
+    ["evolve", "--mode", "thermo", "--tmax", 1e6, "--dt", 0.1, "--rmax", 1023],
+    # 2^24 points x 8 shells, refused before the exponent fit
+    ["collapse", "--points", 1 << 24, "--rmin", 1, "--rmax", 8],
+], ids=["evolve-thermo", "collapse"])
+def test_table_row_caps(tmp_path, capsys, argv):
+    out = tmp_path / "big.csv"
+    assert run(tmp_path, *argv, "--out", out) == 3
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("resource limit:")
+
+
 def test_missing_config_file_is_input_error(tmp_path, capsys):
     out = tmp_path / "s.csv"
     assert run(tmp_path, "spectrum", "--config", tmp_path / "missing.cfg",
@@ -493,3 +506,16 @@ def test_import_leaves_scipy_unloaded():
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"
+
+
+def test_manybody_leaves_scipy_sparse_unloaded(tmp_path):
+    # evolution is matrix-free: no CSR matrix is built for the CLI run
+    code = (
+        "import sys; from hdyson.cli import main; "
+        f"assert main(['manybody', '--L', '2', '--out', {str(tmp_path / 'mb')!r}]) == 0; "
+        "print('scipy.sparse' in sys.modules, 'scipy.linalg' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(hdyson.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip().splitlines()[-1] == "False True"

@@ -24,8 +24,10 @@ from hdyson import (
     wave_profile_finite,
 )
 from hdyson.manybody import (
+    LOCAL_TOL,
     LanczosStats,
     SigmaXOperator,
+    _cut_entropies,
     _lanczos_step,
     hadamard_all,
     spin_parity_expectation,
@@ -38,6 +40,7 @@ from reference import (
     dense_expm_evolve,
     dense_hadamard,
     second_order_level_couplings,
+    svd_entanglement_entropy,
     two_spin_defect_occupations,
 )
 
@@ -140,17 +143,21 @@ def test_hadamard_all_is_unitary_involution(sites):
 
 @pytest.mark.parametrize("length", [2, 4, 8, 16])
 def test_in_place_lanczos_matches_reference_bitwise(length):
+    # the step stops early; the reference run to the same dimension agrees
     params = params_for(length, sigma=0.8, h=9.0)
     matrix = build_spin_hamiltonian(params).matrix
     rng = np.random.default_rng(length)
     psi = rng.normal(size=1 << length) + 1j * rng.normal(size=1 << length)
     psi /= np.linalg.norm(psi)
-    expected, expected_error = csr_lanczos_step(matrix.dot, psi, 0.01, 30)
-    got, error, _ = _lanczos_step(
-        lambda v, out: np.copyto(out, matrix.dot(v)), psi, 0.01, 30
-    )
-    assert got.tobytes() == expected.tobytes()
-    assert error == expected_error
+    for dt in (0.01, 0.001):
+        got, error, used = _lanczos_step(
+            lambda v, out: np.copyto(out, matrix.dot(v)), psi, dt, 30, LOCAL_TOL
+        )
+        assert 2 <= used < 30
+        assert error <= 0.01 * LOCAL_TOL
+        expected, expected_error = csr_lanczos_step(matrix.dot, psi, dt, used)
+        assert got.tobytes() == expected.tobytes()
+        assert error == expected_error
 
 
 @pytest.mark.parametrize("length, sigma, h, couplings, times", [
@@ -191,6 +198,40 @@ def test_lanczos_stats_of_two_site_defect():
     idle = evolve_spin(build_spin_hamiltonian(params_for(2, h=7.0)),
                        SpinState.single_flip(2), [0.0])
     assert idle.lanczos == LanczosStats()
+
+
+def test_l16_interval_stops_early():
+    # the error estimate falls below tol/100 well before the 30-vector limit
+    rng = np.random.default_rng(16)
+    amps = rng.normal(size=16) + 1j * rng.normal(size=16)
+    series = evolve_spin(params_for(16, h=40.0), one_defect_state(amps / np.linalg.norm(amps)),
+                         [0.0, 0.005])
+    stats = series.lanczos
+    assert (stats.accepted, stats.rejected) == (1, 0)
+    assert stats.krylov_dim_max <= 16
+    assert 0.0 < stats.max_local_error <= 0.01 * LOCAL_TOL
+
+
+def test_step_size_survives_output_times():
+    # 100 intervals of 0.1 at the CLI defaults: 0.05 and its clipped
+    # remainder, 0.075 and its remainder, then one step per interval
+    times = np.linspace(0.0, 10.0, 101)
+    series = evolve_spin(params_for(8, h=40.0), SpinState.single_flip(8), times)
+    stats = series.lanczos
+    assert (stats.accepted, stats.rejected) == (102, 0)
+    assert stats.dt_max == pytest.approx(0.1)
+    assert stats.max_local_error <= 0.01 * LOCAL_TOL
+
+
+def test_evolve_accepts_params_or_csr():
+    params = params_for(4, h=3.0)
+    times = [0.0, 0.5, 1.0]
+    from_params = evolve_spin(params, SpinState.single_flip(4), times, keep_states=True)
+    from_csr = evolve_spin(build_spin_hamiltonian(params), SpinState.single_flip(4), times,
+                           keep_states=True)
+    assert from_params.states.tobytes() == from_csr.states.tobytes()
+    with pytest.raises(InputError):
+        evolve_spin(params.geom, SpinState.single_flip(4), times)
 
 
 def test_lanczos_stats_count_rejections():
@@ -269,6 +310,21 @@ def test_entanglement_entropy_special_states():
     assert entanglement_entropy(SpinState(bell), 2) == pytest.approx(np.log(2.0))
     with pytest.raises(InputError):
         entanglement_entropy(SpinState.single_flip(4), 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 4, 8]), st.booleans(), st.integers(0, 2**32 - 1))
+def test_cut_entropies_match_svd_oracle(length, one_defect, seed):
+    rng = np.random.default_rng(seed)
+    size = length if one_defect else 1 << length
+    amps = rng.normal(size=size) + 1j * rng.normal(size=size)
+    amps /= np.linalg.norm(amps)
+    state = one_defect_state(amps) if one_defect else SpinState(amps)
+    expected = np.array([svd_entanglement_entropy(state.amplitudes, cut)
+                         for cut in range(1, length)])
+    assert np.max(np.abs(_cut_entropies(state.amplitudes) - expected)) <= 1e-12
+    single = np.array([entanglement_entropy(state, cut) for cut in range(1, length)])
+    assert np.max(np.abs(single - expected)) <= 1e-12
 
 
 def test_single_defect_entropy_is_binary_formula():
