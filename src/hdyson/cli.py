@@ -202,6 +202,8 @@ def build_run_config(argv) -> RunConfig:
             raise InputError(f"{key} must be finite, got {value}")
     if resolved["format"] not in FORMATS:
         raise InputError(f"format must be one of {FORMATS}, got {resolved['format']!r}")
+    if not resolved["out"] or Path(resolved["out"]).is_dir():
+        raise InputError(f"output path {resolved['out']!r} is empty or a directory")
     directory = Path(resolved["out"]).parent
     if not directory.is_dir():
         raise InputError(f"output directory {str(directory)!r} does not exist")
@@ -441,12 +443,14 @@ def cmd_manybody(config: RunConfig) -> dict:
         "scheme": "adaptive-lanczos-expm",
         "tolerances": {"local_error": LOCAL_TOL, "krylov_dim": KRYLOV_DIM},
         "lanczos": dataclasses.asdict(series.lanczos),
+        "sector": series.sector,
         "quasi_conservation_max_deviation": quasi_conservation_report(series),
         "max_norm_deviation": float(np.max(np.abs(series.norms - 1.0))),
-        # relative to |E(0)|, absolute when E(0) = 0 (h = 0, one flip)
+        # relative to |E(0)|, absolute when |E(0)| < 1: a zero energy (h = 0,
+        # or L = 2 from one flip) comes out as rounding noise, no scale
         "max_relative_energy_drift": float(
             np.max(np.abs(series.energies - series.energies[0]))
-            / (abs(series.energies[0]) or 1.0)
+            / max(abs(series.energies[0]), 1.0)
         ),
     }
     if config.compare_single_particle:
@@ -467,7 +471,7 @@ def cmd_entropy(config: RunConfig) -> dict:
         _check_block("entropy table rows", time_steps(config.tmax, config.dt) + 1,
                      TreeGeometry(config.N).length - 1, MAX_TABLE_ROWS)
     grid = _time_grid(config.tmax, config.dt)
-    rows = []
+    rows, extras = [], {}
     if config.mode == "single":
         policy = TruncationPolicy(config.K)
         geom = TreeGeometry(config.N)
@@ -486,8 +490,9 @@ def cmd_entropy(config: RunConfig) -> dict:
         for it, t in enumerate(grid):
             for x in range(1, config.L):
                 rows.append((t, x, series.entropy[it, x - 1]))
+        extras["sector"] = series.sector
     out = write_table(config.out, ["t", "x", "S"], rows, config.format)
-    return {"outputs": [out]}
+    return {"outputs": [out], **extras}
 
 
 class Subcommand(typing.NamedTuple):

@@ -9,17 +9,27 @@ has site x spin-down exactly when bit x-1 of s is set, so spin-up carries
 bit 0 and the polarized state |up...up> is index 0; the local excitation
 number is n(x) = (1 - <sz_x>)/2 = Prob(bit x-1 set).
 
-Evolution runs matrix-free in the sx basis.  A Hadamard on every spin
-(`hadamard_all`, unitary and its own inverse) turns sx sx into sz sz and
-sz into a bit flip, so the Hamiltonian becomes `SigmaXOperator`: a real
-diagonal E(s) = -sum_p J_p sum_blocks M_left M_right, built from the
+Every term of H flips zero or two spins, so the spin parity prod_x sz_x
+is conserved and a state of definite parity (the local spin flip is odd)
+never leaves its half of the space.  Evolution runs in that sector,
+matrix-free in the sx basis.  A Hadamard on every spin (`hadamard_all`,
+unitary and its own inverse) turns sx sx into sz sz and sz into a bit
+flip, so the Hamiltonian becomes a real diagonal
+E(s) = -sum_p J_p sum_blocks M_left M_right, built from the
 magnetisations of the tree blocks, plus L single-bit flips of weight -h.
-A product is one diagonal multiply and L flipped-view subtractions, with
-no stored matrix.  The state is carried into that basis once per run and
-back at every output time, where n(x) and the entropies of every cut are
-read off.  The entropies come from two reduced density matrices, of the
-lower and of the upper half of the chain; every other cut follows by
-tracing out one site at a time.
+There the parity is the global bit flip, phi[~s] = parity phi[s], so the
+state is carried by its 2^(L-1) amplitudes with the top bit clear
+(`SigmaXOperator`), on which a product is one diagonal multiply, L - 1
+single-axis flipped views and one reversal.  In the sz basis the parity
+fixes the top bit, so the sector's amplitudes are indexed by the low
+L - 1 bits and both basis changes are (L - 1)-site Hadamard transforms
+plus one gather or scatter.  The state enters the sector once per run,
+and n(x) and the entropies of every cut are read off its sz amplitudes
+at every output time.  The reduced density matrix of a state of definite
+parity is block-diagonal in the parity of its own sites, so the
+entropies come from two half-width blocks of each of two density
+matrices, of the lower and of the upper half of the chain; every other
+cut follows by tracing out one site at a time.
 
 `build_spin_hamiltonian` still assembles the z-basis operator as complex
 CSR, row by row.  It is the oracle the sx-basis engine is tested against;
@@ -28,9 +38,11 @@ a SparseHamiltonian).
 
 Time stepping uses an adaptive Lanczos (Krylov) approximation of the
 matrix exponential with local error target 1e-9 and step halving on
-rejection.  The Krylov dimension is adaptive too: a step stops adding
-vectors once its error estimate is below 1e-11, at most 30.  At L = 16,
-h = 40 an output interval of 0.005 takes one step of 12 vectors.  Full
+rejection; the small tridiagonal exponential comes from numpy's `eigh`,
+so evolution loads no scipy.  The Krylov dimension is adaptive too: a
+step stops adding vectors once its error estimate is below 1e-11, at
+most 30.  At L = 16, h = 40 an output interval of 0.005 takes one step
+of 12 vectors.  Full
 diagonalization stays feasible up to L = 10 and is used as a
 cross-check in the test suite.
 """
@@ -176,8 +188,10 @@ def hadamard_all(amplitudes) -> np.ndarray:
     """Amplitudes after a Hadamard on every spin: the sz <-> sx basis change.
 
     A fast Walsh-Hadamard transform, one butterfly pass per site, scaled by
-    2^(-L/2) (a power of two for every chain, L = 2^N being even).  The
-    map is real, symmetric and unitary, so it is its own inverse.
+    2^(-L/2).  The map is real, symmetric and unitary, so it is its own
+    inverse.  The scale is a power of two, applied exactly, only for an
+    even number of sites; the parity-sector engine transforms L - 1 sites,
+    an odd number, where it carries one rounding.
     """
     source = np.array(amplitudes, dtype=complex)
     sites = _spin_count(source.size)
@@ -192,26 +206,65 @@ def hadamard_all(amplitudes) -> np.ndarray:
     return source
 
 
+def _state_parity(amplitudes: np.ndarray) -> int:
+    """Spin parity, -1 (odd) or +1 (even), of a state of definite parity.
+
+    The parity of basis state s is (-1)^popcount(s).  A state whose
+    smaller parity component has norm above 1e-8, the tolerance of the
+    normalisation check, is an InputError.
+    """
+    odd = (popcount(np.arange(amplitudes.size)) & 1).astype(bool)
+    probs = np.abs(amplitudes) ** 2
+    odd_norm = float(np.sqrt(probs[odd].sum()))
+    even_norm = float(np.sqrt(probs[~odd].sum()))
+    if min(odd_norm, even_norm) > 1e-8:
+        raise InputError(
+            f"initial state mixes both spin parities (odd part {odd_norm:.3e}, "
+            f"even part {even_norm:.3e})"
+        )
+    return -1 if odd_norm >= even_norm else 1
+
+
+def _sector_index(sites: int, parity: int) -> np.ndarray:
+    """sz-basis index of each amplitude of a parity sector, by its low L-1 bits.
+
+    The parity fixes the top bit of a basis state from its other bits.
+    """
+    low = np.arange(1 << (sites - 1))
+    top = (popcount(low) & 1) ^ int(parity < 0)
+    return low | (top << (sites - 1))
+
+
 class SigmaXOperator:
-    """The spin Hamiltonian conjugated by `hadamard_all`, applied matrix-free.
+    """The spin Hamiltonian conjugated by `hadamard_all`, on one parity sector.
 
     In the sx basis, with s_x = 1 - 2 (bit x-1 of s), the pair couplings
     give the real diagonal E(s) = -sum_{i<j} J_{r(i,j)-1} s_i s_j and the
-    field gives L single-bit flips of weight -h.
+    field gives L single-bit flips of weight -h.  The spin parity is the
+    global flip there, phi[~s] = parity phi[s], so the operator acts on
+    chi = sqrt(2) phi[:2^(L-1)], the unit-norm half with the top bit clear:
+    the flips of sites 1..L-1 stay single-axis flips of chi, and the flip
+    of site L becomes parity times the reversal of chi.  E is unchanged by
+    the global flip, so `diagonal` is its lower half.
     """
 
-    def __init__(self, diagonal: np.ndarray, h: float):
+    def __init__(self, diagonal: np.ndarray, h: float, parity: int):
+        if parity not in (-1, 1):
+            raise InputError(f"parity must be -1 or +1, got {parity!r}")
         self.diagonal = diagonal
         self.h = h
-        # views of the (2,)*L tensor of an h phi buffer, made once: flipping
-        # axis a flips one bit of s, and the L axes cover every bit
+        self.parity = parity
+        # views of the (2,)*(L-1) tensor of an h chi buffer, made once:
+        # flipping axis a flips one bit of s, and flipping all of them is
+        # the reversal that stands for the flip of the top bit
         self._shape = (2,) * _spin_count(diagonal.size)
         self._scaled = np.empty(diagonal.size, dtype=complex)
         tensor = self._scaled.reshape(self._shape)
         self._flipped = [np.flip(tensor, axis) for axis in range(tensor.ndim)]
+        self._reversed = self._scaled[::-1]
 
     @classmethod
-    def from_params(cls, params: ModelParams) -> "SigmaXOperator":
+    def from_params(cls, params: ModelParams, parity: int) -> "SigmaXOperator":
         """E(s) from tree block magnetisations, one level at a time, O(2^L).
 
         The level-p pairs are those whose sites sit in the two halves of
@@ -230,29 +283,32 @@ class SigmaXOperator:
             diagonal = (diagonal[:, None] + diagonal[None, :]
                         - coupling * np.multiply.outer(magnetisation, magnetisation)).ravel()
             magnetisation = np.add.outer(magnetisation, magnetisation).ravel()
-        return cls(diagonal, params.h)
+        return cls(diagonal[: diagonal.size // 2].copy(), params.h, parity)
 
-    def product(self, phi: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """out = H phi; `out` must not share memory with `phi`."""
-        np.multiply(self.diagonal, phi, out=out)
+    def product(self, chi: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out = H chi; `out` must not share memory with `chi`."""
+        np.multiply(self.diagonal, chi, out=out)
         if self.h != 0.0:
-            np.multiply(phi, self.h, out=self._scaled)
+            np.multiply(chi, self.h, out=self._scaled)
             target = out.reshape(self._shape)
             for flipped in self._flipped:
                 target -= flipped
+            if self.parity < 0:
+                out += self._reversed
+            else:
+                out -= self._reversed
         return out
+
+
+def _occupations(probs: np.ndarray, index: np.ndarray, sites: int) -> np.ndarray:
+    """n(x) = sum of the probabilities of the basis states index[k] with bit x-1 set."""
+    return np.array([float(probs @ ((index >> x) & 1)) for x in range(sites)])
 
 
 def magnetization_profile(psi) -> np.ndarray:
     """Local excitation numbers n(x) = (1 - <sz_x>)/2, x = 1..L."""
     amp = psi.amplitudes if isinstance(psi, SpinState) else np.asarray(psi)
-    dim = amp.size
-    sites = dim.bit_length() - 1
-    probs = np.abs(amp) ** 2
-    idx = np.arange(dim)
-    return np.array(
-        [float(probs @ ((idx >> x) & 1)) for x in range(sites)]
-    )
+    return _occupations(np.abs(amp) ** 2, np.arange(amp.size), amp.size.bit_length() - 1)
 
 
 def spin_parity_expectation(psi) -> float:
@@ -292,30 +348,59 @@ def entanglement_entropy(psi, cut: int) -> float:
     return _spectrum_entropy(matrix @ matrix.conj().T)
 
 
-def _cut_entropies(amp: np.ndarray) -> np.ndarray:
-    """Entropies of every cut 1..L-1 from two reduced density matrices.
+def _parity_columns(matrix: np.ndarray) -> np.ndarray:
+    """(2, rows, cols/2): the columns of even, then of odd index parity, in order.
 
-    The density matrices of sites 1..L/2 and of sites L/2+2..L take one
-    product each; every other cut's smaller side follows from them by
-    tracing out one boundary site at a time, so no matrix is wider than
-    2^(L/2) and no SVD is needed.
+    Column a of parity q is 2 (a >> 1) + (q ^ parity(a >> 1)), so each
+    block is indexed by a >> 1.
     """
-    sites = _spin_count(amp.size)
+    pairs = np.arange(matrix.shape[1] // 2)
+    low = popcount(pairs) & 1
+    return np.stack([matrix[:, 2 * pairs + low], matrix[:, 2 * pairs + (1 - low)]])
+
+
+def _cut_entropies(z: np.ndarray) -> np.ndarray:
+    """Entropies of every cut 1..L-1 of a state of definite spin parity.
+
+    `z` holds the state's 2^(L-1) sz-basis amplitudes, indexed by the low
+    L - 1 bits of their basis states; the parity fixes the top bit.  The
+    reduced density matrix of either side is block-diagonal in the parity
+    of that side's sites, so the density matrices of sites 1..L/2 and of
+    sites L/2+2..L take two half-width products each, and every other
+    cut's smaller side follows from their blocks by tracing out one
+    boundary site at a time; each cut's stacked blocks take one `eigvalsh`.
+
+    Left blocks are indexed by a >> 1 for the left index a.  Tracing out
+    its top bit c sends the block entries with c = 0 to the same parity
+    and those with c = 1 to the other: rho'_q = rho_q[:n, :n] +
+    rho_(1-q)[n:, n:].  Right blocks are indexed by the right index b
+    without its top bit, which the parity of the block fixes; tracing out
+    the bottom bit of b does the same on the even and odd entries.  The
+    two formulas are symmetric in q, so which block holds which parity
+    never matters.
+    """
+    sites = _spin_count(z.size) + 1
     half = sites // 2
     entropies = np.empty(sites - 1)
-    left = amp.reshape(-1, 1 << half)
-    rho = left.T @ left.conj()  # sites 1..half
+    # rows: bits half..L-2 of the index; columns: sites 1..half (any top bit)
+    left = _parity_columns(z.reshape(-1, 1 << half))
+    rho = np.stack([block.T @ block.conj() for block in left])
     for cut in range(half, 0, -1):
         if cut < half:  # trace out site cut + 1, the top bit of the left index
-            blocks = rho.reshape(2, 1 << cut, 2, 1 << cut)
-            rho = blocks[0, :, 0] + blocks[1, :, 1]
+            n = rho.shape[-1] // 2
+            rho = rho[:, :n, :n] + rho[::-1, n:, n:]
         entropies[cut - 1] = _spectrum_entropy(rho)
-    right = amp.reshape(1 << (sites - half - 1), -1)
-    rho = right @ right.conj().T  # sites half + 2..L
+    if sites == 2:
+        return entropies
+    # rows: sites half+2..L-1 (site L follows from the parity of the row,
+    # the column and the sector); columns: sites 1..half+1
+    right = _parity_columns(z.reshape(1 << (sites - half - 2), -1))
+    rho = np.stack([block @ block.conj().T for block in right])
     for cut in range(half + 1, sites):
         if cut > half + 1:  # trace out site cut, the bottom bit of the right index
-            blocks = rho.reshape(1 << (sites - cut), 2, 1 << (sites - cut), 2)
-            rho = blocks[:, 0, :, 0] + blocks[:, 1, :, 1]
+            n = rho.shape[-1] // 2
+            pairs = rho.reshape(2, n, 2, n, 2)
+            rho = pairs[:, :, 0, :, 0] + pairs[::-1, :, 1, :, 1]
         entropies[cut - 1] = _spectrum_entropy(rho)
     return entropies
 
@@ -349,6 +434,7 @@ class ObservableSeries:
     energies: np.ndarray | None = None
     states: np.ndarray | None = None   # (T, 2^L) snapshots, if requested
     lanczos: LanczosStats | None = None  # work and health counters
+    sector: dict | None = None         # {"parity": "odd" | "even", "dimension": 2^(L-1)}
 
 
 def total_excitations(series: ObservableSeries) -> np.ndarray:
@@ -394,9 +480,8 @@ class LanczosStats:
 
 def _krylov_coefficients(alphas: np.ndarray, betas: np.ndarray, dt: float) -> np.ndarray:
     """y = exp(-i dt T) e_1 for the tridiagonal T = tridiag(betas[1:], alphas, betas[1:])."""
-    from scipy.linalg import eigh_tridiagonal
-
-    evals, evecs = eigh_tridiagonal(alphas, betas[1:])
+    tridiagonal = np.diag(alphas) + np.diag(betas[1:], 1) + np.diag(betas[1:], -1)
+    evals, evecs = np.linalg.eigh(tridiagonal)
     return evecs @ (np.exp(-1j * dt * evals) * evecs[0, :])
 
 
@@ -436,10 +521,10 @@ def _lanczos_step(product, psi: np.ndarray, dt: float, m_max: int,
         w -= np.matmul(basis[: j + 1].T, overlaps, out=scratch)
         beta_next = float(np.linalg.norm(w))
         used = j + 1
-        if used == m:
-            break
         if beta_next < 1e-13 * max(1.0, float(np.max(np.abs(alphas[:used])))):
             beta_next = 0.0  # invariant subspace: the step is exact
+            break
+        if used == m:
             break
         leading = beta_next if j == 0 else leading * beta_next * dt / j
         if used >= 2 and leading <= target:
@@ -494,9 +579,11 @@ def evolve_spin(model: ModelParams | SparseHamiltonian, psi0: SpinState, times,
     target.  A Krylov space needs at least two vectors for its error
     estimate to shrink with the step; `krylov_dim` is the most a step may
     use.  `model` is the ModelParams, or a SparseHamiltonian of which only
-    the params are read: the products run matrix-free in the sx basis
-    (`SigmaXOperator`), and every sampled state is carried back to the sz
-    basis.
+    the params are read.  `psi0` must have a definite spin parity (its
+    smaller parity component at most 1e-8 in norm); the run stays in that
+    2^(L-1)-dimensional sector, with products matrix-free in the sx basis
+    (`SigmaXOperator`).  Sampled states are full 2^L vectors, exactly zero
+    outside the sector.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -519,11 +606,15 @@ def evolve_spin(model: ModelParams | SparseHamiltonian, psi0: SpinState, times,
     if psi0.amplitudes.size != 1 << params.geom.length:
         raise InputError("state dimension does not match the Hamiltonian")
 
-    operator = SigmaXOperator.from_params(params)
-    applied = np.empty(psi0.amplitudes.size, dtype=complex)
+    sites = params.geom.length
+    parity = _state_parity(psi0.amplitudes)
+    index = _sector_index(sites, parity)
+    operator = SigmaXOperator.from_params(params, parity)
+    applied = np.empty(index.size, dtype=complex)
     stats = LanczosStats()
 
-    phi = hadamard_all(psi0.amplitudes)
+    z = psi0.amplitudes[index]  # the sz amplitudes of the basis states `index`
+    chi = hadamard_all(z)
     t_now = 0.0
     dt = 0.05
 
@@ -534,18 +625,20 @@ def evolve_spin(model: ModelParams | SparseHamiltonian, psi0: SpinState, times,
     for target in times:
         span = target - t_now
         if span > 0:
-            phi, dt = _advance(operator.product, phi, span, dt,
+            chi, dt = _advance(operator.product, chi, span, dt,
                                krylov_dim, local_tol, stats)
+            z = hadamard_all(chi)
             t_now = target
-        psi = hadamard_all(phi)
-        n = magnetization_profile(psi)
+        n = _occupations(np.abs(z) ** 2, index, sites)
         n_rows.append(n)
         totals.append(float(n.sum()))
-        norms.append(float(np.linalg.norm(phi)))
-        energies.append(float(np.real(np.vdot(phi, operator.product(phi, applied)))))
+        norms.append(float(np.linalg.norm(chi)))
+        energies.append(float(np.real(np.vdot(chi, operator.product(chi, applied)))))
         if compute_entropy:
-            entropies.append(_cut_entropies(psi))
+            entropies.append(_cut_entropies(z))
         if keep_states:
+            psi = np.zeros(1 << sites, dtype=complex)
+            psi[index] = z
             states.append(psi)
 
     n_block = np.asarray(n_rows)
@@ -559,4 +652,5 @@ def evolve_spin(model: ModelParams | SparseHamiltonian, psi0: SpinState, times,
         energies=np.asarray(energies),
         states=None if states is None else np.asarray(states),
         lanczos=stats,
+        sector={"parity": "odd" if parity < 0 else "even", "dimension": index.size},
     )

@@ -1,19 +1,24 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
 import shlex
 import subprocess
 import sys
+import tempfile
 import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hdyson
 from hdyson import TruncationPolicy, eigenvalues, ModelParams, TreeGeometry, psi_thermo
-from hdyson.cli import SUBCOMMANDS, RunConfig, build_run_config, main
+from hdyson.cli import ENTROPY_MODES, EVOLVE_MODES, SUBCOMMANDS, RunConfig, build_run_config, main
 
 from reference import two_spin_defect_occupations
 
@@ -184,6 +189,20 @@ def test_manybody_manifest_lanczos_counters(tmp_path):
         del manifest["outputs"], manifest["config"]["out"]
     assert first == second
     assert first["lanczos"]["accepted"] > 0
+
+
+@pytest.mark.parametrize("length", [2, 4])
+@pytest.mark.parametrize("argv, manifest", [
+    (("manybody", "--out", "mb"), "mb.manifest.json"),
+    (("entropy", "--mode", "manybody", "--out", "ent.csv"), "ent.csv.manifest.json"),
+])
+def test_manybody_manifests_record_sector(tmp_path, length, argv, manifest):
+    # the single flip is odd: the run stays in the 2^(L-1) odd sector
+    command, *rest = argv
+    rest[-1] = tmp_path / rest[-1]
+    assert run(tmp_path, command, "--L", length, "--tmax", 0.5, "--dt", 0.25, *rest) == 0
+    record = json.loads((tmp_path / manifest).read_text())
+    assert record["sector"] == {"parity": "odd", "dimension": 1 << (length - 1)}
 
 
 def test_manybody_resource_and_input_errors(tmp_path):
@@ -497,6 +516,16 @@ def test_output_in_missing_directory_is_input_error(tmp_path, capsys, command, o
     assert err.startswith("input error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("out", ["", "."])
+def test_empty_or_directory_output_is_input_error(tmp_path, capsys, monkeypatch, out):
+    # neither can take a table: exit 2 before any work, not a write traceback
+    monkeypatch.chdir(tmp_path)
+    assert run(tmp_path, "spectrum", "--out", out) == 2
+    assert not list(tmp_path.iterdir())
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "Traceback" not in err
+
+
 def test_import_leaves_scipy_unloaded():
     code = (
         "import sys, hdyson, hdyson.cli; "
@@ -509,7 +538,8 @@ def test_import_leaves_scipy_unloaded():
 
 
 def test_manybody_leaves_scipy_sparse_unloaded(tmp_path):
-    # evolution is matrix-free: no CSR matrix is built for the CLI run
+    # evolution is matrix-free and its Krylov exponential uses numpy's eigh:
+    # the CLI run loads no scipy module
     code = (
         "import sys; from hdyson.cli import main; "
         f"assert main(['manybody', '--L', '2', '--out', {str(tmp_path / 'mb')!r}]) == 0; "
@@ -518,4 +548,63 @@ def test_manybody_leaves_scipy_sparse_unloaded(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(hdyson.__file__).parents[1]))
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True)
-    assert result.stdout.strip().splitlines()[-1] == "False True"
+    assert result.stdout.strip().splitlines()[-1] == "False False"
+
+
+FUZZ_VALUES = ["nan", "inf", "-1", "0", "2", "1e400", "abc", ""]
+# small runs of every subcommand and mode; drawn flags come later and win
+FUZZ_BASES = [
+    ["spectrum", "--N", "2"],
+    *(["evolve", "--mode", mode, "--N", "2", "--rmax", "2", "--tmax", "1", "--dt", "0.5"]
+      for mode in EVOLVE_MODES),
+    ["collapse", "--rmax", "2", "--points", "2", "--tmax", "1"],
+    ["timeavg", "--rmax", "2", "--tmax", "1", "--dt", "0.5"],
+    ["manybody", "--L", "2", "--tmax", "1", "--dt", "0.5"],
+    *(["entropy", "--mode", mode, "--N", "2", "--L", "2", "--tmax", "1", "--dt", "0.5"]
+      for mode in ENTROPY_MODES),
+]
+
+
+@st.composite
+def fuzz_argv(draw):
+    base = draw(st.sampled_from(FUZZ_BASES))
+    keys = ["config", *SUBCOMMANDS[base[0]].settings]
+    argv = list(base)
+    for key in draw(st.lists(st.sampled_from(keys), max_size=4)):
+        argv.append("--" + key.replace("_", "-"))
+        if key != "compare_single_particle":
+            argv.append(draw(st.sampled_from(FUZZ_VALUES)))
+    return argv
+
+
+def table_values(path: Path) -> list[float]:
+    text = path.read_text()
+    if path.suffix == ".json":
+        return [value for record in json.loads(text) for value in record.values()]
+    return [float(cell) for line in text.splitlines()[1:] for cell in line.split(",")]
+
+
+@settings(max_examples=150, deadline=None)
+@given(fuzz_argv())
+def test_cli_fuzz_exit_codes(argv):
+    # any argv ends in a documented exit code, with no traceback and, on
+    # success, only finite numbers in the tables
+    stderr = io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse usage errors
+                    code = exc.code
+            assert code in (0, 2, 3, 4), (argv, code, stderr.getvalue())
+            assert "Traceback" not in stderr.getvalue()
+            if code == 0:
+                for path in Path(tmp).iterdir():
+                    if not path.name.endswith(".manifest.json"):
+                        values = table_values(path)
+                        assert values and all(math.isfinite(v) for v in values), (argv, path)
+        finally:
+            os.chdir(cwd)

@@ -28,7 +28,9 @@ from hdyson.manybody import (
     LanczosStats,
     SigmaXOperator,
     _cut_entropies,
+    _krylov_coefficients,
     _lanczos_step,
+    _sector_index,
     hadamard_all,
     spin_parity_expectation,
 )
@@ -39,6 +41,7 @@ from reference import (
     csr_lanczos_step,
     dense_expm_evolve,
     dense_hadamard,
+    eigh_tridiagonal_coefficients,
     second_order_level_couplings,
     svd_entanglement_entropy,
     two_spin_defect_occupations,
@@ -114,19 +117,40 @@ def sigma_x_dense(params):
 
 
 @settings(max_examples=60, deadline=None)
-@given(spin_params(), st.integers(0, 2**32 - 1))
-def test_sigma_x_operator_matches_conjugated_csr(params, seed):
+@given(spin_params(), st.sampled_from([-1, 1]), st.integers(0, 2**32 - 1))
+def test_sigma_x_operator_matches_conjugated_csr(params, parity, seed):
+    # chi stands for the full sx-basis vector [chi, parity chi[::-1]] / sqrt(2)
     dense = sigma_x_dense(params)
+    half = dense.shape[0] // 2
     scale = max(float(np.max(np.abs(dense).sum(axis=1))), 1.0)
-    operator = SigmaXOperator.from_params(params)
+    operator = SigmaXOperator.from_params(params, parity)
     assert operator.diagonal.dtype == np.float64
-    assert np.max(np.abs(operator.diagonal - np.diag(dense))) <= 1e-12 * scale
+    assert np.max(np.abs(operator.diagonal - np.diag(dense)[:half])) <= 1e-12 * scale
     rng = np.random.default_rng(seed)
-    phi = rng.normal(size=dense.shape[0]) + 1j * rng.normal(size=dense.shape[0])
-    out = np.empty_like(phi)
-    assert operator.product(phi, out) is out
-    reference = dense @ phi
-    assert np.max(np.abs(out - reference)) <= 1e-12 * scale * np.max(np.abs(phi))
+    chi = rng.normal(size=half) + 1j * rng.normal(size=half)
+    out = np.empty_like(chi)
+    assert operator.product(chi, out) is out
+    lifted = np.concatenate([chi, parity * chi[::-1]]) / np.sqrt(2.0)
+    reference = np.sqrt(2.0) * (dense @ lifted)
+    assert np.max(np.abs(reference[half:] - parity * reference[:half][::-1])) <= (
+        1e-12 * scale * np.max(np.abs(chi)))
+    assert np.max(np.abs(out - reference[:half])) <= 1e-12 * scale * np.max(np.abs(chi))
+
+
+def test_sector_operator_rejects_bad_parity():
+    with pytest.raises(InputError):
+        SigmaXOperator.from_params(params_for(4, h=1.0), 0)
+
+
+def test_krylov_coefficients_match_eigh_tridiagonal():
+    rng = np.random.default_rng(30)
+    for m in range(2, 31):
+        alphas = rng.normal(scale=10.0, size=m)
+        betas = np.concatenate([[0.0], rng.uniform(0.1, 10.0, size=m - 1)])
+        for dt in (0.001, 0.05, 0.3):
+            got = _krylov_coefficients(alphas, betas, dt)
+            expected = eigh_tridiagonal_coefficients(alphas, betas, dt)
+            assert np.max(np.abs(got - expected)) <= 1e-13
 
 
 @pytest.mark.parametrize("sites", [1, 2, 3, 4, 8])
@@ -184,6 +208,46 @@ def test_evolution_matches_csr_reference(length, sigma, h, couplings, times):
     assert np.max(np.abs(series.entropy - reference["S"])) < 1e-10
     energy_scale = max(1.0, float(np.max(np.abs(reference["energies"]))))
     assert np.max(np.abs(series.energies - reference["energies"])) < 1e-10 * energy_scale
+
+
+@pytest.mark.parametrize("length", [2, 4, 8])
+def test_even_sector_matches_csr_reference(length):
+    # all_up plus every two-flip state: the even sector
+    params = params_for(length, sigma=0.8, h=6.0)
+    rng = np.random.default_rng(length)
+    amps = np.zeros(1 << length, dtype=complex)
+    amps[0] = 1.0
+    for i in range(length):
+        for j in range(i + 1, length):
+            amps[(1 << i) | (1 << j)] = rng.normal() + 1j * rng.normal()
+    psi0 = SpinState(amps / np.linalg.norm(amps))
+    times = np.linspace(0.0, 2.0, 5)
+    hamiltonian = build_spin_hamiltonian(params)
+    series = evolve_spin(params, psi0, times, compute_entropy=True, keep_states=True)
+    reference = csr_evolve_spin(hamiltonian, psi0, times)
+    assert series.sector == {"parity": "even", "dimension": 1 << (length - 1)}
+    assert np.max(np.abs(series.states - reference["states"])) < 1e-10
+    assert np.max(np.abs(series.n - reference["n"])) < 1e-10
+    assert np.max(np.abs(series.entropy - reference["S"])) < 1e-10
+    energy_scale = max(1.0, float(np.max(np.abs(reference["energies"]))))
+    assert np.max(np.abs(series.energies - reference["energies"])) < 1e-10 * energy_scale
+    odd = np.bitwise_count(np.arange(1 << length)) & 1 == 1
+    assert not np.any(series.states[:, odd])
+
+
+def test_mixed_parity_state_is_rejected():
+    params = params_for(4, h=3.0)
+    mixed = np.zeros(16, dtype=complex)
+    mixed[0] = mixed[1] = 2 ** -0.5  # all up plus a single flip
+    with pytest.raises(InputError, match="parities"):
+        evolve_spin(params, SpinState(mixed), [0.0, 1.0])
+    # a part below the 1e-8 normalisation tolerance is dropped
+    nearly = np.zeros(16, dtype=complex)
+    nearly[1], nearly[0] = 1.0, 1e-9
+    series = evolve_spin(params, SpinState(nearly), [0.0], keep_states=True)
+    assert series.sector == {"parity": "odd", "dimension": 8}
+    assert series.states[0, 0] == 0.0
+    assert series.states[0, 1] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_lanczos_stats_of_two_site_defect():
@@ -250,7 +314,7 @@ def test_sparse_cap():
     with pytest.raises(ResourceLimitError):
         build_spin_hamiltonian(params_for(16), cap=8)
     with pytest.raises(ResourceLimitError):
-        SigmaXOperator.from_params(params_for(32))
+        SigmaXOperator.from_params(params_for(32), -1)
 
 
 def test_paramagnetic_ground_state_overlap():
@@ -312,19 +376,33 @@ def test_entanglement_entropy_special_states():
         entanglement_entropy(SpinState.single_flip(4), 4)
 
 
+def random_state(rng, length, kind):
+    """A one-defect state, or a random state of all, odd or even spin parity."""
+    if kind == "one-defect":
+        amps = rng.normal(size=length) + 1j * rng.normal(size=length)
+        return one_defect_state(amps / np.linalg.norm(amps)).amplitudes
+    amps = rng.normal(size=1 << length) + 1j * rng.normal(size=1 << length)
+    if kind != "any":
+        odd = (np.bitwise_count(np.arange(1 << length)) & 1).astype(bool)
+        amps[odd if kind == "even" else ~odd] = 0.0
+    return amps / np.linalg.norm(amps)
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from([2, 4, 8]), st.booleans(), st.integers(0, 2**32 - 1))
-def test_cut_entropies_match_svd_oracle(length, one_defect, seed):
+@given(st.sampled_from([2, 4, 8]), st.sampled_from(["one-defect", "odd", "even"]),
+       st.integers(0, 2**32 - 1))
+def test_cut_entropies_match_svd_oracle(length, kind, seed):
     rng = np.random.default_rng(seed)
-    size = length if one_defect else 1 << length
-    amps = rng.normal(size=size) + 1j * rng.normal(size=size)
-    amps /= np.linalg.norm(amps)
-    state = one_defect_state(amps) if one_defect else SpinState(amps)
-    expected = np.array([svd_entanglement_entropy(state.amplitudes, cut)
-                         for cut in range(1, length)])
-    assert np.max(np.abs(_cut_entropies(state.amplitudes) - expected)) <= 1e-12
-    single = np.array([entanglement_entropy(state, cut) for cut in range(1, length)])
-    assert np.max(np.abs(single - expected)) <= 1e-12
+    amps = random_state(rng, length, kind)
+    expected = np.array([svd_entanglement_entropy(amps, cut) for cut in range(1, length)])
+    sector = amps[_sector_index(length, 1 if kind == "even" else -1)]
+    assert np.linalg.norm(sector) == pytest.approx(1.0)
+    assert np.max(np.abs(_cut_entropies(sector) - expected)) <= 1e-12
+    # one cut of any state, of definite parity or not
+    for state in (amps, random_state(rng, length, "any")):
+        single = np.array([entanglement_entropy(state, cut) for cut in range(1, length)])
+        oracle = np.array([svd_entanglement_entropy(state, cut) for cut in range(1, length)])
+        assert np.max(np.abs(single - oracle)) <= 1e-12
 
 
 def test_single_defect_entropy_is_binary_formula():
