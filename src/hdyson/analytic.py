@@ -466,22 +466,14 @@ def estimate_dynamical_exponent(psi_fn, r_values, s_grid,
         raise ResourceLimitError(f"r = {r_values[-1]} needs 2^{exponent:g} in the z scan")
     r0 = r_values[0]
 
-    def spread(z: float) -> float:
-        ref = 2.0 ** r0 * psi_fn(r0, s_grid * 2.0 ** (z * r0))
-        acc = 0.0
-        for r in r_values[1:]:
-            cur = 2.0 ** r * psi_fn(r, s_grid * 2.0 ** (z * r))
-            acc += float(np.mean(np.abs(cur - ref) ** 2))
-        return acc / (len(r_values) - 1)
-
     def scaled_rows(r: int, zs: np.ndarray) -> np.ndarray:
-        # scalar powers, as in spread(): np.power over an array rounds some
-        # of them differently
+        # scalar powers: np.power over an array rounds some of them
+        # differently from the per-z reference
         scales = np.array([2.0 ** (z * r) for z in zs])
         return 2.0 ** r * psi_fn(r, s_grid[None, :] * scales[:, None])
 
     def spreads(zs: np.ndarray) -> np.ndarray:
-        """spread(z) for each z, from one psi_fn call per shell."""
+        """Mean pairwise spread for each z, from one psi_fn call per shell."""
         ref = scaled_rows(r0, zs)
         acc = np.zeros(zs.size)
         for r in r_values[1:]:
@@ -501,14 +493,14 @@ def estimate_dynamical_exponent(psi_fn, r_values, s_grid,
     a, b = lo, hi
     c = b - ratio * (b - a)
     d = a + ratio * (b - a)
-    fc, fd = spread(c), spread(d)
+    fc, fd = spreads(np.array([c]))[0], spreads(np.array([d]))[0]
     for _ in range(refine):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - ratio * (b - a)
-            fc = spread(c)
+            fc = spreads(np.array([c]))[0]
         else:
             a, c, fc = c, d, fd
             d = a + ratio * (b - a)
-            fd = spread(d)
+            fd = spreads(np.array([d]))[0]
     return 0.5 * (a + b)

@@ -14,8 +14,7 @@ significant digits, so every table re-parses to the exact values that
 produced it).
 
 Exit codes: 0 success, 2 input error, 3 resource cap, 4 convergence
-failure.  The HDYSON_THREADS environment variable sets the worker count
-used for parallel maps over time points.
+failure.
 """
 
 from __future__ import annotations

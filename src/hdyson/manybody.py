@@ -139,7 +139,7 @@ class SparseHamiltonian:
     params: ModelParams
 
 
-def build_spin_hamiltonian(params: ModelParams, cap: int = SPARSE_CAP) -> SparseHamiltonian:
+def build_spin_hamiltonian(params: ModelParams) -> SparseHamiltonian:
     """Assemble the full pair-coupling + transverse-field operator.
 
     Each sx sx term connects basis states differing in exactly the two
@@ -152,8 +152,8 @@ def build_spin_hamiltonian(params: ModelParams, cap: int = SPARSE_CAP) -> Sparse
     import scipy.sparse as sp
 
     L = params.geom.length
-    if L > cap:
-        raise ResourceLimitError(f"L = {L} exceeds the sparse cap {cap}")
+    if L > SPARSE_CAP:
+        raise ResourceLimitError(f"L = {L} exceeds the sparse cap {SPARSE_CAP}")
     dim = 1 << L
     couplings = params.level_coupling_array()
     first, second = np.triu_indices(L, 1)
@@ -325,8 +325,12 @@ def energy_expectation(psi, hamiltonian: SparseHamiltonian) -> float:
 
 
 def _spectrum_entropy(rho: np.ndarray) -> float:
-    """-sum p log p over the eigenvalues p > 1e-15 of a reduced density matrix."""
-    probs = np.linalg.eigvalsh(rho)
+    """-sum p log p over the eigenvalues p > 1e-15 of a reduced density matrix.
+
+    Eigenvalues are clipped at 1, so one that rounds above 1 (a nearly
+    product state) adds 0 instead of a negative term.
+    """
+    probs = np.minimum(np.linalg.eigvalsh(rho), 1.0)
     probs = probs[probs > 1e-15]
     return float(-np.sum(probs * np.log(probs)))
 
@@ -569,21 +573,19 @@ def _advance(product, psi: np.ndarray, span: float, dt: float,
 
 
 def evolve_spin(model: ModelParams | SparseHamiltonian, psi0: SpinState, times,
-                krylov_dim: int = KRYLOV_DIM, local_tol: float = LOCAL_TOL,
                 compute_entropy: bool = False,
                 keep_states: bool = False) -> ObservableSeries:
     """Evolve |psi0> (given at t = 0) and sample observables on `times`.
 
     The grid must be finite, ascending and nonnegative; each interval is
-    crossed with adaptive Lanczos substeps at the requested local error
-    target.  A Krylov space needs at least two vectors for its error
-    estimate to shrink with the step; `krylov_dim` is the most a step may
-    use.  `model` is the ModelParams, or a SparseHamiltonian of which only
-    the params are read.  `psi0` must have a definite spin parity (its
-    smaller parity component at most 1e-8 in norm); the run stays in that
-    2^(L-1)-dimensional sector, with products matrix-free in the sx basis
-    (`SigmaXOperator`).  Sampled states are full 2^L vectors, exactly zero
-    outside the sector.
+    crossed with adaptive Lanczos substeps at the local error target
+    LOCAL_TOL, each of at most KRYLOV_DIM vectors (module constants, read
+    at every call).  `model` is the ModelParams, or a SparseHamiltonian of
+    which only the params are read.  `psi0` must have a definite spin
+    parity (its smaller parity component at most 1e-8 in norm); the run
+    stays in that 2^(L-1)-dimensional sector, with products matrix-free in
+    the sx basis (`SigmaXOperator`).  Sampled states are full 2^L vectors,
+    exactly zero outside the sector.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -592,10 +594,6 @@ def evolve_spin(model: ModelParams | SparseHamiltonian, psi0: SpinState, times,
         raise InputError("times must be finite")
     if times[0] < 0 or np.any(np.diff(times) <= 0):
         raise InputError("times must be ascending and nonnegative")
-    if not isinstance(krylov_dim, (int, np.integer)) or krylov_dim < 2:
-        raise InputError(f"krylov_dim must be an integer >= 2, got {krylov_dim!r}")
-    if not (np.isfinite(local_tol) and local_tol > 0):
-        raise InputError(f"local_tol must be finite and positive, got {local_tol!r}")
     if not np.all(np.isfinite(psi0.amplitudes)):
         raise InputError("initial state has non-finite amplitudes")
     if abs(psi0.norm() - 1.0) > 1e-8:
@@ -626,7 +624,7 @@ def evolve_spin(model: ModelParams | SparseHamiltonian, psi0: SpinState, times,
         span = target - t_now
         if span > 0:
             chi, dt = _advance(operator.product, chi, span, dt,
-                               krylov_dim, local_tol, stats)
+                               KRYLOV_DIM, LOCAL_TOL, stats)
             z = hadamard_all(chi)
             t_now = target
         n = _occupations(np.abs(z) ** 2, index, sites)

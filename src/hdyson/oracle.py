@@ -17,8 +17,8 @@ The O(L) kernels keep their intermediate pyramids in a per-thread scratch
 cache (repeatedly faulting fresh pages costs several times the arithmetic
 at these sizes) and accept an optional preallocated `out` array, so a time
 series at fixed L runs allocation-free in steady state.  Scratch is
-thread-local, so concurrent maps over time points are safe, and holds one
-size per kernel: a call at another L replaces it.
+thread-local, so callers may run the kernels from several threads at once,
+and holds one size per kernel: a call at another L replaces it.
 """
 
 from __future__ import annotations
@@ -29,17 +29,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import parallel_map
 from .errors import InputError
 from .geometry import TreeGeometry, block_bounds, block_range
 from .profiles import SITE_MODE, WaveProfile
-from .spectral import (
-    DENSE_CAP,
-    ModelParams,
-    build_hopping_matrix,
-    eigenvalues,
-    multiplet_degeneracy,
-)
+from .spectral import ModelParams, build_hopping_matrix, eigenvalues, multiplet_degeneracy
 
 __all__ = [
     "DenseOperator",
@@ -114,8 +107,8 @@ class DenseOperator:
         return self._evals, self._evecs
 
 
-def dense_operator(params: ModelParams, dense_cap: int = DENSE_CAP) -> DenseOperator:
-    return DenseOperator(build_hopping_matrix(params, dense_cap))
+def dense_operator(params: ModelParams) -> DenseOperator:
+    return DenseOperator(build_hopping_matrix(params))
 
 
 def _check_length(params: ModelParams, v: np.ndarray) -> None:
@@ -139,20 +132,18 @@ def _check_initial(initial: WaveProfile, length: int) -> np.ndarray:
 
 
 def dense_evolve(params: ModelParams, t: float, initial: WaveProfile,
-                 op: DenseOperator | None = None,
-                 dense_cap: int = DENSE_CAP) -> WaveProfile:
+                 op: DenseOperator | None = None) -> WaveProfile:
     """Evolve by spectral decomposition of the numerically diagonalized matrix."""
-    amp = dense_evolve_series(params, [t], initial, op, dense_cap)[0]
+    amp = dense_evolve_series(params, [t], initial, op)[0]
     return WaveProfile(amp, float(t), SITE_MODE)
 
 
 def dense_evolve_series(params: ModelParams, times, initial: WaveProfile,
-                        op: DenseOperator | None = None,
-                        dense_cap: int = DENSE_CAP) -> np.ndarray:
+                        op: DenseOperator | None = None) -> np.ndarray:
     """Row i holds the site amplitudes at times[i]; one matmul per call."""
     amp = _check_initial(initial, params.geom.length)
     if op is None:
-        op = dense_operator(params, dense_cap)
+        op = dense_operator(params)
     evals, evecs = op.eigensystem()
     modes = evecs.conj().T @ amp
     times = np.asarray(times, dtype=float)
@@ -293,23 +284,18 @@ def fast_evolve(params: ModelParams, t: float, initial: np.ndarray,
 def fast_evolve_series(params: ModelParams, times, initial: np.ndarray) -> np.ndarray:
     """Amplitudes at every requested time, shape (len(times), L).
 
-    Time points are independent; the per-time work goes through
-    `parallel_map` (threaded when HDYSON_THREADS > 1) and writes straight
-    into the preallocated result block.
+    Each time point is one `fast_evolve` call that writes straight into
+    its row of the preallocated result block.
     """
     v = np.asarray(initial, dtype=complex)
     times = np.asarray(times, dtype=float)
     result = np.empty((times.size, v.size), dtype=complex)
-
-    def fill(index: int) -> None:
+    for index in range(times.size):
         fast_evolve(params, float(times[index]), v, out=result[index])
-
-    parallel_map(fill, range(times.size))
     return result
 
 
-def benchmark_fast_ops(n_values, repeats: int = 5, sigma: float = 1.0,
-                       J: float = 1.0, min_window_s: float = 0.3) -> list[dict]:
+def benchmark_fast_ops(n_values, repeats: int = 5, min_window_s: float = 0.3) -> list[dict]:
     """Wall-clock statistics of the O(L) kernels across system sizes.
 
     Rows carry N, L, op, mean_ns, stddev_ns (plus min_ns, the quantity to
@@ -322,7 +308,7 @@ def benchmark_fast_ops(n_values, repeats: int = 5, sigma: float = 1.0,
     n_values = [int(n) for n in n_values]
     cases = []
     for n in n_values:
-        params = ModelParams(TreeGeometry(n), J=J, sigma=sigma)
+        params = ModelParams(TreeGeometry(n))
         length = params.geom.length
         v = np.zeros(length, dtype=complex)
         v[0] = 1.0

@@ -236,13 +236,11 @@ def eigenvector(k: int, m: int, geom: TreeGeometry) -> WaveProfile:
     return WaveProfile(vec.astype(complex), time=0.0, mode=SITE_MODE)
 
 
-def build_hopping_matrix(params: ModelParams, dense_cap: int = DENSE_CAP) -> np.ndarray:
+def build_hopping_matrix(params: ModelParams) -> np.ndarray:
     """Dense L x L hopping matrix: -J_{r(i,j)-1} off the diagonal, 0 on it."""
     geom = params.geom
-    if geom.length > dense_cap:
-        raise ResourceLimitError(
-            f"L = {geom.length} exceeds the dense cap {dense_cap}"
-        )
+    if geom.length > DENSE_CAP:
+        raise ResourceLimitError(f"L = {geom.length} exceeds the dense cap {DENSE_CAP}")
     couplings = params.level_coupling_array()
     labels = np.arange(geom.length)
     level = pair_level(labels[:, None], labels[None, :])

@@ -153,13 +153,18 @@ def test_sigma_guards():
 # probabilities
 # ---------------------------------------------------------------------------
 
-def test_probability_initial_and_normalized():
-    params = params_for(6)
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 16), st.floats(0.05, 3.0), st.floats(0.0, 5.0),
+       st.lists(st.floats(0.0, 1e3), min_size=1, max_size=8))
+def test_probability_initial_and_normalized(levels, sigma, J, times):
+    # sum_r P(r, t) = 1 from psi_finite, for every N, sigma, J and t
+    params = params_for(levels, sigma=sigma, J=J)
     assert probability(0, 0.0, params) == pytest.approx(1.0)
-    assert probability(3, 0.0, params) == 0.0
-    for t in (0.9, 7.7):
-        total = sum(probability(r, t, params) for r in range(7))
-        assert total == pytest.approx(1.0, abs=1e-10)
+    for r in range(1, levels + 1):
+        assert probability(r, 0.0, params) == 0.0
+    t = np.asarray(times)
+    total = sum(probability(r, t, params) for r in range(levels + 1))
+    assert np.max(np.abs(total - 1.0)) <= 1e-10
 
 
 def test_probability_from_profiles():
@@ -406,7 +411,7 @@ def test_exponent_scan_makes_one_call_per_shell():
     # one scan call and 2 + refine golden-section spreads, each over 4 shells
     assert len(shapes) == 4 * (3 + 7)
     assert shapes[:4] == [(301, 60)] * 4
-    assert shapes[4:] == [(60,)] * (4 * 9)
+    assert shapes[4:] == [(1, 60)] * (4 * 9)
 
 
 def test_exponent_scan_rejects_overflowing_scales():

@@ -131,17 +131,24 @@ def test_tree_transform_coefficients_are_projections():
             )
 
 
-def test_tree_transform_roundtrip_and_parseval():
-    rng = np.random.default_rng(6)
-    for levels in (1, 3, 7, 12):
-        v = rng.normal(size=1 << levels) + 1j * rng.normal(size=1 << levels)
-        coeffs = tree_transform(v)
-        back = inverse_tree_transform(coeffs)
-        scale = np.max(np.abs(v))
-        assert np.max(np.abs(back - v)) <= 1e-12 * scale
-        assert np.sum(np.abs(coeffs.values) ** 2) == pytest.approx(
-            np.sum(np.abs(v) ** 2), rel=1e-12
-        )
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_tree_transform_roundtrip_and_parseval(levels, seed):
+    # the transform is orthogonal: it keeps the norm, and its inverse is
+    # its adjoint, <T v, w> = <v, T^-1 w>
+    rng = np.random.default_rng(seed)
+    v, w = rng.normal(size=(2, 1 << levels)) + 1j * rng.normal(size=(2, 1 << levels))
+    coeffs = tree_transform(v)
+    back = inverse_tree_transform(coeffs)
+    scale = np.max(np.abs(v))
+    assert np.max(np.abs(back - v)) <= 1e-12 * scale
+    assert np.sum(np.abs(coeffs.values) ** 2) == pytest.approx(
+        np.sum(np.abs(v) ** 2), rel=1e-12
+    )
+    adjoint = np.vdot(v, inverse_tree_transform(TreeCoefficients(w, levels)))
+    assert abs(np.vdot(coeffs.values, w) - adjoint) <= (
+        1e-12 * np.linalg.norm(v) * np.linalg.norm(w)
+    )
 
 
 def test_coefficient_indexing_validation():
@@ -176,8 +183,9 @@ def test_dense_evolve_validation():
     bad = WaveProfile(np.full(8, 0.5 + 0j), 0.0)
     with pytest.raises(InputError):
         dense_evolve(params, 1.0, bad)
+    # L = 8192 is over the dense cap: raised before the matrix is built
     with pytest.raises(ResourceLimitError):
-        dense_evolve(params, 1.0, WaveProfile(delta_state(8), 0.0), dense_cap=4)
+        dense_evolve(params_for(13), 1.0, WaveProfile(delta_state(1 << 13), 0.0))
     with pytest.raises(InputError):
         dense_evolve(params_for(2), 1.0, WaveProfile(delta_state(8), 0.0))
 
@@ -265,6 +273,22 @@ def test_fast_evolve_matches_slot_phase_reference(params, t, seed):
     assert np.array_equal(fast_evolve(params, t, v), expected)
 
 
+@settings(max_examples=60, deadline=None)
+@given(tree_params(), st.floats(0.0, 100.0), st.floats(0.0, 100.0),
+       st.integers(0, 2**32 - 1))
+def test_fast_evolve_composes(params, t1, t2, seed):
+    # U(t1) U(t2) = U(t1 + t2); each phase exp(-i eps t) carries a rounding
+    # of about |eps| t 2^-53, so the bound grows with the largest |eps| t
+    rng = np.random.default_rng(seed)
+    L = params.geom.length
+    v = rng.normal(size=L) + 1j * rng.normal(size=L)
+    v /= np.linalg.norm(v)
+    composed = fast_evolve(params, t1, fast_evolve(params, t2, v))
+    direct = fast_evolve(params, t1 + t2, v)
+    phase_scale = np.max(np.abs(eigenvalues(params).eps)) * (t1 + t2)
+    assert np.max(np.abs(composed - direct)) <= 1e-13 + 1e-15 * phase_scale
+
+
 def test_shell_constancy_of_evolved_delta():
     # permutation symmetry: the evolved delta is constant on every shell
     params = params_for(8, sigma=0.7)
@@ -272,16 +296,6 @@ def test_shell_constancy_of_evolved_delta():
     for r in range(1, 9):
         block = v[1 << (r - 1) : 1 << r]
         assert np.max(np.abs(block - block[0])) < 1e-12
-
-
-def test_threaded_series_matches_sequential(monkeypatch):
-    params = params_for(8)
-    d = delta_state(1 << 8)
-    times = np.linspace(0.0, 4.0, 9)
-    sequential = fast_evolve_series(params, times, d)
-    monkeypatch.setenv("HDYSON_THREADS", "2")
-    threaded = fast_evolve_series(params, times, d)
-    assert np.array_equal(sequential, threaded)
 
 
 def test_scratch_store_holds_one_size_per_kernel():

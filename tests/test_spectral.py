@@ -157,7 +157,7 @@ def test_hopping_matrix_entries():
 
 def test_hopping_matrix_cap():
     with pytest.raises(ResourceLimitError):
-        build_hopping_matrix(params_for(6), dense_cap=32)
+        build_hopping_matrix(params_for(13))  # L = 8192, over the dense cap
 
 
 def test_delta_decomposition():
