@@ -499,10 +499,13 @@ def _lanczos_step(product, psi: np.ndarray, dt: float, m_max: int,
     recursion stops at the first m >= 2 whose estimate is at most
     0.01 tol, the accuracy at which `_advance` grows the step, and at m_max
     otherwise.  The estimate is only evaluated once its leading Taylor term
-    dt^(m-1) beta_1 ... beta_m / (m-1)! is that small, so short steps pay
-    for few small eigensolves.  `product(v, out)` writes H v into `out`.
-    The residual `w` is updated in place, and the overlaps with the basis
-    are conj(basis @ conj(w)), so no conjugated copy of the basis is kept.
+    dt^(m-1) beta_1 ... beta_m / (m-1)! is at most tol, 100 times the
+    stopping target: that term can overestimate the estimate about 100-fold
+    when dt times the spectral spread is large, and gating it at tol still
+    spares short steps most small eigensolves.  `product(v, out)` writes
+    H v into `out`.  The residual `w` is updated in place, and the overlaps
+    with the basis are conj(basis @ conj(w)), so no conjugated copy of the
+    basis is kept.
     """
     dim = psi.size
     m = min(m_max, dim)
@@ -531,7 +534,7 @@ def _lanczos_step(product, psi: np.ndarray, dt: float, m_max: int,
         if used == m:
             break
         leading = beta_next if j == 0 else leading * beta_next * dt / j
-        if used >= 2 and leading <= target:
+        if used >= 2 and leading <= tol:
             y = _krylov_coefficients(alphas[:used], betas[:used], dt)
             if beta_next * abs(y[-1]) <= target:
                 break

@@ -7,6 +7,7 @@ matrix exponentials, second-order couplings from squaring the dense hopping
 matrix, the spin Hamiltonian from a COO triplet list converted to CSR, the
 per-slot eigenvalues of the tree basis from an explicit slot-by-slot layout,
 the dynamical-exponent scan from one amplitude call per trial exponent,
+the thermodynamic mode series from one exponential per term,
 many-body evolution from CSR products in the sz basis over the full 2^L
 space at the full Krylov dimension, the Krylov exponential from scipy's
 tridiagonal eigensolver, entanglement entropies from one Schmidt SVD per
@@ -26,6 +27,7 @@ from hdyson import (
     build_hopping_matrix,
     eigenvalues,
     magnetization_profile,
+    renormalized_coupling,
     shell_probability,
 )
 from hdyson._util import popcount
@@ -218,6 +220,24 @@ def per_z_dynamical_exponent(psi_fn, r_values, s_grid,
             d = a + ratio * (b - a)
             fd = spread(d)
     return 0.5 * (a + b)
+
+
+def direct_return_series(s, sigma: float, J: float, policy) -> np.ndarray:
+    """The thermodynamic mode series summed term by term: all K exponentials.
+
+    The library sums the small-phase tail from its Taylor moments; this is
+    the direct loop it replaced, kept as its oracle.
+    """
+    coupling = renormalized_coupling(sigma, J)
+    sarr = np.asarray(s, dtype=float)
+    acc = np.zeros(sarr.shape, dtype=complex)
+    term = np.empty_like(acc)  # reused: a fresh large array is page-faulted in anew
+    for k in range(policy.K):
+        np.multiply(-1j * coupling * 2.0 ** (-sigma * k), sarr, out=term)
+        np.exp(term, out=term)
+        np.multiply(2.0 ** (-k - 1), term, out=term)
+        acc += term
+    return acc
 
 
 def dense_hadamard(sites: int) -> np.ndarray:

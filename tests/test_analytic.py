@@ -1,3 +1,4 @@
+import math
 import warnings
 from unittest import mock
 
@@ -38,7 +39,7 @@ from hdyson import (
 )
 from hdyson.profiles import collapse_sites_to_shells, expand_shells_to_sites
 
-from reference import per_z_dynamical_exponent
+from reference import direct_return_series, per_z_dynamical_exponent
 
 
 def params_for(levels, sigma=1.0, J=1.0):
@@ -135,6 +136,86 @@ def test_scaling_collapse_identity_is_exact():
 def test_scaling_function_bounded():
     s = np.linspace(0.0, 100.0, 2001)
     assert np.max(np.abs(scaling_function(s, 1.0, 1.0))) <= 2.0
+
+
+# Largest |_return_series - direct sum| measured over 1.5e7 points (the
+# sigma and K below, |s| log-uniform in 1e-16..1e15): 8.9e-16, the direct
+# sum's own rounding of up to K additions.  The bound leaves a factor of 2.
+SERIES_AGREEMENT = 2e-15
+
+
+def _laid_out(values: np.ndarray, shape: tuple, layout: str) -> np.ndarray:
+    if layout == "strided" and shape:
+        holder = np.zeros(shape[:-1] + (2 * shape[-1],))
+        holder[..., ::2] = values.reshape(shape)
+        return holder[..., ::2]
+    if layout == "transposed":
+        return values.reshape(shape[::-1]).T
+    return values.reshape(shape)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    sigma=st.sampled_from([analytic.SIGMA_NEAR_ZERO, 0.05, 0.5, 1.0, 2.0, 4.0]),
+    K=st.sampled_from([1, 2, 7, 64, 1074]),
+    special=st.lists(
+        st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e15, -1e15])
+        | st.floats(-1e15, 1e15),
+        min_size=1, max_size=12,
+    ),
+    scale=st.sampled_from([1e-12, 1e-3, 1.0, 1e3, 1e15]),
+    # block boundaries +-1 (blocks of 2^12 points), 0-d and 2-d
+    shape=st.sampled_from([(), (1,), (4095,), (4096,), (4097,), (8191,), (8192,),
+                           (8193,), (64, 64), (3, 1365), (2, 4097)]),
+    layout=st.sampled_from(["contiguous", "strided", "transposed"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_return_series_matches_direct_sum(sigma, K, special, scale, shape, layout, seed):
+    rng = np.random.default_rng(seed)
+    size = math.prod(shape)
+    values = np.where(rng.random(size) < 0.5, rng.choice(special, size),
+                      scale * rng.uniform(-1.0, 1.0, size))
+    s = _laid_out(values, shape, layout)
+    policy = TruncationPolicy(K)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning, underflowed rates included
+        got = analytic._return_series(s, sigma, 1.0, policy)
+    want = direct_return_series(s, sigma, 1.0, policy)
+    assert got.shape == want.shape == s.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= SERIES_AGREEMENT
+
+
+@pytest.mark.parametrize("K", [1, 64, 1074])
+@pytest.mark.parametrize("sigma", [analytic.SIGMA_NEAR_ZERO, 1.0, 4.0])
+def test_return_series_propagates_nan(sigma, K):
+    s = np.array([np.nan, np.inf, -np.inf, 0.5, 0.0])
+    policy = TruncationPolicy(K)
+    with np.errstate(invalid="ignore"):  # the direct sum warns on these too
+        got = analytic._return_series(s, sigma, 1.0, policy)
+        want = direct_return_series(s, sigma, 1.0, policy)
+    assert np.all(np.isnan(got[:3])) and np.all(np.isnan(want[:3]))
+    assert np.max(np.abs(got[3:] - want[3:])) <= SERIES_AGREEMENT
+
+
+@pytest.mark.parametrize("sigma", [0.3, 0.5, 1.0, 2.0, 3.7])
+def test_psi_thermo_is_elementwise_to_the_bit(sigma):
+    # an element's value may not depend on its block, position or neighbours:
+    # the collapse gates compare psi_thermo and scaling_function bitwise
+    rng = np.random.default_rng(17)
+    t = np.concatenate([[0.0, 1e-300, 1e15], rng.uniform(0.0, 60.0, 3000),
+                        10.0 ** rng.uniform(-9.0, 9.0, 3001)])  # two blocks
+    for r in (0, 3):
+        base = psi_thermo(r, t, sigma)
+        perm = rng.permutation(t.size)
+        assert psi_thermo(r, t[perm], sigma).tobytes() == base[perm].tobytes()
+        holder = np.zeros(2 * t.size)
+        holder[::2] = t
+        strided = holder[::2].reshape(2, t.size // 2)  # a non-contiguous view
+        assert not strided.flags.c_contiguous
+        assert psi_thermo(r, strided, sigma).tobytes() == base.tobytes()
+        picks = rng.choice(t.size, 150, replace=False)
+        scalars = np.array([psi_thermo(r, float(t[i]), sigma) for i in picks])
+        assert scalars.tobytes() == base[picks].tobytes()
 
 
 def test_sigma_guards():
@@ -236,6 +317,16 @@ def test_tail_probability_bound_numeric():
                 totals[R] += values
     for R, acc in totals.items():
         assert np.max(acc) <= 2.0 ** (1 - R)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sigma=st.floats(0.3, 3.0), R=st.integers(0, 8),
+       times=st.lists(st.floats(0.0, 1e6), min_size=1, max_size=20))
+def test_tail_bound_holds_for_series(sigma, R, times):
+    # sum_{r > R} 2^(r-1) |psi(r, t)|^2 <= 2^(1-R), shells up to r = 20
+    t = np.asarray(times)
+    tail = sum(probability_thermo(r, t, sigma) for r in range(R + 1, 21))
+    assert np.max(tail) <= tail_bound(R)
 
 
 # ---------------------------------------------------------------------------
