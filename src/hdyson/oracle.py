@@ -4,21 +4,21 @@ Two exact routes complement the closed forms of `analytic`:
 
 * a dense route: numerically diagonalize the hopping matrix and evolve by
   spectral decomposition (O(L^3) once, O(L^2) per time), and
-* a fast route: an O(L) orthogonal transform onto the tree eigenbasis
-  (a pairwise sum/difference cascade), a phase multiply built from the
-  N+1 distinct eigenvalues, and the inverse transform, giving O(L) exact
-  evolution per time point up to L ~ 2^24.
+* a fast route for any f(H), diagonal in the tree eigenbasis with one value
+  f(eps_k) per multiplet k = 0..N, in three O(L) stages: an unscaled forward
+  cascade of pairwise sums and differences (merging blocks of 2^(p-1) sites
+  into 2^p gives multiplet k = N - p + 1, D_k; the last sum is D_0), one
+  multiply of each multiplet slice by f(eps_k) 2^(k-N-1) (2^-N for k = 0),
+  and an unscaled inverse cascade s -> (s + d, s - d).  `tree_transform` is
+  2^(-(N-k+1)/2) D_k (2^(-N/2) D_0) and its inverse needs that scale again,
+  so the 1/sqrt2 of every level collapses into the exact power of two.
+  `fast_apply` is f(eps) = eps; `fast_evolve_series` runs the forward
+  cascade once and the rest per time with f(eps) = exp(-i eps t).
 
-`fast_apply` is the matching O(L) matrix-vector product: an upward pass
-accumulates all block sums, a downward pass accumulates the field each
-leaf feels from the sibling block at every level.
-
-The O(L) kernels keep their intermediate pyramids in a per-thread scratch
-cache (repeatedly faulting fresh pages costs several times the arithmetic
-at these sizes) and accept an optional preallocated `out` array, so a time
-series at fixed L runs allocation-free in steady state.  Scratch is
-thread-local, so callers may run the kernels from several threads at once,
-and holds one size per kernel: a call at another L replaces it.
+The cascades keep their sums in a per-thread scratch cache (faulting fresh
+pages costs several times the arithmetic at these sizes), one size per
+kernel, and the kernels accept a preallocated `out`, so a time series at
+fixed L runs allocation-free in steady state.
 """
 
 from __future__ import annotations
@@ -48,44 +48,66 @@ __all__ = [
     "benchmark_fast_ops",
 ]
 
-_INV_SQRT2 = 2.0 ** -0.5
 _SCRATCH = threading.local()
 
 
-def _scratch(kernel: str, length: int, dtype) -> dict:
-    """Per-thread reusable work arrays for one kernel and dtype.
-
-    The slot holds arrays for one length; a call at another length
-    replaces it, so the store never holds more than one size per kernel.
-    """
-    store = getattr(_SCRATCH, "store", None)
-    if store is None:
-        store = _SCRATCH.store = {}
+def _scratch(kernel: str, length: int, dtype) -> list[np.ndarray]:
+    """The L/2 and L/4 sums of a "cascade", else L "coefficients"; per thread and dtype."""
+    store = _SCRATCH.__dict__.setdefault("store", {})
+    sizes = (length >> 1, length >> 2) if kernel == "cascade" else (length,)
     key = (kernel, np.dtype(dtype).str)
-    slot = store.get(key)
-    if slot is None or slot["length"] != length:
-        slot = store[key] = {"length": length}
-    return slot
+    if key not in store or store[key][0].size != sizes[0]:
+        store[key] = [np.empty(size, dtype=dtype) for size in sizes]
+    return store[key]
 
 
-def _pyramid(slot: dict, name: str, levels: int, dtype) -> list[np.ndarray]:
-    """Arrays of sizes 2^(levels-1), ..., 2, 1 (blocks levels..1)."""
-    pyramid = slot.get(name)
-    if pyramid is None:
-        sizes = block_bounds(levels)[-2:0:-1]
-        pyramid = slot[name] = [np.empty(size, dtype=dtype) for size in sizes]
-    return pyramid
-
-
-def _prepare_out(out, length: int, dtype, *aliases) -> np.ndarray:
+def _prepare_out(out, length: int, dtype, source) -> np.ndarray:
     if out is None:
         return np.empty(length, dtype=dtype)
     if out.shape != (length,) or out.dtype != np.dtype(dtype):
         raise InputError(f"out must have shape ({length},) and dtype {np.dtype(dtype)}")
-    for other in aliases:
-        if other is not None and np.shares_memory(out, other):
-            raise InputError("out must not overlap the input")
+    if np.shares_memory(out, source):
+        raise InputError("out must not overlap the input")
     return out
+
+
+def _multiplet_scale(levels: int) -> np.ndarray:
+    """2^(k-N-1), and 2^-N for k = 0; the square root is the orthonormal scale."""
+    return np.ldexp(1.0, np.maximum(np.arange(-levels - 1, 0), -levels))
+
+
+def _forward(v: np.ndarray, coeffs: np.ndarray) -> None:
+    """Unscaled cascade of v into coeffs: differences D_k into slice k, the sum into slot 0."""
+    n = v.size.bit_length() - 1
+    bounds = block_bounds(n)
+    sums = _scratch("cascade", v.size, coeffs.dtype)
+    src = v
+    for k in range(n, 0, -1):
+        np.subtract(src[0::2], src[1::2], out=coeffs[bounds[k] : bounds[k + 1]])
+        target = coeffs[:1] if k == 1 else sums[(n - k) % 2][: bounds[k]]
+        np.add(src[0::2], src[1::2], out=target)
+        src = target
+
+
+def _inverse(coeffs: np.ndarray, factors: np.ndarray, out: np.ndarray) -> None:
+    """Unscaled inverse cascade of coeffs with slice k times factors[k], into out.
+
+    Level k scales slice k straight into the odd half of its output and
+    forms s + d, s - d there; the levels below N alternate over the two
+    scratch buffers, so none reads the array it writes.
+    """
+    n = coeffs.size.bit_length() - 1
+    bounds = block_bounds(n)
+    sums = _scratch("cascade", coeffs.size, out.dtype)
+    smooth = sums[(n + 1) % 2][:1]
+    np.multiply(coeffs[:1], factors[0], out=smooth)
+    for k in range(1, n + 1):
+        target = out if k == n else sums[(n - k + 1) % 2][: bounds[k + 1]]
+        detail = target[1::2]
+        np.multiply(coeffs[bounds[k] : bounds[k + 1]], factors[k], out=detail)
+        np.add(smooth, detail, out=target[0::2])
+        np.subtract(smooth, detail, out=detail)
+        smooth = target
 
 
 @dataclass
@@ -118,6 +140,19 @@ def _check_length(params: ModelParams, v: np.ndarray) -> None:
         )
 
 
+def _check_normalized(amp: np.ndarray, what: str) -> None:
+    norm2 = np.vdot(amp, amp).real
+    if not abs(norm2 - 1.0) <= 1e-8:  # also false for a NaN or inf norm
+        raise InputError(f"{what} is not finite and normalized: squared norm {norm2}")
+
+
+def _check_times(times, ndim: int) -> np.ndarray:
+    times = np.asarray(times, dtype=float)
+    if times.ndim != ndim or not np.all(np.isfinite(times)):
+        raise InputError(f"times must be finite and {ndim}-d, got {times!r}")
+    return times
+
+
 def _check_initial(initial: WaveProfile, length: int) -> np.ndarray:
     if initial.mode != SITE_MODE:
         raise InputError("dense evolution needs a site-mode initial profile")
@@ -125,10 +160,8 @@ def _check_initial(initial: WaveProfile, length: int) -> np.ndarray:
         raise InputError(
             f"initial profile length {initial.length} != chain length {length}"
         )
-    amp = initial.amplitudes
-    if abs(np.vdot(amp, amp).real - 1.0) > 1e-8:
-        raise InputError("initial profile is not normalized")
-    return amp
+    _check_normalized(initial.amplitudes, "initial profile")
+    return initial.amplitudes
 
 
 def dense_evolve(params: ModelParams, t: float, initial: WaveProfile,
@@ -153,38 +186,20 @@ def dense_evolve_series(params: ModelParams, times, initial: WaveProfile,
 
 def fast_apply(params: ModelParams, v: np.ndarray,
                out: np.ndarray | None = None) -> np.ndarray:
-    """Hopping-matrix product in O(L).
+    """Hopping-matrix product H v in O(L).
 
-    Upward pass: block sums S(p, q) by pairwise addition.  Downward pass:
-    the field on a block is its parent's field plus J_p times the sibling
-    block sum; the output at a leaf is minus its accumulated field.
+    The forward cascade, multiplet k times eps_k 2^(k-N-1), the inverse
+    cascade.  A real v gives a real product.  Like `eigenvalues`, it needs
+    sigma > 0 or custom level couplings.
     """
     v = np.asarray(v)
     _check_length(params, v)
-    n = params.geom.levels
-    couplings = params.level_coupling_array()
     dtype = np.result_type(v.dtype, float)
-    slot = _scratch("fast_apply", v.size, dtype)
-    sums = _pyramid(slot, "sums", n, dtype)      # sums[p-1]: level-p block sums
-    fields = _pyramid(slot, "fields", n, dtype)  # fields[p-1]: level-p fields
     out = _prepare_out(out, v.size, dtype, v)
-
-    src = v
-    for p in range(n):
-        np.add(src[0::2], src[1::2], out=sums[p])
-        src = sums[p]
-
-    parent = None  # level-n field is zero
-    for p in range(n - 1, -1, -1):
-        target = out if p == 0 else fields[p - 1]
-        source = v if p == 0 else sums[p - 1]
-        np.multiply(source[1::2], couplings[p], out=target[0::2])
-        np.multiply(source[0::2], couplings[p], out=target[1::2])
-        if parent is not None:
-            np.add(target[0::2], parent, out=target[0::2])
-            np.add(target[1::2], parent, out=target[1::2])
-        parent = target
-    np.negative(out, out=out)
+    factors = eigenvalues(params).eps * _multiplet_scale(params.geom.levels)
+    coeffs = _scratch("coefficients", v.size, dtype)[0]
+    _forward(v, coeffs)
+    _inverse(coeffs, factors, out)
     return out
 
 
@@ -210,28 +225,16 @@ class TreeCoefficients:
 def tree_transform(v: np.ndarray, out: np.ndarray | None = None) -> TreeCoefficients:
     """O(L) expansion of a site vector over the tree eigenbasis.
 
-    A pairwise (a+b)/sqrt2, (a-b)/sqrt2 cascade: the differences produced
-    while merging blocks of size 2^(p-1) into 2^p are exactly the
-    multiplet k = N - p + 1 coefficients.
+    The forward cascade, then multiplet k times 2^(-(N-k+1)/2) (2^(-N/2)
+    for k = 0).
     """
     v = np.asarray(v)
     n = TreeGeometry.from_length(v.size).levels
+    values = _prepare_out(out, v.size, np.result_type(v.dtype, float), v)
+    _forward(v, values)
     bounds = block_bounds(n)
-    dtype = np.result_type(v.dtype, float)
-    slot = _scratch("tree_transform", v.size, dtype)
-    work = _pyramid(slot, "work", n, dtype)
-    values = _prepare_out(out, v.size, dtype, v)
-
-    src = v
-    for p in range(1, n + 1):
-        k = n - p + 1
-        detail = values[bounds[k] : bounds[k + 1]]
-        np.subtract(src[0::2], src[1::2], out=detail)
-        detail *= _INV_SQRT2
-        np.add(src[0::2], src[1::2], out=work[p - 1])
-        work[p - 1] *= _INV_SQRT2
-        src = work[p - 1]
-    values[0] = src[0]
+    for k, scale in enumerate(np.sqrt(_multiplet_scale(n))):
+        values[bounds[k] : bounds[k + 1]] *= scale
     return TreeCoefficients(values, n)
 
 
@@ -240,58 +243,54 @@ def inverse_tree_transform(coeffs: TreeCoefficients,
     """Exact adjoint of `tree_transform`; round-trip is the identity."""
     values = np.asarray(coeffs.values)
     n = coeffs.levels
-    bounds = block_bounds(n)
-    if values.size != bounds[-1]:
+    if values.size != block_bounds(n)[-1]:
         raise InputError("coefficient slot count does not match levels")
-    dtype = np.result_type(values.dtype, float)
-    slot = _scratch("inverse_tree", values.size, dtype)
-    work = _pyramid(slot, "work", n, dtype)  # sizes L/2 .. 1
-    out = _prepare_out(out, values.size, dtype, values)
-
-    smooth = work[-1]
-    smooth[0] = values[0]
-    for k in range(1, n + 1):
-        detail = values[bounds[k] : bounds[k + 1]]
-        target = out if k == n else work[n - k - 1]
-        np.add(smooth, detail, out=target[0::2])
-        np.subtract(smooth, detail, out=target[1::2])
-        target *= _INV_SQRT2
-        smooth = target
+    out = _prepare_out(out, values.size, np.result_type(values.dtype, float), values)
+    _inverse(values, np.sqrt(_multiplet_scale(n)), out)
     return out
+
+
+def _evolution_factors(eps: np.ndarray, scale: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i eps_k t) 2^(k-N-1): the N+1 multiplet factors of U(t)."""
+    return np.exp(eps * (-1j * t)) * scale
+
+
+def _evolve_rows(params: ModelParams, times: np.ndarray, initial, rows) -> None:
+    """rows[i] = exp(-i H times[i]) initial: one forward cascade, one inverse per time."""
+    v = np.asarray(initial, dtype=complex)
+    _check_length(params, v)
+    _check_normalized(v, "initial state")
+    eps = eigenvalues(params).eps
+    scale = _multiplet_scale(params.geom.levels)
+    coeffs = _scratch("coefficients", v.size, complex)[0]
+    _forward(v, coeffs)
+    for t, row in zip(times.tolist(), rows):
+        _inverse(coeffs, _evolution_factors(eps, scale, t), row)
 
 
 def fast_evolve(params: ModelParams, t: float, initial: np.ndarray,
                 out: np.ndarray | None = None) -> np.ndarray:
-    """Exact evolution in O(L): transform, phase-multiply, transform back.
+    """Exact evolution exp(-i H t) initial in O(L): `fast_evolve_series` at one time t.
 
-    Only the N+1 distinct phases exp(-i eps_k t) are computed; repeating
-    each over its multiplet's slots gives the per-slot phase vector.
+    The forward cascade, multiplet k times exp(-i eps_k t) 2^(k-N-1), the
+    inverse cascade.
     """
-    v = np.asarray(initial, dtype=complex)
-    _check_length(params, v)
-    slot = _scratch("fast_evolve", v.size, np.complex128)
-    coeff_buf = slot.get("coeffs")
-    if coeff_buf is None:
-        coeff_buf = slot["coeffs"] = np.empty(v.size, dtype=complex)
-    coeffs = tree_transform(v, out=coeff_buf)
-    spec = eigenvalues(params)
-    np.multiply(coeffs.values,
-                np.repeat(np.exp(spec.eps * (-1j * t)), spec.degeneracy),
-                out=coeffs.values)
-    return inverse_tree_transform(coeffs, out=out)
+    out = _prepare_out(out, params.geom.length, complex, initial)
+    _evolve_rows(params, _check_times(t, 0).reshape(1), initial, [out])
+    return out
 
 
 def fast_evolve_series(params: ModelParams, times, initial: np.ndarray) -> np.ndarray:
-    """Amplitudes at every requested time, shape (len(times), L).
+    """Amplitudes at every time of a finite 1-d grid, shape (len(times), L).
 
-    Each time point is one `fast_evolve` call that writes straight into
-    its row of the preallocated result block.
+    The initial state, finite and normalized to 1e-8 in its squared norm,
+    runs through the forward cascade once; each time then costs multiplet k
+    times exp(-i eps_k t) 2^(k-N-1) and one inverse cascade into its row,
+    which is bit-identical to a `fast_evolve` call at that time.
     """
-    v = np.asarray(initial, dtype=complex)
-    times = np.asarray(times, dtype=float)
-    result = np.empty((times.size, v.size), dtype=complex)
-    for index in range(times.size):
-        fast_evolve(params, float(times[index]), v, out=result[index])
+    times = _check_times(times, 1)
+    result = np.empty((times.size, params.geom.length), dtype=complex)
+    _evolve_rows(params, times, initial, result)
     return result
 
 

@@ -2,13 +2,14 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hdyson import (
     InputError,
     ModelParams,
     ResourceLimitError,
+    SingularLimitError,
     TreeCoefficients,
     TreeGeometry,
     WaveProfile,
@@ -63,6 +64,37 @@ def test_fast_apply_matches_dense_matvec(sigma):
             assert np.max(np.abs(fast - dense[row])) <= 1e-12 * scale
 
 
+@st.composite
+def tree_params(draw, max_levels=12):
+    levels = draw(st.integers(1, max_levels))
+    custom = st.lists(st.floats(-5.0, 5.0), min_size=levels, max_size=levels)
+    return ModelParams(
+        TreeGeometry(levels),
+        J=draw(st.floats(0.0, 5.0)),
+        sigma=draw(st.floats(0.05, 3.0)),
+        level_couplings=draw(st.none() | custom),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(tree_params(max_levels=10), st.integers(0, 2**32 - 1))
+def test_fast_apply_matches_dense_matrix(params, seed):
+    # the spectral product against the explicit matrix, and a real input
+    # gives a real output with the values of the complex path; the scale
+    # stops at the smallest normal float, below which floats are spaced
+    # absolutely (with a subnormal J no summation order meets 1e-12
+    # relative)
+    rng = np.random.default_rng(seed)
+    L = params.geom.length
+    v = rng.normal(size=L) + 1j * rng.normal(size=L)
+    dense = build_hopping_matrix(params) @ v
+    scale = max(np.max(np.abs(dense)), np.finfo(float).tiny)
+    assert np.max(np.abs(fast_apply(params, v) - dense)) <= 1e-12 * scale
+    real = fast_apply(params, v.real)
+    assert real.dtype == np.float64
+    assert np.array_equal(real, fast_apply(params, v.real + 0j))
+
+
 def test_fast_apply_examples():
     params = params_for(2)
     assert np.allclose(
@@ -101,6 +133,10 @@ def test_fast_apply_validation():
         fast_evolve(params, 1.0, np.ones(16) / 4)
     with pytest.raises(InputError):
         fast_evolve(params, 1.0, np.ones((2, 4)) / 8 ** 0.5)
+    # the product runs through the closed-form spectrum, which has no
+    # sigma = 0 value
+    with pytest.raises(SingularLimitError):
+        fast_apply(params_for(3, sigma=0.0), np.ones(8))
 
 
 # ---------------------------------------------------------------------------
@@ -244,33 +280,79 @@ def test_fast_evolve_unitarity_over_many_steps():
     assert abs(np.linalg.norm(state) - 1.0) < 1e-10
 
 
-@st.composite
-def tree_params(draw):
-    levels = draw(st.integers(1, 12))
-    custom = st.lists(st.floats(-5.0, 5.0), min_size=levels, max_size=levels)
-    return ModelParams(
-        TreeGeometry(levels),
-        J=draw(st.floats(0.0, 5.0)),
-        sigma=draw(st.floats(0.05, 3.0)),
-        level_couplings=draw(st.none() | custom),
-    )
-
-
 @settings(max_examples=80, deadline=None)
 @given(tree_params(),
        st.sampled_from([0.0, 1e4, 1e7]) | st.floats(0.0, 100.0),
        st.integers(0, 2**32 - 1))
 def test_fast_evolve_matches_slot_phase_reference(params, t, seed):
-    # the N+1 multiplet phases, repeated over the slots, reproduce the
-    # per-slot exponentials of the explicit slot layout bit for bit
+    # the N+1 multiplet factors, repeated over the slots, are the per-slot
+    # exponentials of the explicit slot layout times the exact slot scale
+    # 2^(k-N-1) (2^-N in slot 0) bit for bit, and fast_evolve agrees with
+    # the orthonormal transform, phase multiply and inverse
+    rng = np.random.default_rng(seed)
+    n, L = params.geom.levels, params.geom.length
+    spec = eigenvalues(params)
+    multiplet = np.array([slot.bit_length() for slot in range(L)])
+    slot_scale = np.ldexp(1.0, np.where(multiplet == 0, -n, multiplet - n - 1))
+    phases = np.exp(eigenvalue_slots(params) * (-1j * t))
+    factors = oracle._evolution_factors(spec.eps, oracle._multiplet_scale(n), t)
+    assert np.array_equal(np.repeat(factors, spec.degeneracy), phases * slot_scale)
+
+    v = rng.normal(size=L) + 1j * rng.normal(size=L)
+    v /= np.linalg.norm(v)
+    rotated = TreeCoefficients(tree_transform(v).values * phases, n)
+    expected = inverse_tree_transform(rotated)
+    assert np.max(np.abs(fast_evolve(params, t, v) - expected)) <= 1e-14
+
+
+@settings(max_examples=40, deadline=None)
+@given(tree_params(), st.lists(st.floats(0.0, 1e4), min_size=1, max_size=4),
+       st.integers(0, 2**32 - 1))
+@example(ModelParams(TreeGeometry(17)), [0.5, 3.0, 3.0], 0)
+def test_fast_evolve_series_rows_are_fast_evolve_calls(params, times, seed):
+    # both entry points run one kernel, so the rows match to the bit
     rng = np.random.default_rng(seed)
     L = params.geom.length
     v = rng.normal(size=L) + 1j * rng.normal(size=L)
     v /= np.linalg.norm(v)
-    phases = np.exp(eigenvalue_slots(params) * (-1j * t))
-    rotated = TreeCoefficients(tree_transform(v).values * phases, params.geom.levels)
-    expected = inverse_tree_transform(rotated)
-    assert np.array_equal(fast_evolve(params, t, v), expected)
+    series = fast_evolve_series(params, times, v)
+    assert series.shape == (len(times), L)
+    for t, row in zip(times, series):
+        assert np.array_equal(row, fast_evolve(params, t, v))
+
+
+@pytest.mark.parametrize("t, scale, bad_entry", [
+    (np.nan, 1.0, None),
+    (np.inf, 1.0, None),
+    (1.0, 3.0, None),
+    (1.0, 1.0 + 1e-7, None),
+    (1.0, 1.0, np.nan),
+    (1.0, 1.0, np.inf),
+], ids=["nan-time", "inf-time", "norm-3", "norm-off-by-2e-7", "nan-entry", "inf-entry"])
+def test_fast_evolve_input_contract(t, scale, bad_entry):
+    params = params_for(4)
+    v = delta_state(16) * scale
+    if bad_entry is not None:
+        v[5] = bad_entry
+    with pytest.raises(InputError):
+        fast_evolve(params, t, v)
+    with pytest.raises(InputError):
+        fast_evolve_series(params, [0.5, t], v)
+
+
+@pytest.mark.parametrize("times", [[[1.0, 2.0]], 1.0, [[1.0], [2.0]]],
+                         ids=["row", "scalar", "column"])
+def test_fast_evolve_series_needs_a_1d_grid(times):
+    with pytest.raises(InputError):
+        fast_evolve_series(params_for(4), times, delta_state(16))
+
+
+def test_fast_evolve_accepts_norm_within_tolerance():
+    # the dense route's 1e-8 tolerance on the squared norm
+    params = params_for(4)
+    v = delta_state(16) * (1.0 + 4e-9)
+    fast_evolve(params, 2.0, v)
+    fast_evolve_series(params, [2.0], v)
 
 
 @settings(max_examples=60, deadline=None)
@@ -310,6 +392,5 @@ def test_scratch_store_holds_one_size_per_kernel():
     worker.start()
     worker.join(timeout=60)
     assert not worker.is_alive()
-    kernels = sorted(kernel for kernel, _ in seen)
-    assert kernels == ["fast_evolve", "inverse_tree", "tree_transform"]
-    assert all(slot["length"] == 1 << 10 for slot in seen.values())
+    sizes = {kernel: [a.size for a in arrays] for (kernel, _), arrays in seen.items()}
+    assert sizes == {"cascade": [1 << 9, 1 << 8], "coefficients": [1 << 10]}
