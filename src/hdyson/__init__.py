@@ -51,6 +51,7 @@ from .analytic import (
     cumulative_probability,
     estimate_dynamical_exponent,
     finite_to_thermo_phase,
+    occupation,
     probability,
     probability_profile,
     probability_thermo,
@@ -67,12 +68,10 @@ from .analytic import (
     wave_profile_thermo,
 )
 from .oracle import (
-    DenseOperator,
     TreeCoefficients,
     benchmark_fast_ops,
     dense_evolve,
     dense_evolve_series,
-    dense_operator,
     fast_apply,
     fast_evolve,
     fast_evolve_series,

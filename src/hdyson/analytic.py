@@ -43,7 +43,7 @@ import numpy as np
 
 from ._util import time_steps
 from .errors import InputError, ResourceLimitError, SingularLimitError
-from .geometry import TreeGeometry, block_range
+from .geometry import TreeGeometry, block_bounds
 from .profiles import (
     DEFAULT_POLICY,
     SHELL_MODE,
@@ -63,6 +63,7 @@ __all__ = [
     "psi_thermo",
     "scaling_function",
     "finite_to_thermo_phase",
+    "occupation",
     "probability",
     "probability_thermo",
     "wave_profile_finite",
@@ -90,7 +91,9 @@ def _as_time_array(t) -> tuple[np.ndarray, bool]:
     return arr, arr.ndim == 0
 
 
-def _check_sigma(sigma: float) -> None:
+def _check_sigma(sigma: float, J: float) -> None:
+    if not (math.isfinite(sigma) and math.isfinite(J)):
+        raise InputError(f"sigma and J must be finite, got sigma = {sigma}, J = {J}")
     if sigma == 0:
         raise SingularLimitError(
             "thermodynamic-limit series diverges at sigma = 0; "
@@ -147,7 +150,7 @@ def finite_to_thermo_phase(t, sigma: float, J: float = 1.0):
     -J/(1 - 2^-sigma) of the reindexed spectrum; multiplying the finite-L
     amplitudes by g(t) = exp(-i J t / (1 - 2^-sigma)) restores the match.
     """
-    _check_sigma(sigma)
+    _check_sigma(sigma, J)
     return np.exp(-1j * J * np.asarray(t, dtype=float) / (1.0 - 2.0 ** -sigma))
 
 
@@ -297,7 +300,7 @@ def scaling_function(s, sigma: float, J: float = 1.0,
     Satisfies psi(r, t) = 2^-r F(2^(-sigma r) t) identically for r >= 1,
     |F| <= 2, and F(0) = 0 (up to the 2^-K series remainder).
     """
-    _check_sigma(sigma)
+    _check_sigma(sigma, J)
     if _near_zero(sigma):
         raise SingularLimitError(
             "the scaling function has no sigma -> 0 limit; "
@@ -320,7 +323,7 @@ def psi_thermo(r: int, t, sigma: float, J: float = 1.0,
     """
     if r < 0:
         raise InputError(f"shell index must be >= 0, got {r}")
-    _check_sigma(sigma)
+    _check_sigma(sigma, J)
     if _near_zero(sigma):
         warnings.warn(
             f"sigma = {sigma} is below {SIGMA_NEAR_ZERO}; using the sigma = 0 "
@@ -355,22 +358,40 @@ def wave_profile_thermo(t: float, sigma: float, J: float = 1.0,
 # probabilities
 # ---------------------------------------------------------------------------
 
+def occupation(r, amplitude):
+    """P(r) = w_r |psi(r)|^2 on the w_r = `shell_weights` sites of shell r.
+
+    Elementwise; integer shell indices r broadcast against the amplitudes.
+    With r = 0 (w = 1) it is the probability |psi(x)|^2 of single sites.
+    """
+    r = np.asarray(r)
+    if r.dtype.kind not in "iu" or np.any(r < 0):
+        raise InputError(f"shell indices must be integers >= 0, got {r!r}")
+    try:
+        return shell_weights(int(r.max(initial=0)))[r] * np.abs(amplitude) ** 2
+    except ValueError as exc:  # shapes that do not broadcast
+        raise InputError(f"shell indices and amplitudes: {exc}") from exc
+
+
+def _check_profile_time(source: WaveProfile, t, what: str) -> None:
+    if np.ndim(t) != 0:
+        raise InputError(f"{what} needs one time, got {t!r}")
+    if not np.isclose(source.time, float(t), atol=1e-12, rtol=1e-9):
+        raise InputError(f"profile holds t = {source.time}, {what} asked at t = {t}")
+
+
 def probability(r: int, t, source):
     """Probability of finding the excitation at hierarchical distance r.
 
     P(r, t) = 2^(r-1) |psi(r, t)|^2 for r >= 1 (one factor per shell site)
     and |psi(0, t)|^2 for r = 0.  `source` is either ModelParams (finite
-    chain, evaluated at time t) or a WaveProfile (its stored time must
-    match t).
+    chain, evaluated at time t) or a WaveProfile (t, a scalar, must
+    match its stored time).
     """
     if isinstance(source, ModelParams):
-        amp = psi_finite(r, t, source)
-        return shell_weights(r)[r] * np.abs(amp) ** 2
+        return occupation(r, psi_finite(r, t, source))
     if isinstance(source, WaveProfile):
-        if not np.isclose(source.time, float(np.asarray(t)), atol=1e-12, rtol=1e-9):
-            raise InputError(
-                f"profile holds t = {source.time}, probability asked at t = {t}"
-            )
+        _check_profile_time(source, t, "probability")
         values = probability_profile(source).values
         if not 0 <= r < values.size:
             raise InputError(f"shell index {r} outside 0..{values.size - 1}")
@@ -381,17 +402,16 @@ def probability(r: int, t, source):
 def probability_thermo(r: int, t, sigma: float, J: float = 1.0,
                        policy: TruncationPolicy = DEFAULT_POLICY):
     """Thermodynamic-limit P(r, t); vectorized over t."""
-    amp = psi_thermo(r, t, sigma, J, policy)
-    return shell_weights(r)[r] * np.abs(amp) ** 2
+    return occupation(r, psi_thermo(r, t, sigma, J, policy))
 
 
 def probability_profile(source: WaveProfile) -> ProbabilityProfile:
     """Shell-resolved probabilities of a profile (either mode)."""
     if source.mode == SHELL_MODE:
-        values = shell_weights(source.length - 1) * np.abs(source.amplitudes) ** 2
+        values = occupation(np.arange(source.length), source.amplitudes)
     else:
         geom = TreeGeometry.from_length(source.length)
-        values = shell_sums(np.abs(source.amplitudes) ** 2, geom)
+        values = shell_sums(occupation(0, source.amplitudes), geom)
     return ProbabilityProfile(values, source.time)
 
 
@@ -463,6 +483,8 @@ def sigma_zero(r: int, t, J: float = 1.0):
     """
     if r < 0:
         raise InputError(f"shell index must be >= 0, got {r}")
+    if not math.isfinite(J):
+        raise InputError(f"J must be finite, got {J}")
     tarr, scalar = _as_time_array(t)
     rotor = np.exp(1j * J * tarr)
     if r == 0:
@@ -477,6 +499,8 @@ def sigma_zero_probability(r: int, t, J: float = 1.0):
     2^-r (4 - 4 cos Jt)/(5 - 4 cos Jt) beyond; sums to 1 over shells."""
     if r < 0:
         raise InputError(f"shell index must be >= 0, got {r}")
+    if not math.isfinite(J):
+        raise InputError(f"J must be finite, got {J}")
     tarr, scalar = _as_time_array(t)
     c = np.cos(J * tarr)
     if r == 0:
@@ -494,48 +518,63 @@ def binary_entropy(p):
     """-p ln p - (1-p) ln(1-p), with 0 ln 0 = 0; p clipped to [0, 1].
 
     Vectorized over p; a scalar p gives a float.  p = 0 and p = 1 give -0.0,
-    which the entropy tables print as -0.
+    which the entropy tables print as -0.  A NaN p raises InputError.
     """
-    p = np.clip(np.asarray(p, dtype=float), 0.0, 1.0)
+    p = np.asarray(p, dtype=float)
+    if np.isnan(p).any():
+        raise InputError("binary entropy of a NaN probability")
+    p = np.clip(p, 0.0, 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = -np.where(p > 0, p * np.log(p), 0.0)
         out -= np.where(p < 1, (1 - p) * np.log(1 - p), 0.0)
     return float(out) if out.ndim == 0 else out
 
 
-def cumulative_probability(source: WaveProfile, x: int) -> float:
-    """Probability that the excitation lies in sites 1..x.
+_SHELL_STARTS = np.array(block_bounds(62))  # first sites of shells 0..63: all int64 cuts
 
-    Shell-mode profiles count whole shells inside the cut plus the covered
-    fraction of the cut shell; shells beyond the profile truncation are
-    treated as empty (their total weight is <= 2^(1-r_max)).
+
+def _cut_array(x, top: int) -> np.ndarray:
+    cuts = np.asarray(x)
+    if cuts.dtype.kind not in "iu" or np.any(cuts < 1) or np.any(cuts > top):
+        raise InputError(f"cut positions must be integers in 1..{top}, got {x!r}")
+    return cuts.astype(np.int64, copy=False)
+
+
+def cumulative_probability(source: WaveProfile, x):
+    """Probability that the excitation lies in sites 1..x, elementwise in x.
+
+    x is an integer or an integer array of cuts; a scalar x gives a float.
+    Site-mode profiles take cuts 1..L.  Shell-mode profiles count the
+    whole shells inside the cut plus the covered fraction of the cut shell;
+    shells beyond the profile truncation are treated as empty (their total
+    weight is <= 2^(1-r_max)).
     """
-    if x < 1:
-        raise InputError(f"cut position must be >= 1, got {x}")
     if source.mode == SITE_MODE:
-        if x > source.length:
-            raise InputError(f"cut {x} beyond chain of length {source.length}")
-        return float(np.sum(np.abs(source.amplitudes[:x]) ** 2))
-    total = 0.0
-    for r, amp in enumerate(source.amplitudes):
-        start, stop = block_range(r)
-        inside = min(x, stop) - start
-        if inside <= 0:
-            break
-        total += inside * abs(amp) ** 2
-    return float(total)
+        cuts = _cut_array(x, source.length)
+        out = np.cumsum(occupation(0, source.amplitudes))[cuts - 1]
+    else:
+        n = source.length - 1
+        cuts = _cut_array(x, np.iinfo(np.int64).max)
+        if n < 63:  # a cut past the profile covers all of it
+            cuts = np.minimum(cuts, 1 << n)
+        shell = np.searchsorted(_SHELL_STARTS, cuts) - 1  # the shell of site x
+        below = np.cumsum(occupation(np.arange(n + 1), source.amplitudes))
+        below = np.concatenate(([0.0], below))[shell]
+        inside = cuts - _SHELL_STARTS[shell]
+        out = below + inside * occupation(0, source.amplitudes[shell])
+    return float(out) if out.ndim == 0 else out
 
 
-def single_particle_entropy(x: int, t, source: WaveProfile) -> float:
+def single_particle_entropy(x, t, source: WaveProfile):
     """Entanglement entropy of the cut [1..x] for a single-defect state.
 
     Equals the binary entropy of P_A, the probability of finding the defect
-    left of the cut; natural-log convention.
+    left of the cut; natural-log convention.  Elementwise over integer
+    cuts x (1..L-1 in site mode); t is the profile's time, a scalar.
     """
-    if not np.isclose(source.time, float(np.asarray(t)), atol=1e-12, rtol=1e-9):
-        raise InputError(f"profile holds t = {source.time}, entropy asked at t = {t}")
-    if source.mode == SITE_MODE and not 1 <= x < source.length:
-        raise InputError(f"cut {x} outside 1..{source.length - 1}")
+    _check_profile_time(source, t, "entropy")
+    if source.mode == SITE_MODE:
+        _cut_array(x, source.length - 1)
     return binary_entropy(cumulative_probability(source, x))
 
 

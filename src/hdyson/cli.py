@@ -34,16 +34,15 @@ import numpy as np
 from . import __version__
 from ._util import MAX_TIME_STEPS, fmt17, time_steps
 from .analytic import (
-    binary_entropy,
     closed_form_average,
     estimate_dynamical_exponent,
+    occupation,
     psi_finite,
     psi_thermo,
+    single_particle_entropy,
     tail_average,
     tail_bound,
     time_average,
-    wave_profile_finite,
-    wave_profile_thermo,
 )
 from .errors import ConvergenceError, InputError, ResourceLimitError
 from .geometry import TreeGeometry
@@ -62,7 +61,6 @@ from .profiles import (
     WaveProfile,
     collapse_sites_to_shells,
     expand_shells_to_sites,
-    shell_weights,
 )
 from .spectral import ModelParams, eigenvalues
 
@@ -330,12 +328,12 @@ def cmd_evolve(config: RunConfig) -> dict:
                 sites = fast_evolve_series(params, grid, _delta_profile(params.geom).amplitudes)
             shell_amps = collapse_sites_to_shells(sites, params.geom).T
 
-    weights = shell_weights(r_top)
+    probs = occupation(np.arange(r_top + 1)[:, None], shell_amps)
     rows = []
     for it, t in enumerate(grid):
         for r in range(r_top + 1):
             amp = shell_amps[r, it]
-            rows.append((t, r, amp.real, amp.imag, weights[r] * abs(amp) ** 2))
+            rows.append((t, r, amp.real, amp.imag, probs[r, it]))
     out = write_table(config.out, ["t", "r", "psi_re", "psi_im", "P"], rows, config.format)
     return {"outputs": [out]}
 
@@ -453,11 +451,9 @@ def cmd_manybody(config: RunConfig) -> dict:
         ),
     }
     if config.compare_single_particle:
-        deviation = 0.0
-        for it, t in enumerate(grid):
-            predicted = np.abs(wave_profile_finite(t, params).amplitudes) ** 2
-            deviation = max(deviation, float(np.max(np.abs(series.n[it] - predicted))))
-        extras["single_particle_max_deviation"] = deviation
+        shells = np.array([psi_finite(r, grid, params) for r in range(params.geom.levels + 1)])
+        predicted = occupation(0, expand_shells_to_sites(shells.T, params.geom))
+        extras["single_particle_max_deviation"] = float(np.max(np.abs(series.n - predicted)))
     return {"outputs": outputs, **extras}
 
 
@@ -474,13 +470,13 @@ def cmd_entropy(config: RunConfig) -> dict:
     if config.mode == "single":
         policy = TruncationPolicy(config.K)
         geom = TreeGeometry(config.N)
-        for t in grid:
-            profile = wave_profile_thermo(t, config.sigma, config.J, policy,
-                                          r_max=geom.levels)
-            site_probs = np.abs(
-                expand_shells_to_sites(profile.amplitudes, geom)
-            ) ** 2
-            entropy = binary_entropy(np.cumsum(site_probs)[:-1])
+        shell_amps = np.array([psi_thermo(r, grid, config.sigma, config.J, policy)
+                               for r in range(geom.levels + 1)])
+        cuts = np.arange(1, geom.length)
+        for it, t in enumerate(grid):
+            # site mode: S is ill-conditioned near x = L, where a shell sum moves it
+            sites = WaveProfile(expand_shells_to_sites(shell_amps[:, it], geom), t)
+            entropy = single_particle_entropy(cuts, t, sites)
             for x in range(1, geom.length):
                 rows.append((t, x, entropy[x - 1]))
     else:

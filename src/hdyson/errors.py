@@ -4,6 +4,8 @@ The command-line front end maps these onto process exit codes
 (input error -> 2, resource cap -> 3, convergence failure -> 4).
 """
 
+__all__ = ["InputError", "SingularLimitError", "ResourceLimitError", "ConvergenceError"]
+
 
 class InputError(ValueError):
     """Invalid argument: out-of-range index, bad shape, inconsistent mode."""

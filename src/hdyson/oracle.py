@@ -3,7 +3,7 @@
 Two exact routes complement the closed forms of `analytic`:
 
 * a dense route: numerically diagonalize the hopping matrix and evolve by
-  spectral decomposition (O(L^3) once, O(L^2) per time), and
+  spectral decomposition (O(L^3) per call, O(L^2) per time), and
 * a fast route for any f(H), diagonal in the tree eigenbasis with one value
   f(eps_k) per multiplet k = 0..N, in three O(L) stages: an unscaled forward
   cascade of pairwise sums and differences (merging blocks of 2^(p-1) sites
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,9 +35,7 @@ from .profiles import SITE_MODE, WaveProfile
 from .spectral import ModelParams, build_hopping_matrix, eigenvalues, multiplet_degeneracy
 
 __all__ = [
-    "DenseOperator",
     "TreeCoefficients",
-    "dense_operator",
     "dense_evolve",
     "dense_evolve_series",
     "fast_apply",
@@ -110,29 +108,6 @@ def _inverse(coeffs: np.ndarray, factors: np.ndarray, out: np.ndarray) -> None:
         smooth = target
 
 
-@dataclass
-class DenseOperator:
-    """Dense hopping matrix with a lazily cached eigensystem.
-
-    The cache is write-once: after the first `eigensystem()` call the
-    operator is effectively immutable and safe to share.
-    """
-
-    matrix: np.ndarray
-    _evals: np.ndarray | None = field(default=None, repr=False)
-    _evecs: np.ndarray | None = field(default=None, repr=False)
-
-    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._evals is None:
-            evals, evecs = np.linalg.eigh(self.matrix)
-            self._evals, self._evecs = evals, evecs
-        return self._evals, self._evecs
-
-
-def dense_operator(params: ModelParams) -> DenseOperator:
-    return DenseOperator(build_hopping_matrix(params))
-
-
 def _check_length(params: ModelParams, v: np.ndarray) -> None:
     if v.shape != (params.geom.length,):
         raise InputError(
@@ -153,33 +128,26 @@ def _check_times(times, ndim: int) -> np.ndarray:
     return times
 
 
-def _check_initial(initial: WaveProfile, length: int) -> np.ndarray:
-    if initial.mode != SITE_MODE:
-        raise InputError("dense evolution needs a site-mode initial profile")
-    if initial.length != length:
-        raise InputError(
-            f"initial profile length {initial.length} != chain length {length}"
-        )
-    _check_normalized(initial.amplitudes, "initial profile")
-    return initial.amplitudes
-
-
-def dense_evolve(params: ModelParams, t: float, initial: WaveProfile,
-                 op: DenseOperator | None = None) -> WaveProfile:
+def dense_evolve(params: ModelParams, t: float, initial: WaveProfile) -> WaveProfile:
     """Evolve by spectral decomposition of the numerically diagonalized matrix."""
-    amp = dense_evolve_series(params, [t], initial, op)[0]
+    amp = dense_evolve_series(params, _check_times(t, 0).reshape(1), initial)[0]
     return WaveProfile(amp, float(t), SITE_MODE)
 
 
-def dense_evolve_series(params: ModelParams, times, initial: WaveProfile,
-                        op: DenseOperator | None = None) -> np.ndarray:
-    """Row i holds the site amplitudes at times[i]; one matmul per call."""
-    amp = _check_initial(initial, params.geom.length)
-    if op is None:
-        op = dense_operator(params)
-    evals, evecs = op.eigensystem()
+def dense_evolve_series(params: ModelParams, times, initial: WaveProfile) -> np.ndarray:
+    """Row i holds the site amplitudes at times[i], a finite 1-d grid.
+
+    One `eigh` of the hopping matrix and one matmul per call; nothing is
+    cached between calls, so evaluate many times in one call.
+    """
+    times = _check_times(times, 1)
+    if initial.mode != SITE_MODE:
+        raise InputError("dense evolution needs a site-mode initial profile")
+    amp = initial.amplitudes
+    _check_length(params, amp)
+    _check_normalized(amp, "initial profile")
+    evals, evecs = np.linalg.eigh(build_hopping_matrix(params))
     modes = evecs.conj().T @ amp
-    times = np.asarray(times, dtype=float)
     phases = np.exp(-1j * np.outer(evals, times)) * modes[:, None]
     return (evecs @ phases).T
 

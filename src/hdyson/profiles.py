@@ -78,14 +78,12 @@ class WaveProfile:
         object.__setattr__(self, "amplitudes", amp)
         if self.mode == SITE_MODE:
             TreeGeometry.from_length(amp.size)
+        elif amp.size == 0:
+            raise InputError("a shell-mode profile needs at least shell 0")
 
     @property
     def length(self) -> int:
         return int(self.amplitudes.size)
-
-    def norm_squared(self) -> float:
-        """Total probability; meaningful in site mode only."""
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
 
 
 @dataclass(frozen=True)
@@ -104,10 +102,7 @@ class ProbabilityProfile:
 
 def shell_weights(r_max: int) -> np.ndarray:
     """Multiplicity of each shell r = 0..r_max: [1, 1, 2, 4, ...]."""
-    w = np.ones(r_max + 1)
-    if r_max >= 1:
-        w[1:] = 2.0 ** (np.arange(1, r_max + 1) - 1)
-    return w
+    return np.concatenate(([1.0], 2.0 ** np.arange(r_max)))
 
 
 def expand_shells_to_sites(shell_values: np.ndarray, geom: TreeGeometry) -> np.ndarray:

@@ -7,7 +7,8 @@ matrix exponentials, second-order couplings from squaring the dense hopping
 matrix, the spin Hamiltonian from a COO triplet list converted to CSR, the
 per-slot eigenvalues of the tree basis from an explicit slot-by-slot layout,
 the dynamical-exponent scan from one amplitude call per trial exponent,
-the thermodynamic mode series from one exponential per term,
+the thermodynamic mode series from one exponential per term, the
+probability left of a cut from a loop over the shells,
 many-body evolution from CSR products in the sz basis over the full 2^L
 space at the full Krylov dimension, the Krylov exponential from scipy's
 tridiagonal eigensolver, entanglement entropies from one Schmidt SVD per
@@ -31,6 +32,7 @@ from hdyson import (
     shell_probability,
 )
 from hdyson._util import popcount
+from hdyson.geometry import block_range
 
 
 def partition_scan_distance(i: int, j: int, levels: int) -> int:
@@ -344,3 +346,20 @@ def csr_evolve_spin(hamiltonian, psi0, times, krylov_dim: int = 30,
     result = {key: np.asarray(value) for key, value in out.items()}
     result["P"] = shell_probability(result["n"], hamiltonian.params.geom)
     return result
+
+
+def shell_loop_cumulative_probability(amplitudes: np.ndarray, x: int) -> float:
+    """Probability in sites 1..x of a shell profile, one shell at a time.
+
+    Each shell adds (covered sites) |psi(r)|^2 in turn; |psi|^2 comes from
+    numpy's array `abs`, so the sums match a vectorized cumsum to the bit.
+    """
+    density = np.abs(amplitudes) ** 2
+    total = 0.0
+    for r, value in enumerate(density):
+        start, stop = block_range(r)
+        inside = min(x, stop) - start
+        if inside <= 0:
+            break
+        total += inside * value
+    return float(total)

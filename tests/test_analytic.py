@@ -22,6 +22,7 @@ from hdyson import (
     dense_evolve,
     estimate_dynamical_exponent,
     finite_to_thermo_phase,
+    occupation,
     probability,
     probability_profile,
     probability_thermo,
@@ -39,7 +40,11 @@ from hdyson import (
 )
 from hdyson.profiles import collapse_sites_to_shells, expand_shells_to_sites
 
-from reference import direct_return_series, per_z_dynamical_exponent
+from reference import (
+    direct_return_series,
+    per_z_dynamical_exponent,
+    shell_loop_cumulative_probability,
+)
 
 
 def params_for(levels, sigma=1.0, J=1.0):
@@ -78,7 +83,7 @@ def test_psi_finite_matches_dense_evolution(sigma):
 def test_psi_finite_unitarity():
     params = params_for(8, sigma=0.5)
     for t in (0.3, 5.0, 40.0):
-        assert wave_profile_finite(t, params).norm_squared() == pytest.approx(
+        assert probability_profile(wave_profile_finite(t, params)).total() == pytest.approx(
             1.0, abs=1e-10
         )
 
@@ -230,6 +235,32 @@ def test_sigma_guards():
     assert rerouted == pytest.approx(sigma_zero(0, 1.3, 1.0))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("call", [
+    lambda s, J: psi_thermo(1, 1.0, s, J),
+    lambda s, J: psi_thermo(0, [1.0, 2.0], s, J),
+    lambda s, J: scaling_function(1.0, s, J),
+    lambda s, J: probability_thermo(1, 1.0, s, J),
+    lambda s, J: wave_profile_thermo(1.0, s, J),
+    lambda s, J: finite_to_thermo_phase(1.0, s, J),
+    lambda s, J: time_average(1, 10.0, s, J),
+], ids=["psi_thermo", "psi_thermo_array", "scaling_function", "probability_thermo",
+        "wave_profile_thermo", "finite_to_thermo_phase", "time_average"])
+def test_thermo_entry_points_reject_non_finite_sigma_and_J(call, bad):
+    with pytest.raises(InputError):
+        call(bad, 1.0)
+    with pytest.raises(InputError):
+        call(1.0, bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sigma_zero_rejects_non_finite_J(bad):
+    with pytest.raises(InputError):
+        sigma_zero(1, 1.0, J=bad)
+    with pytest.raises(InputError):
+        sigma_zero_probability(0, [1.0, 2.0], J=bad)
+
+
 # ---------------------------------------------------------------------------
 # probabilities
 # ---------------------------------------------------------------------------
@@ -262,6 +293,23 @@ def test_probability_from_profiles():
         probability(0, t + 1.0, site_profile)
     with pytest.raises(InputError):
         probability(9, t, shell_profile)
+    with pytest.raises(InputError):
+        probability(0, [t], site_profile)  # one time per profile
+
+
+def test_occupation_weights_and_validation():
+    amp = np.array([0.5, 0.5j, -0.25, 0.125 + 0.125j])
+    weights = np.array([1.0, 1.0, 2.0, 4.0])
+    assert np.array_equal(occupation(np.arange(4), amp), weights * np.abs(amp) ** 2)
+    assert np.array_equal(occupation(0, amp), np.abs(amp) ** 2)
+    grid = occupation(np.arange(4)[:, None], np.tile(amp[:, None], (1, 3)))
+    assert grid.shape == (4, 3) and np.array_equal(grid[:, 2], weights * np.abs(amp) ** 2)
+    assert occupation(1023, 2.0 ** -511) == 1.0  # weight 2^1022 stays a float
+    for r in (-1, 1.0, [0, -2], True):
+        with pytest.raises(InputError):
+            occupation(r, amp[:1])
+    with pytest.raises(InputError):
+        occupation(np.arange(3), amp)  # shapes do not broadcast
 
 
 def test_probability_profile_totals():
@@ -379,6 +427,10 @@ def test_binary_entropy_special_values():
     assert values.shape == p.shape
     assert np.array_equal(values, [binary_entropy(q) for q in p])
     assert values[0] == values[1] == values[-1] == 0.0  # clipped to [0, 1]
+    with pytest.raises(InputError):
+        binary_entropy(np.nan)
+    with pytest.raises(InputError):
+        binary_entropy([0.2, np.nan])
 
 
 def test_entropy_zero_at_t0():
@@ -397,6 +449,41 @@ def test_cumulative_probability_shell_vs_site():
         a = cumulative_probability(site_profile, x)
         b = cumulative_probability(shell_profile, x)
         assert a == pytest.approx(b, abs=1e-13)
+    for levels, t in ((3, 0.5), (8, 4.4), (10, 30.0)):
+        params = params_for(levels)
+        site_profile = wave_profile_finite(t, params)
+        shells = collapse_sites_to_shells(site_profile.amplitudes, params.geom)
+        cuts = np.arange(1, params.geom.length + 1)
+        a = cumulative_probability(site_profile, cuts)
+        b = cumulative_probability(WaveProfile(shells, t, "shell"), cuts)
+        assert np.max(np.abs(a - b)) <= 1e-13
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 10), st.floats(0.0, 200.0), st.booleans())
+def test_cuts_are_elementwise_to_the_bit(levels, t, shell_mode):
+    # an array of cuts gives the per-cut scalar calls; shell mode also gives
+    # the one-shell-at-a-time loop
+    site_profile = wave_profile_finite(t, params_for(levels))
+    L = site_profile.length
+    if shell_mode:
+        shells = collapse_sites_to_shells(site_profile.amplitudes, TreeGeometry(levels))
+        profile = WaveProfile(shells, t, "shell")
+        cuts = np.arange(1, 2 * L + 3)  # past the profile: all of it
+        loop = [shell_loop_cumulative_probability(shells, int(x)) for x in cuts]
+        assert cumulative_probability(profile, cuts).tobytes() == np.array(loop).tobytes()
+    else:
+        profile = site_profile
+        cuts = np.arange(1, L)
+    cum = cumulative_probability(profile, cuts)
+    per_cut = [cumulative_probability(profile, int(x)) for x in cuts]
+    assert all(isinstance(value, float) for value in per_cut)
+    assert cum.tobytes() == np.array(per_cut).tobytes()
+    entropy = single_particle_entropy(cuts, t, profile)
+    per_cut = [single_particle_entropy(int(x), t, profile) for x in cuts]
+    assert entropy.tobytes() == np.array(per_cut).tobytes()
+    grid = cuts[: cuts.size // 2 * 2].reshape(2, -1)
+    assert np.array_equal(cumulative_probability(profile, grid), cum[: grid.size].reshape(2, -1))
 
 
 def test_entropy_decays_with_cut_position():
@@ -414,6 +501,20 @@ def test_entropy_input_validation():
         single_particle_entropy(2, 2.0, profile)  # time mismatch
     with pytest.raises(InputError):
         cumulative_probability(profile, 0)
+    with pytest.raises(InputError):
+        cumulative_probability(profile, 9)  # past the chain
+    with pytest.raises(InputError):
+        cumulative_probability(profile, 2.5)
+    with pytest.raises(InputError):
+        cumulative_probability(profile, np.array([2.0, 3.0]))
+    with pytest.raises(InputError):
+        single_particle_entropy(np.array([1, 8]), 1.0, profile)
+    with pytest.raises(InputError):
+        single_particle_entropy(2, [1.0], profile)  # one time per profile
+    shells = WaveProfile(profile.amplitudes[[0, 1, 2, 4]], 1.0, "shell")
+    for cut in (0, 2.5, [3, -1], 2**70):
+        with pytest.raises(InputError):
+            cumulative_probability(shells, cut)
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +533,8 @@ def test_expand_collapse_roundtrip():
         WaveProfile(np.zeros(6, dtype=complex), 0.0)  # not a power of two
     with pytest.raises(InputError):
         WaveProfile(np.zeros(4, dtype=complex), 0.0, "weird")
+    with pytest.raises(InputError):
+        WaveProfile(np.zeros(0, dtype=complex), 0.0, "shell")  # no shell 0
 
 
 # ---------------------------------------------------------------------------

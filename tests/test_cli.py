@@ -1,9 +1,12 @@
+import ast
 import contextlib
 import dataclasses
+import importlib
 import io
 import json
 import math
 import os
+import pkgutil
 import shlex
 import subprocess
 import sys
@@ -17,7 +20,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hdyson
-from hdyson import TruncationPolicy, eigenvalues, ModelParams, TreeGeometry, psi_thermo
+from hdyson import (
+    ModelParams,
+    TreeGeometry,
+    TruncationPolicy,
+    WaveProfile,
+    eigenvalues,
+    expand_shells_to_sites,
+    occupation,
+    psi_thermo,
+    single_particle_entropy,
+)
 from hdyson.cli import ENTROPY_MODES, EVOLVE_MODES, SUBCOMMANDS, RunConfig, build_run_config, main
 
 from reference import two_spin_defect_occupations
@@ -105,6 +118,12 @@ def test_evolve_modes_agree(tmp_path):
         delta = math.hypot(row["psi_re"] - other["psi_re"],
                            row["psi_im"] - other["psi_im"])
         assert delta < 1e-10
+    # every mode's P column is the library's occupation of its psi columns
+    for path in (thermo, finite, dense, fast):
+        _, rows = read_csv(path)
+        r = np.array([row["r"] for row in rows], dtype=int)
+        psi = np.array([row["psi_re"] + 1j * row["psi_im"] for row in rows])
+        assert np.array_equal([row["P"] for row in rows], occupation(r, psi))
 
 
 def test_evolve_unknown_mode(tmp_path):
@@ -234,6 +253,13 @@ def test_entropy_single_mode(tmp_path):
     late = [row["S"] for row in rows if row["t"] == 5.0]
     assert len(late) == 31
     assert late[15] > late[29]  # decay beyond the first shells
+    # the S column is the library's entropy of the site-expanded profile
+    geom = TreeGeometry(5)
+    for t in (0.0, 2.5, 5.0):
+        shells = np.array([psi_thermo(r, t, 1.0) for r in range(6)])
+        profile = WaveProfile(expand_shells_to_sites(shells, geom), t)
+        expected = single_particle_entropy(np.arange(1, 32), t, profile)
+        assert np.array_equal([row["S"] for row in rows if row["t"] == t], expected)
 
 
 def test_entropy_manybody_mode(tmp_path):
@@ -524,6 +550,20 @@ def test_empty_or_directory_output_is_input_error(tmp_path, capsys, monkeypatch,
     assert not list(tmp_path.iterdir())
     err = capsys.readouterr().err
     assert err.startswith("input error:") and "Traceback" not in err
+
+
+def test_public_names_resolve():
+    # every exported name exists, and the package re-exports exported names only
+    for info in pkgutil.iter_modules(hdyson.__path__):
+        module = importlib.import_module(f"hdyson.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), (info.name, name)
+    tree = ast.parse(Path(hdyson.__file__).read_text())
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            exported = importlib.import_module(f"hdyson.{node.module}").__all__
+            for alias in node.names:
+                assert alias.name in exported, (node.module, alias.name)
 
 
 def test_import_leaves_scipy_unloaded():

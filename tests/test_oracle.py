@@ -17,7 +17,6 @@ from hdyson import (
     delta_decomposition,
     dense_evolve,
     dense_evolve_series,
-    dense_operator,
     eigenvalues,
     eigenvector,
     fast_apply,
@@ -226,14 +225,6 @@ def test_dense_evolve_validation():
         dense_evolve(params_for(2), 1.0, WaveProfile(delta_state(8), 0.0))
 
 
-def test_dense_operator_cache_reused():
-    params = params_for(5)
-    op = dense_operator(params)
-    evals1, evecs1 = op.eigensystem()
-    evals2, evecs2 = op.eigensystem()
-    assert evals1 is evals2 and evecs1 is evecs2
-
-
 # ---------------------------------------------------------------------------
 # fast evolution
 # ---------------------------------------------------------------------------
@@ -242,12 +233,10 @@ def test_fast_evolve_identity_and_dense_agreement():
     params = params_for(10)
     d = delta_state(1 << 10)
     assert np.max(np.abs(fast_evolve(params, 0.0, d) - d)) < 1e-14
-    initial = WaveProfile(d, 0.0)
-    op = dense_operator(params)
-    for t in (1.0, 7.0, 42.0):
-        fast = fast_evolve(params, t, d)
-        dense = dense_evolve(params, t, initial, op=op).amplitudes
-        assert np.max(np.abs(fast - dense)) < 1e-10
+    times = (1.0, 7.0, 42.0)
+    dense = dense_evolve_series(params, times, WaveProfile(d, 0.0))
+    for t, row in zip(times, dense):
+        assert np.max(np.abs(fast_evolve(params, t, d) - row)) < 1e-10
 
 
 def test_fast_evolve_series_matches_pointwise():
@@ -330,6 +319,7 @@ def test_fast_evolve_series_rows_are_fast_evolve_calls(params, times, seed):
     (1.0, 1.0, np.inf),
 ], ids=["nan-time", "inf-time", "norm-3", "norm-off-by-2e-7", "nan-entry", "inf-entry"])
 def test_fast_evolve_input_contract(t, scale, bad_entry):
+    # the dense route takes the same times and initial states
     params = params_for(4)
     v = delta_state(16) * scale
     if bad_entry is not None:
@@ -338,6 +328,10 @@ def test_fast_evolve_input_contract(t, scale, bad_entry):
         fast_evolve(params, t, v)
     with pytest.raises(InputError):
         fast_evolve_series(params, [0.5, t], v)
+    with pytest.raises(InputError):
+        dense_evolve(params, t, WaveProfile(v, 0.0))
+    with pytest.raises(InputError):
+        dense_evolve_series(params, [0.5, t], WaveProfile(v, 0.0))
 
 
 @pytest.mark.parametrize("times", [[[1.0, 2.0]], 1.0, [[1.0], [2.0]]],
@@ -345,6 +339,8 @@ def test_fast_evolve_input_contract(t, scale, bad_entry):
 def test_fast_evolve_series_needs_a_1d_grid(times):
     with pytest.raises(InputError):
         fast_evolve_series(params_for(4), times, delta_state(16))
+    with pytest.raises(InputError):
+        dense_evolve_series(params_for(4), times, WaveProfile(delta_state(16), 0.0))
 
 
 def test_fast_evolve_accepts_norm_within_tolerance():
