@@ -16,44 +16,28 @@ from .errors import (
     ResourceLimitError,
     SingularLimitError,
 )
-from .geometry import (
-    BlockId,
-    TreeGeometry,
-    distance_of_site,
-    hierarchical_distance,
-    shell_sites,
-    shell_size,
-    sibling_block,
-)
+from .geometry import TreeGeometry
 from .profiles import (
-    ProbabilityProfile,
     TruncationPolicy,
     WaveProfile,
     collapse_sites_to_shells,
     expand_shells_to_sites,
 )
 from .spectral import (
-    EigvecDescriptor,
     ModelParams,
     SpectrumData,
     build_hopping_matrix,
     delta_decomposition,
     eigenvalues,
     eigenvector,
-    eigvec_descriptor,
-    multiplet_degeneracy,
     renormalized_coupling,
-    shifted_spectrum,
 )
 from .analytic import (
     binary_entropy,
     closed_form_average,
     cumulative_probability,
     estimate_dynamical_exponent,
-    finite_to_thermo_phase,
     occupation,
-    probability,
-    probability_profile,
     probability_thermo,
     psi_finite,
     psi_thermo,
@@ -70,7 +54,6 @@ from .analytic import (
 from .oracle import (
     TreeCoefficients,
     benchmark_fast_ops,
-    dense_evolve,
     dense_evolve_series,
     fast_apply,
     fast_evolve,
@@ -88,8 +71,6 @@ from .manybody import (
     magnetization_profile,
     one_defect_state,
     quasi_conservation_report,
-    shell_probability,
-    total_excitations,
 )
 
 __version__ = "0.1.0"

@@ -27,9 +27,9 @@ terms are summed one exponential at a time.
 
 Conventions: hbar = 1, times in units of 1/J, natural logarithms.  The
 thermodynamic-limit amplitudes drop a k-independent phase (the additive
-constant of the reindexed spectrum); `finite_to_thermo_phase` supplies the
-gauge factor that aligns them with the finite-L amplitudes.  All
-time-dependent evaluators accept scalar or array t.
+constant -J/(1 - 2^-sigma) of the reindexed spectrum), so they match the
+finite-L amplitudes up to the gauge factor exp(-i J t / (1 - 2^-sigma)).
+All time-dependent evaluators accept scalar or array t.
 """
 
 from __future__ import annotations
@@ -43,16 +43,14 @@ import numpy as np
 
 from ._util import time_steps
 from .errors import InputError, ResourceLimitError, SingularLimitError
-from .geometry import TreeGeometry, block_bounds
+from .geometry import block_bounds
 from .profiles import (
     DEFAULT_POLICY,
     SHELL_MODE,
     SITE_MODE,
-    ProbabilityProfile,
     TruncationPolicy,
     WaveProfile,
     expand_shells_to_sites,
-    shell_sums,
     shell_weights,
 )
 from .spectral import ModelParams, eigenvalues, renormalized_coupling
@@ -62,13 +60,10 @@ __all__ = [
     "psi_finite",
     "psi_thermo",
     "scaling_function",
-    "finite_to_thermo_phase",
     "occupation",
-    "probability",
     "probability_thermo",
     "wave_profile_finite",
     "wave_profile_thermo",
-    "probability_profile",
     "time_average",
     "closed_form_average",
     "tail_average",
@@ -141,17 +136,6 @@ def wave_profile_finite(t: float, params: ModelParams) -> WaveProfile:
         [psi_finite(r, t, params) for r in range(params.geom.levels + 1)]
     )
     return WaveProfile(expand_shells_to_sites(shells, params.geom), float(t), SITE_MODE)
-
-
-def finite_to_thermo_phase(t, sigma: float, J: float = 1.0):
-    """Gauge factor g(t) with psi_thermo ~= g(t) * psi_finite as N -> inf.
-
-    The thermodynamic series drops the additive constant
-    -J/(1 - 2^-sigma) of the reindexed spectrum; multiplying the finite-L
-    amplitudes by g(t) = exp(-i J t / (1 - 2^-sigma)) restores the match.
-    """
-    _check_sigma(sigma, J)
-    return np.exp(-1j * J * np.asarray(t, dtype=float) / (1.0 - 2.0 ** -sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -363,12 +347,14 @@ def occupation(r, amplitude):
 
     Elementwise; integer shell indices r broadcast against the amplitudes.
     With r = 0 (w = 1) it is the probability |psi(x)|^2 of single sites.
+    Shells beyond MAX_SHELL = 1023 raise ResourceLimitError.  |psi|^2 is
+    `np.square`, which rounds a scalar as it rounds an array element.
     """
     r = np.asarray(r)
     if r.dtype.kind not in "iu" or np.any(r < 0):
         raise InputError(f"shell indices must be integers >= 0, got {r!r}")
     try:
-        return shell_weights(int(r.max(initial=0)))[r] * np.abs(amplitude) ** 2
+        return shell_weights(int(r.max(initial=0)))[r] * np.square(np.abs(amplitude))
     except ValueError as exc:  # shapes that do not broadcast
         raise InputError(f"shell indices and amplitudes: {exc}") from exc
 
@@ -376,43 +362,14 @@ def occupation(r, amplitude):
 def _check_profile_time(source: WaveProfile, t, what: str) -> None:
     if np.ndim(t) != 0:
         raise InputError(f"{what} needs one time, got {t!r}")
-    if not np.isclose(source.time, float(t), atol=1e-12, rtol=1e-9):
+    if float(t) != source.time:
         raise InputError(f"profile holds t = {source.time}, {what} asked at t = {t}")
-
-
-def probability(r: int, t, source):
-    """Probability of finding the excitation at hierarchical distance r.
-
-    P(r, t) = 2^(r-1) |psi(r, t)|^2 for r >= 1 (one factor per shell site)
-    and |psi(0, t)|^2 for r = 0.  `source` is either ModelParams (finite
-    chain, evaluated at time t) or a WaveProfile (t, a scalar, must
-    match its stored time).
-    """
-    if isinstance(source, ModelParams):
-        return occupation(r, psi_finite(r, t, source))
-    if isinstance(source, WaveProfile):
-        _check_profile_time(source, t, "probability")
-        values = probability_profile(source).values
-        if not 0 <= r < values.size:
-            raise InputError(f"shell index {r} outside 0..{values.size - 1}")
-        return values[r]
-    raise InputError(f"unsupported probability source {type(source).__name__}")
 
 
 def probability_thermo(r: int, t, sigma: float, J: float = 1.0,
                        policy: TruncationPolicy = DEFAULT_POLICY):
     """Thermodynamic-limit P(r, t); vectorized over t."""
     return occupation(r, psi_thermo(r, t, sigma, J, policy))
-
-
-def probability_profile(source: WaveProfile) -> ProbabilityProfile:
-    """Shell-resolved probabilities of a profile (either mode)."""
-    if source.mode == SHELL_MODE:
-        values = occupation(np.arange(source.length), source.amplitudes)
-    else:
-        geom = TreeGeometry.from_length(source.length)
-        values = shell_sums(occupation(0, source.amplitudes), geom)
-    return ProbabilityProfile(values, source.time)
 
 
 # ---------------------------------------------------------------------------
@@ -486,11 +443,14 @@ def sigma_zero(r: int, t, J: float = 1.0):
     if not math.isfinite(J):
         raise InputError(f"J must be finite, got {J}")
     tarr, scalar = _as_time_array(t)
-    rotor = np.exp(1j * J * tarr)
+    # a 1-d view keeps a scalar t on numpy's array loops: its scalar complex
+    # arithmetic rounds some products differently
+    rotor = np.exp(1j * J * tarr.reshape(-1))
     if r == 0:
         out = 1.0 / (2.0 - rotor)
     else:
         out = 2.0 ** (1 - r) * rotor ** r * (1.0 - np.conj(rotor)) / (2.0 - rotor)
+    out = out.reshape(tarr.shape)
     return complex(out[()]) if scalar else out
 
 

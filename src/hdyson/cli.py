@@ -56,6 +56,7 @@ from .manybody import (
 )
 from .oracle import dense_evolve_series, fast_evolve_series
 from .profiles import (
+    MAX_SHELL,
     SITE_MODE,
     TruncationPolicy,
     WaveProfile,
@@ -82,9 +83,6 @@ EVOLVE_MODES = ("thermo", "finite", "dense", "fast")
 ENTROPY_MODES = ("single", "manybody")
 FORMATS = ("csv", "json")
 
-# Largest --rmax: 2^r, the scale of shell r's weight and amplitude, is a
-# finite double up to r = 1023.
-MAX_SHELL = 1023
 # Largest times x 2^N amplitude block of `evolve --mode fast` (2^27 complex
 # entries, 2 GiB); the README run, --N 20 at 81 times, holds 2^26.3.
 MAX_SITE_BLOCK = 1 << 27

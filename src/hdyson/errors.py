@@ -20,7 +20,8 @@ class SingularLimitError(InputError):
 
 
 class ResourceLimitError(RuntimeError):
-    """Requested system size exceeds a dense/sparse safety cap."""
+    """A requested size exceeds a safety cap: tree depth, dense or sparse
+    matrix, shell index (`profiles.MAX_SHELL`), series terms or time steps."""
 
 
 class ConvergenceError(RuntimeError):

@@ -56,7 +56,7 @@ import numpy as np
 
 from ._util import popcount
 from .errors import ConvergenceError, InputError, ResourceLimitError
-from .geometry import TreeGeometry, pair_level
+from .geometry import pair_level
 from .profiles import shell_sums
 from .spectral import ModelParams
 
@@ -74,9 +74,7 @@ __all__ = [
     "build_spin_hamiltonian",
     "evolve_spin",
     "magnetization_profile",
-    "total_excitations",
     "quasi_conservation_report",
-    "shell_probability",
     "entanglement_entropy",
     "spin_parity_expectation",
     "energy_expectation",
@@ -105,12 +103,6 @@ class SpinState:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-    @classmethod
-    def all_up(cls, sites: int) -> "SpinState":
-        amp = np.zeros(1 << sites, dtype=complex)
-        amp[0] = 1.0
-        return cls(amp)
 
     @classmethod
     def single_flip(cls, sites: int, site: int = 1) -> "SpinState":
@@ -409,22 +401,6 @@ def _cut_entropies(z: np.ndarray) -> np.ndarray:
     return entropies
 
 
-def shell_probability(source, geom: TreeGeometry) -> np.ndarray:
-    """Many-body P(r, t) from site occupations.
-
-    P(r) is the sum of n(x) over the 2^(r-1) sites of shell r, i.e.
-    2^(r-1) times their common value (the permutation symmetry of the
-    couplings makes those sites equivalent); P(0) = n(site 1).  Accepts a
-    series, a (T, L) block, or a single profile; shells then satisfy
-    sum_r P(r) = sum_x n(x) identically.
-    """
-    if isinstance(source, ObservableSeries):
-        n = source.n
-    else:
-        n = np.asarray(source, dtype=float)
-    return shell_sums(n, geom)
-
-
 @dataclass
 class ObservableSeries:
     """Observables sampled on the output time grid of one evolution run."""
@@ -432,18 +408,13 @@ class ObservableSeries:
     times: np.ndarray
     n: np.ndarray                      # (T, L) local excitation numbers
     total: np.ndarray                  # (T,) total excitation number
-    shell_p: np.ndarray                # (T, N+1) shell probabilities
+    shell_p: np.ndarray                # (T, N+1) P(r), n(x) summed over each shell
     entropy: np.ndarray | None = None  # (T, L-1) cut entropies, if requested
     norms: np.ndarray | None = None
     energies: np.ndarray | None = None
     states: np.ndarray | None = None   # (T, 2^L) snapshots, if requested
     lanczos: LanczosStats | None = None  # work and health counters
     sector: dict | None = None         # {"parity": "odd" | "even", "dimension": 2^(L-1)}
-
-
-def total_excitations(series: ObservableSeries) -> np.ndarray:
-    """Total excitation number over time (the quasi-conserved charge)."""
-    return series.total
 
 
 def quasi_conservation_report(series: ObservableSeries) -> float:
@@ -647,7 +618,7 @@ def evolve_spin(model: ModelParams | SparseHamiltonian, psi0: SpinState, times,
         times=times.copy(),
         n=n_block,
         total=np.asarray(totals),
-        shell_p=shell_probability(n_block, params.geom),
+        shell_p=shell_sums(n_block, params.geom),
         entropy=None if entropies is None else np.asarray(entropies),
         norms=np.asarray(norms),
         energies=np.asarray(energies),

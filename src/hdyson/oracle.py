@@ -30,13 +30,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .geometry import TreeGeometry, block_bounds, block_range
+from .geometry import TreeGeometry, block_bounds
 from .profiles import SITE_MODE, WaveProfile
-from .spectral import ModelParams, build_hopping_matrix, eigenvalues, multiplet_degeneracy
+from .spectral import ModelParams, build_hopping_matrix, eigenvalues
 
 __all__ = [
     "TreeCoefficients",
-    "dense_evolve",
     "dense_evolve_series",
     "fast_apply",
     "tree_transform",
@@ -128,12 +127,6 @@ def _check_times(times, ndim: int) -> np.ndarray:
     return times
 
 
-def dense_evolve(params: ModelParams, t: float, initial: WaveProfile) -> WaveProfile:
-    """Evolve by spectral decomposition of the numerically diagonalized matrix."""
-    amp = dense_evolve_series(params, _check_times(t, 0).reshape(1), initial)[0]
-    return WaveProfile(amp, float(t), SITE_MODE)
-
-
 def dense_evolve_series(params: ModelParams, times, initial: WaveProfile) -> np.ndarray:
     """Row i holds the site amplitudes at times[i], a finite 1-d grid.
 
@@ -181,13 +174,6 @@ class TreeCoefficients:
 
     values: np.ndarray
     levels: int
-
-    def coefficient(self, k: int, m: int) -> complex:
-        if not 0 <= k <= self.levels:
-            raise InputError(f"multiplet index {k} outside 0..{self.levels}")
-        if not 1 <= m <= multiplet_degeneracy(k):
-            raise InputError(f"member index {m} invalid for multiplet {k}")
-        return complex(self.values[block_range(k)[0] + m - 1])
 
 
 def tree_transform(v: np.ndarray, out: np.ndarray | None = None) -> TreeCoefficients:

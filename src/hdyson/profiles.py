@@ -1,4 +1,4 @@
-"""Wavefunction and probability containers shared across modules.
+"""Wavefunction containers and the shell layout shared across modules.
 
 Two indexing modes exist.  "site" mode stores one complex amplitude per
 lattice site x = 1..L (array index x-1).  "shell" mode exploits the fact
@@ -21,11 +21,11 @@ __all__ = [
     "SHELL_MODE",
     "TruncationPolicy",
     "WaveProfile",
-    "ProbabilityProfile",
     "expand_shells_to_sites",
     "collapse_sites_to_shells",
     "shell_sums",
     "shell_weights",
+    "MAX_SHELL",
 ]
 
 SITE_MODE = "site"
@@ -86,22 +86,18 @@ class WaveProfile:
         return int(self.amplitudes.size)
 
 
-@dataclass(frozen=True)
-class ProbabilityProfile:
-    """Shell-resolved occupation probabilities P(r) at a fixed time."""
-
-    values: np.ndarray
-    time: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-
-    def total(self) -> float:
-        return float(np.sum(self.values))
+# Largest shell: 2^r, the scale of shell r's weight and amplitude, is a
+# finite double up to r = 1023.
+MAX_SHELL = 1023
 
 
 def shell_weights(r_max: int) -> np.ndarray:
-    """Multiplicity of each shell r = 0..r_max: [1, 1, 2, 4, ...]."""
+    """Multiplicity of each shell r = 0..r_max: [1, 1, 2, 4, ...].
+
+    Shells beyond MAX_SHELL raise ResourceLimitError.
+    """
+    if r_max > MAX_SHELL:
+        raise ResourceLimitError(f"shell {r_max} exceeds the shell cap {MAX_SHELL}")
     return np.concatenate(([1.0], 2.0 ** np.arange(r_max)))
 
 

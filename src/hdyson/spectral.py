@@ -35,15 +35,11 @@ from .profiles import SITE_MODE, WaveProfile, shell_weights
 __all__ = [
     "ModelParams",
     "SpectrumData",
-    "EigvecDescriptor",
-    "multiplet_degeneracy",
     "eigenvalues",
     "eigenvector",
-    "eigvec_descriptor",
     "build_hopping_matrix",
     "delta_decomposition",
     "renormalized_coupling",
-    "shifted_spectrum",
     "DENSE_CAP",
 ]
 
@@ -114,39 +110,6 @@ class SpectrumData:
         return int(self.eps.size - 1)
 
 
-@dataclass(frozen=True)
-class EigvecDescriptor:
-    """Compact form of one tree eigenvector.
-
-    The vector equals +amplitude on `plus_sites` and -amplitude on
-    `minus_sites` (both inclusive 1-based ranges); `minus_sites` is None for
-    the uniform k = 0 mode.
-    """
-
-    k: int
-    m: int
-    plus_sites: tuple[int, int]
-    minus_sites: tuple[int, int] | None
-    amplitude: float
-
-    def expand(self, geom: TreeGeometry) -> np.ndarray:
-        v = np.zeros(geom.length)
-        a, b = self.plus_sites
-        v[a - 1 : b] = self.amplitude
-        if self.minus_sites is not None:
-            a, b = self.minus_sites
-            v[a - 1 : b] = -self.amplitude
-        return v
-
-
-def multiplet_degeneracy(k: int) -> int:
-    """Dimension of the k-th eigenspace: 1, 1, 2, 4, ..., 2^(k-1)."""
-    if k < 0:
-        raise InputError(f"multiplet index must be >= 0, got {k}")
-    start, stop = block_range(k)
-    return stop - start
-
-
 def renormalized_coupling(sigma: float, J: float) -> float:
     """Prefactor of the geometric band ladder, J (2^(sigma+1)-1)/(2^sigma-1)."""
     if sigma <= 0:
@@ -157,34 +120,16 @@ def renormalized_coupling(sigma: float, J: float) -> float:
     return J * (2.0 ** (sigma + 1.0) - 1.0) / (2.0 ** sigma - 1.0)
 
 
-def shifted_spectrum(k: int, sigma: float, J: float) -> float:
-    """Mode frequency Jt_sigma 2^(-sigma k), measured from the top of the band.
-
-    The additive constant of the exact reindexed spectrum is dropped: it
-    only contributes a global phase to the evolved state.
-    """
-    if k < 0:
-        raise InputError(f"mode index must be >= 0, got {k}")
-    return renormalized_coupling(sigma, J) * 2.0 ** (-sigma * k)
-
-
 def _eigenvalues_from_coupling_sums(params: ModelParams) -> np.ndarray:
     """Eigenvalues for an arbitrary level-coupling profile.
 
     eps_k = -sum_{r=1}^{N-k} 2^(r-1) J_{r-1} + 2^(N-k) J_{N-k} (1 - delta_k0):
     the interaction of site 1 with its own half of the support block, minus
-    the sign-flipped half.
+    the sign-flipped half.  The sums run left to right in one cumsum.
     """
-    n = params.geom.levels
-    couplings = params.level_coupling_array()
-    weights = shell_weights(n)
-    eps = np.empty(n + 1)
-    for k in range(n + 1):
-        attract = -sum(weights[r] * couplings[r - 1] for r in range(1, n - k + 1))
-        if k == 0:
-            eps[k] = attract
-        else:
-            eps[k] = attract + weights[n - k + 1] * couplings[n - k]
+    shells = shell_weights(params.geom.levels)[1:] * params.level_coupling_array()
+    eps = -np.concatenate(([0.0], np.cumsum(shells)))[::-1]
+    eps[1:] += shells[::-1]
     return eps
 
 
@@ -206,34 +151,31 @@ def eigenvalues(params: ModelParams) -> SpectrumData:
     return SpectrumData(eps, degeneracy)
 
 
-def eigvec_descriptor(k: int, m: int, geom: TreeGeometry) -> EigvecDescriptor:
-    """Descriptor of the m-th member of multiplet k.
+def eigenvector(k: int, m: int, geom: TreeGeometry) -> WaveProfile:
+    """Unit-norm eigenvector (k, m) expanded over the L sites.
 
     Members are ordered left to right by support block, so m = 1 is always
-    the one whose support contains site 1.
+    the one whose support contains site 1.  Mode (0, 1) is uniform; member
+    m of multiplet k >= 1 is +a on the first half of its support block of
+    2^(N-k+1) sites and -a on the second, with a = sqrt(2^(k-1)/L).
     """
     n = geom.levels
     if not 0 <= k <= n:
         raise InputError(f"multiplet index {k} outside 0..{n}")
-    if not 1 <= m <= multiplet_degeneracy(k):
-        raise InputError(
-            f"member index {m} outside 1..{multiplet_degeneracy(k)} for k={k}"
-        )
+    start, stop = block_range(k)
+    if not 1 <= m <= stop - start:
+        raise InputError(f"member index {m} outside 1..{stop - start} for k={k}")
+    vec = np.zeros(geom.length, dtype=complex)
     if k == 0:
-        return EigvecDescriptor(0, 1, (1, geom.length), None, geom.length ** -0.5)
-    width = 1 << (n - k + 1)  # support block size
-    first = (m - 1) * width + 1
-    half = width >> 1
-    amplitude = math.sqrt(multiplet_degeneracy(k) / geom.length)
-    return EigvecDescriptor(
-        k, m, (first, first + half - 1), (first + half, first + width - 1), amplitude
-    )
-
-
-def eigenvector(k: int, m: int, geom: TreeGeometry) -> WaveProfile:
-    """Unit-norm eigenvector (k, m) expanded over the L sites."""
-    vec = eigvec_descriptor(k, m, geom).expand(geom)
-    return WaveProfile(vec.astype(complex), time=0.0, mode=SITE_MODE)
+        vec[:] = geom.length ** -0.5
+    else:
+        width = 1 << (n - k + 1)  # support block size
+        first = (m - 1) * width
+        middle = first + width // 2
+        amplitude = math.sqrt((stop - start) / geom.length)
+        vec[first:middle] = amplitude
+        vec[middle:first + width] = -amplitude
+    return WaveProfile(vec, time=0.0, mode=SITE_MODE)
 
 
 def build_hopping_matrix(params: ModelParams) -> np.ndarray:

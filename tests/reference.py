@@ -8,7 +8,9 @@ matrix, the spin Hamiltonian from a COO triplet list converted to CSR, the
 per-slot eigenvalues of the tree basis from an explicit slot-by-slot layout,
 the dynamical-exponent scan from one amplitude call per trial exponent,
 the thermodynamic mode series from one exponential per term, the
-probability left of a cut from a loop over the shells,
+probability left of a cut from a loop over the shells, the gauge factor
+between finite-L and thermodynamic amplitudes from the spectrum's dropped
+constant,
 many-body evolution from CSR products in the sz basis over the full 2^L
 space at the full Krylov dimension, the Krylov exponential from scipy's
 tridiagonal eigensolver, entanglement entropies from one Schmidt SVD per
@@ -29,10 +31,10 @@ from hdyson import (
     eigenvalues,
     magnetization_profile,
     renormalized_coupling,
-    shell_probability,
 )
 from hdyson._util import popcount
 from hdyson.geometry import block_range
+from hdyson.profiles import shell_sums
 
 
 def partition_scan_distance(i: int, j: int, levels: int) -> int:
@@ -60,6 +62,31 @@ def coupling_sum_eigenvalue(k: int, levels: int, sigma: float, J: float) -> floa
     if k == 0:
         return attract
     return attract + (1 << (levels - k)) * geometric_coupling(levels - k, sigma, J)
+
+
+def level_sum_eigenvalues(couplings) -> np.ndarray:
+    """Eigenvalues of an arbitrary level-coupling profile, one level sum per k.
+
+    eps_k = -sum_{r=1}^{N-k} 2^(r-1) J_{r-1} + 2^(N-k) J_{N-k} (1 - delta_k0),
+    each sum a Python loop from r = 1 upwards.
+    """
+    couplings = np.asarray(couplings, dtype=float)
+    n = couplings.size
+    eps = np.empty(n + 1)
+    for k in range(n + 1):
+        attract = -sum(2.0 ** (r - 1) * couplings[r - 1] for r in range(1, n - k + 1))
+        eps[k] = attract if k == 0 else attract + 2.0 ** (n - k) * couplings[n - k]
+    return eps
+
+
+def finite_to_thermo_phase(t, sigma: float, J: float = 1.0):
+    """Gauge factor g(t) with psi_thermo ~= g(t) * psi_finite as N -> inf.
+
+    The thermodynamic series drops the additive constant
+    -J/(1 - 2^-sigma) of the reindexed spectrum; multiplying the finite-L
+    amplitudes by g(t) = exp(-i J t / (1 - 2^-sigma)) restores the match.
+    """
+    return np.exp(-1j * J * np.asarray(t, dtype=float) / (1.0 - 2.0 ** -sigma))
 
 
 def four_site_evolution(t: float, sigma: float, J: float) -> np.ndarray:
@@ -344,7 +371,7 @@ def csr_evolve_spin(hamiltonian, psi0, times, krylov_dim: int = 30,
         out["energies"].append(float(np.real(np.vdot(psi, matvec(psi)))))
         out["states"].append(psi.copy())
     result = {key: np.asarray(value) for key, value in out.items()}
-    result["P"] = shell_probability(result["n"], hamiltonian.params.geom)
+    result["P"] = shell_sums(result["n"], hamiltonian.params.geom)
     return result
 
 

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hdyson import analytic
@@ -19,12 +19,9 @@ from hdyson import (
     binary_entropy,
     closed_form_average,
     cumulative_probability,
-    dense_evolve,
+    dense_evolve_series,
     estimate_dynamical_exponent,
-    finite_to_thermo_phase,
     occupation,
-    probability,
-    probability_profile,
     probability_thermo,
     psi_finite,
     psi_thermo,
@@ -38,10 +35,16 @@ from hdyson import (
     wave_profile_finite,
     wave_profile_thermo,
 )
-from hdyson.profiles import collapse_sites_to_shells, expand_shells_to_sites
+from hdyson.profiles import (
+    MAX_SHELL,
+    collapse_sites_to_shells,
+    expand_shells_to_sites,
+    shell_sums,
+)
 
 from reference import (
     direct_return_series,
+    finite_to_thermo_phase,
     per_z_dynamical_exponent,
     shell_loop_cumulative_probability,
 )
@@ -75,17 +78,16 @@ def test_psi_finite_initial_delta():
 def test_psi_finite_matches_dense_evolution(sigma):
     params = params_for(6, sigma=sigma)
     for t in (0.7, 2.0, 13.5):
-        evolved = dense_evolve(params, t, delta_profile(64))
+        evolved = dense_evolve_series(params, [t], delta_profile(64))[0]
         predicted = wave_profile_finite(t, params)
-        assert np.max(np.abs(evolved.amplitudes - predicted.amplitudes)) < 1e-10
+        assert np.max(np.abs(evolved - predicted.amplitudes)) < 1e-10
 
 
 def test_psi_finite_unitarity():
     params = params_for(8, sigma=0.5)
     for t in (0.3, 5.0, 40.0):
-        assert probability_profile(wave_profile_finite(t, params)).total() == pytest.approx(
-            1.0, abs=1e-10
-        )
+        amplitudes = wave_profile_finite(t, params).amplitudes
+        assert np.sum(occupation(0, amplitudes)) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_psi_finite_shell_index_validation():
@@ -242,10 +244,9 @@ def test_sigma_guards():
     lambda s, J: scaling_function(1.0, s, J),
     lambda s, J: probability_thermo(1, 1.0, s, J),
     lambda s, J: wave_profile_thermo(1.0, s, J),
-    lambda s, J: finite_to_thermo_phase(1.0, s, J),
     lambda s, J: time_average(1, 10.0, s, J),
 ], ids=["psi_thermo", "psi_thermo_array", "scaling_function", "probability_thermo",
-        "wave_profile_thermo", "finite_to_thermo_phase", "time_average"])
+        "wave_profile_thermo", "time_average"])
 def test_thermo_entry_points_reject_non_finite_sigma_and_J(call, bad):
     with pytest.raises(InputError):
         call(bad, 1.0)
@@ -271,30 +272,39 @@ def test_sigma_zero_rejects_non_finite_J(bad):
 def test_probability_initial_and_normalized(levels, sigma, J, times):
     # sum_r P(r, t) = 1 from psi_finite, for every N, sigma, J and t
     params = params_for(levels, sigma=sigma, J=J)
-    assert probability(0, 0.0, params) == pytest.approx(1.0)
+    assert occupation(0, psi_finite(0, 0.0, params)) == pytest.approx(1.0)
     for r in range(1, levels + 1):
-        assert probability(r, 0.0, params) == 0.0
+        assert occupation(r, psi_finite(r, 0.0, params)) == 0.0
     t = np.asarray(times)
-    total = sum(probability(r, t, params) for r in range(levels + 1))
+    total = sum(occupation(r, psi_finite(r, t, params)) for r in range(levels + 1))
     assert np.max(np.abs(total - 1.0)) <= 1e-10
 
 
 def test_probability_from_profiles():
+    # P(r) of a site profile is the shell sum of |psi(x)|^2, of a shell
+    # profile the weighted |psi(r)|^2
     params = params_for(5)
     t = 3.2
     site_profile = wave_profile_finite(t, params)
     shell_values = collapse_sites_to_shells(site_profile.amplitudes, params.geom)
-    shell_profile = WaveProfile(shell_values, t, "shell")
+    from_sites = shell_sums(occupation(0, site_profile.amplitudes), params.geom)
+    from_shells = occupation(np.arange(6), shell_values)
     for r in range(6):
-        direct = probability(r, t, params)
-        assert probability(r, t, site_profile) == pytest.approx(direct, abs=1e-14)
-        assert probability(r, t, shell_profile) == pytest.approx(direct, abs=1e-14)
+        direct = occupation(r, psi_finite(r, t, params))
+        assert from_sites[r] == pytest.approx(direct, abs=1e-14)
+        assert from_shells[r] == pytest.approx(direct, abs=1e-14)
+
+
+def test_profile_time_must_match_exactly():
+    # a late profile answers for its own time only: P(2) moves by 5.9e-5
+    # between t = 1e6 and 1e6 + 5e-4
+    late = wave_profile_thermo(1e6, 1.0, 1.0)
+    assert single_particle_entropy(4, 1e6, late) >= 0.0
     with pytest.raises(InputError):
-        probability(0, t + 1.0, site_profile)
+        single_particle_entropy(4, 1e6 + 5e-4, late)
+    profile = wave_profile_finite(1.0, params_for(3))
     with pytest.raises(InputError):
-        probability(9, t, shell_profile)
-    with pytest.raises(InputError):
-        probability(0, [t], site_profile)  # one time per profile
+        single_particle_entropy(2, 1.0 + 2.0 ** -52, profile)
 
 
 def test_occupation_weights_and_validation():
@@ -305,6 +315,12 @@ def test_occupation_weights_and_validation():
     grid = occupation(np.arange(4)[:, None], np.tile(amp[:, None], (1, 3)))
     assert grid.shape == (4, 3) and np.array_equal(grid[:, 2], weights * np.abs(amp) ** 2)
     assert occupation(1023, 2.0 ** -511) == 1.0  # weight 2^1022 stays a float
+    assert MAX_SHELL == 1023
+    for r in (MAX_SHELL + 1, [0, 1030]):
+        with pytest.raises(ResourceLimitError):
+            occupation(r, 0.5)
+    with pytest.raises(ResourceLimitError):  # was NaN: weight inf, |psi|^2 0
+        probability_thermo(1030, 1.0, 1.0)
     for r in (-1, 1.0, [0, -2], True):
         with pytest.raises(InputError):
             occupation(r, amp[:1])
@@ -314,10 +330,12 @@ def test_occupation_weights_and_validation():
 
 def test_probability_profile_totals():
     thermo = wave_profile_thermo(4.0, 1.0, 1.0, r_max=30)
-    prof = probability_profile(thermo)
-    assert prof.total() == pytest.approx(1.0, abs=1e-8)
-    finite = wave_profile_finite(4.0, params_for(6))
-    assert probability_profile(finite).total() == pytest.approx(1.0, abs=1e-12)
+    total = np.sum(occupation(np.arange(31), thermo.amplitudes))
+    assert total == pytest.approx(1.0, abs=1e-8)
+    params = params_for(6)
+    finite = wave_profile_finite(4.0, params)
+    shells = shell_sums(occupation(0, finite.amplitudes), params.geom)
+    assert np.sum(shells) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_probability_peak_bound_shell5():
@@ -461,6 +479,7 @@ def test_cumulative_probability_shell_vs_site():
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 10), st.floats(0.0, 200.0), st.booleans())
+@example(8, 21.34782568821883, True)  # |psi|^2 by libm pow misrounded one cut
 def test_cuts_are_elementwise_to_the_bit(levels, t, shell_mode):
     # an array of cuts gives the per-cut scalar calls; shell mode also gives
     # the one-shell-at-a-time loop
@@ -484,6 +503,29 @@ def test_cuts_are_elementwise_to_the_bit(levels, t, shell_mode):
     assert entropy.tobytes() == np.array(per_cut).tobytes()
     grid = cuts[: cuts.size // 2 * 2].reshape(2, -1)
     assert np.array_equal(cumulative_probability(profile, grid), cum[: grid.size].reshape(2, -1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=40),
+       st.integers(0, 40), st.floats(0.05, 3.0), st.floats(0.0, 1.0))
+def test_scalar_calls_equal_array_elements_to_the_bit(times, r, sigma, p):
+    # a scalar argument takes numpy's scalar path (libm `pow` for `** 2`);
+    # it must round as the same element of an array does
+    t = np.array(times)
+    probe = np.array([p, 1.0 - p, p / 3.0])
+    rng = np.random.default_rng(len(times))
+    amplitudes = rng.normal(size=t.size) + 1j * rng.normal(size=t.size)
+    calls = [
+        (lambda x: occupation(r, x), amplitudes),
+        (lambda x: probability_thermo(r, x, sigma), t),
+        (lambda x: sigma_zero(r, x), t),
+        (lambda x: sigma_zero_probability(r, x), t),
+        (binary_entropy, probe),
+    ]
+    for call, values in calls:
+        array = np.asarray(call(values))
+        for i, value in enumerate(values):
+            assert np.asarray(call(value)).tobytes() == array[i].tobytes()
 
 
 def test_entropy_decays_with_cut_position():

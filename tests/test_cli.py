@@ -566,6 +566,28 @@ def test_public_names_resolve():
                 assert alias.name in exported, (node.module, alias.name)
 
 
+def test_every_public_name_has_a_caller_outside_tests():
+    # every name in a module's __all__ is read in the library, the demos or
+    # the benchmark, whose tracer names what it wraps by string; definitions,
+    # imports and __all__ entries are not reads
+    root = Path(hdyson.__file__).parents[2]
+    used = set()
+    for pattern in ("src/hdyson/*.py", "demos/*.py", "perfbench/*.py"):
+        for path in root.glob(pattern):
+            strings = path.parent.name == "perfbench"
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    used.add(node.value)
+    for info in pkgutil.iter_modules(hdyson.__path__):
+        module = importlib.import_module(f"hdyson.{info.name}")
+        unused = [name for name in getattr(module, "__all__", ()) if name not in used]
+        assert not unused, (info.name, unused)
+
+
 def test_import_leaves_scipy_unloaded():
     code = (
         "import sys, hdyson, hdyson.cli; "

@@ -4,18 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hdyson import (
-    BlockId,
     InputError,
     ResourceLimitError,
     TreeGeometry,
     collapse_sites_to_shells,
-    distance_of_site,
     expand_shells_to_sites,
-    hierarchical_distance,
-    multiplet_degeneracy,
-    shell_sites,
-    shell_size,
-    sibling_block,
 )
 from hdyson.geometry import block_bounds, block_range, pair_level
 from hdyson.profiles import shell_sums, shell_weights
@@ -23,122 +16,116 @@ from hdyson.profiles import shell_sums, shell_weights
 from reference import partition_scan_distance
 
 
+def distance(i, j):
+    """Hierarchical distance r(i, j) of 1-based sites: one above their coupling level."""
+    return pair_level(i - 1, j - 1) + 1
+
+
 def test_paper_distance_examples():
-    geom = TreeGeometry(3)
-    assert hierarchical_distance(1, 1, geom) == 0
-    assert hierarchical_distance(1, 2, geom) == 1
-    assert hierarchical_distance(1, 3, geom) == 2
-    assert hierarchical_distance(1, 4, geom) == 2
+    assert distance(1, 1) == 0
+    assert distance(1, 2) == 1
+    assert distance(1, 3) == 2
+    assert distance(1, 4) == 2
 
 
 def test_distance_matches_partition_scan():
     geom = TreeGeometry(4)
-    for i in range(1, geom.length + 1):
-        for j in range(1, geom.length + 1):
-            assert hierarchical_distance(i, j, geom) == partition_scan_distance(
-                i, j, geom.levels
-            )
+    sites = np.arange(1, geom.length + 1)
+    scanned = [[partition_scan_distance(i, j, geom.levels) for j in sites] for i in sites]
+    assert np.array_equal(distance(sites[:, None], sites[None, :]), scanned)
 
 
 def test_distance_5_7_is_2():
-    geom = TreeGeometry(3)
     assert partition_scan_distance(5, 7, 3) == 2
-    assert hierarchical_distance(5, 7, geom) == 2
+    assert distance(5, 7) == 2
 
 
 def test_distance_symmetry_and_identity():
     geom = TreeGeometry(5)
     for i in range(1, geom.length + 1):
         for j in range(1, geom.length + 1):
-            r = hierarchical_distance(i, j, geom)
-            assert r == hierarchical_distance(j, i, geom)
+            r = distance(i, j)
+            assert r == distance(j, i)
             assert (r == 0) == (i == j)
 
 
 def test_ultrametric_inequality_exhaustive():
     geom = TreeGeometry(6)
-    L = geom.length
-    labels = np.arange(L)
-    bits = labels[:, None] ^ labels[None, :]
-    r = np.zeros((L, L), dtype=int)
-    mask = bits > 0
-    r[mask] = np.floor(np.log2(bits[mask])).astype(int) + 1
+    labels = np.arange(geom.length)
+    r = pair_level(labels[:, None], labels[None, :]) + 1
     worst = np.max(r[:, None, :] - np.maximum(r[:, :, None], r[None, :, :]))
     assert worst <= 0
 
 
 def test_distance_of_site():
     geom = TreeGeometry(3)
-    assert distance_of_site(1, geom) == 0
-    assert distance_of_site(3, geom) == 2
-    assert distance_of_site(8, geom) == 3
-    for x in range(1, geom.length + 1):
-        assert distance_of_site(x, geom) == hierarchical_distance(1, x, geom)
-        if x >= 2:
-            assert distance_of_site(x, geom) == int(np.ceil(np.log2(x)))
+    assert distance(1, 1) == 0
+    assert distance(1, 3) == 2
+    assert distance(1, 8) == 3
+    for x in range(2, geom.length + 1):
+        assert distance(1, x) == int(np.ceil(np.log2(x)))
 
 
 def test_shell_sizes_and_census():
+    # shell r holds the sites at distance r from site 1: block r's width
     geom = TreeGeometry(10)
-    assert shell_size(0, geom) == 1
-    assert shell_size(3, geom) == 4
-    census = {r: 0 for r in range(geom.levels + 1)}
-    for x in range(1, geom.length + 1):
-        census[distance_of_site(x, geom)] += 1
-    for r in range(geom.levels + 1):
-        assert census[r] == shell_size(r, geom)
-    assert sum(census.values()) == geom.length
+    widths = [stop - start for start, stop in map(block_range, range(geom.levels + 1))]
+    assert widths[0] == 1 and widths[3] == 4
+    sites = np.arange(1, geom.length + 1)
+    census = np.bincount(distance(1, sites), minlength=geom.levels + 1)
+    assert census.tolist() == widths
+    assert census.sum() == geom.length
 
 
 def test_shell_sites_ranges():
+    # block r of the 0-based labels is shell r: sites start + 1 .. stop
     geom = TreeGeometry(4)
-    assert shell_sites(0, geom) == (1, 1)
-    for r in range(1, geom.levels + 1):
-        first, last = shell_sites(r, geom)
-        assert last - first + 1 == shell_size(r, geom)
-        for x in range(first, last + 1):
-            assert distance_of_site(x, geom) == r
+    assert block_range(0) == (0, 1)
+    for r in range(geom.levels + 1):
+        start, stop = block_range(r)
+        for x in range(start + 1, stop + 1):
+            assert distance(1, x) == r
+
+
+def level_block(p, q):
+    """Sites of block q (1-based) of the level-p partition, from the distances:
+    those within distance p of its first site (q - 1) 2^p + 1."""
+    first = (q - 1) * (1 << p) + 1
+    sites = np.arange(1, 1 << 12)
+    inside = sites[distance(first, sites) <= p]
+    return int(inside[0]), int(inside[-1])
 
 
 def test_sibling_block_examples():
-    geom = TreeGeometry(3)
-    assert sibling_block(BlockId(0, 1), geom) == BlockId(0, 2)
-    assert sibling_block(BlockId(1, 3), geom) == BlockId(1, 4)
-    assert sibling_block(BlockId(2, 2), geom) == BlockId(2, 1)
+    # siblings are the two halves of one level-(p + 1) block: every pair
+    # across them is at distance exactly p + 1
+    assert distance(1, 2) == 1
+    assert {distance(i, j) for i in (5, 6) for j in (7, 8)} == {2}
+    assert {distance(i, j) for i in range(5, 9) for j in range(1, 5)} == {3}
 
 
 def test_sibling_block_involution_and_merge():
     geom = TreeGeometry(4)
+    labels = np.arange(geom.length)
     for p in range(geom.levels):
-        for q in range(1, (1 << (geom.levels - p)) + 1):
-            block = BlockId(p, q)
-            partner = sibling_block(block, geom)
-            assert sibling_block(partner, geom) == block
-            lo = min(block.sites()[0], partner.sites()[0])
-            hi = max(block.sites()[1], partner.sites()[1])
-            # merged pair is exactly one block of the next level up
-            assert (lo - 1) % (1 << (p + 1)) == 0 and hi - lo + 1 == 1 << (p + 1)
+        width = 1 << p
+        for q in range(geom.length // width):
+            block = labels[q * width:(q + 1) * width]
+            partner = labels[(q ^ 1) * width:((q ^ 1) + 1) * width]  # q ^ 1 ^ 1 = q
+            # within a block the level is below p, across the pair exactly p,
+            # so the pair merges into one block of the next level up
+            assert np.all(pair_level(block[:, None], block[None, :]) < p)
+            assert np.all(pair_level(block[:, None], partner[None, :]) == p)
+            lo, hi = min(block[0], partner[0]), max(block[-1], partner[-1])
+            assert lo % (2 * width) == 0 and hi - lo + 1 == 2 * width
 
 
 def test_block_site_ranges():
-    assert BlockId(2, 2).sites() == (5, 8)
-    assert BlockId(0, 7).sites() == (7, 7)
+    assert level_block(2, 2) == (5, 8)
+    assert level_block(0, 7) == (7, 7)
 
 
 def test_input_validation():
-    geom = TreeGeometry(3)
-    with pytest.raises(InputError):
-        hierarchical_distance(0, 1, geom)
-    with pytest.raises(InputError):
-        hierarchical_distance(1, 9, geom)
-    with pytest.raises(InputError):
-        shell_size(4, geom)
-    with pytest.raises(InputError):
-        shell_size(-1, geom)
-    with pytest.raises(InputError):
-        sibling_block(BlockId(3, 1), geom)
-    with pytest.raises(InputError):
-        sibling_block(BlockId(0, 9), geom)
     with pytest.raises(InputError):
         TreeGeometry(0)
     with pytest.raises(InputError):
@@ -164,8 +151,7 @@ def test_block_layout_properties(levels, data):
     assert np.all(widths > 0)
     for r, width in enumerate(widths):
         assert block_range(r) == (bounds[r], bounds[r + 1])
-        assert width == shell_size(r, geom) == multiplet_degeneracy(r)
-        assert shell_sites(r, geom) == (bounds[r] + 1, bounds[r + 1])
+        assert width == (1 if r == 0 else 1 << (r - 1))
     assert np.array_equal(widths, shell_weights(levels))
 
     labels = st.integers(0, geom.length - 1)

@@ -20,11 +20,10 @@ from hdyson import (
     magnetization_profile,
     one_defect_state,
     quasi_conservation_report,
-    shell_probability,
-    total_excitations,
     wave_profile_finite,
 )
 from hdyson import manybody
+from hdyson.profiles import shell_sums
 from hdyson.manybody import (
     LOCAL_TOL,
     LanczosStats,
@@ -349,7 +348,8 @@ def test_magnetization_of_product_states():
     flip = SpinState.single_flip(6, site=1)
     n = magnetization_profile(flip)
     assert np.allclose(n, [1, 0, 0, 0, 0, 0])
-    assert np.allclose(magnetization_profile(SpinState.all_up(6)), np.zeros(6))
+    all_up = SpinState(np.eye(1, 64, dtype=complex)[0])
+    assert np.allclose(magnetization_profile(all_up), np.zeros(6))
 
 
 def test_one_defect_state_occupations():
@@ -362,10 +362,10 @@ def test_shell_probability_partitions_total():
     rng = np.random.default_rng(2)
     geom = TreeGeometry(3)
     n = rng.uniform(size=(5, 8))
-    shells = shell_probability(n, geom)
+    shells = shell_sums(n, geom)
     assert shells.shape == (5, 4)
     assert np.allclose(shells.sum(axis=1), n.sum(axis=1), atol=1e-12)
-    single = shell_probability(n[0], geom)
+    single = shell_sums(n[0], geom)
     assert np.allclose(single, shells[0])
     assert single[0] == n[0, 0]
 
@@ -495,7 +495,8 @@ def test_quasi_conservation_improves_with_field():
             build_spin_hamiltonian(params), SpinState.single_flip(8), times
         )
         deviations[h] = quasi_conservation_report(series)
-        assert np.allclose(total_excitations(series), series.n.sum(axis=1))
+        assert np.allclose(series.total, series.n.sum(axis=1))
+        assert np.array_equal(series.shell_p, shell_sums(series.n, params.geom))
     assert deviations[40.0] < 0.01
     assert deviations[2.0] >= 10.0 * deviations[40.0]
 

@@ -15,7 +15,6 @@ from hdyson import (
     WaveProfile,
     build_hopping_matrix,
     delta_decomposition,
-    dense_evolve,
     dense_evolve_series,
     eigenvalues,
     eigenvector,
@@ -23,13 +22,13 @@ from hdyson import (
     fast_evolve,
     fast_evolve_series,
     inverse_tree_transform,
-    multiplet_degeneracy,
     probability_thermo,
     tree_transform,
     wave_profile_finite,
 )
 
 from hdyson import oracle
+from hdyson.geometry import block_range
 
 from reference import eigenvalue_slots, four_site_evolution
 
@@ -110,7 +109,7 @@ def test_fast_apply_eigen_action():
         params = params_for(levels, sigma=0.5)
         spec = eigenvalues(params)
         for k in range(levels + 1):
-            for m in (1, multiplet_degeneracy(k)):
+            for m in (1, spec.degeneracy[k]):
                 v = eigenvector(k, m, params.geom).amplitudes
                 result = fast_apply(params, v)
                 assert np.max(np.abs(result - spec.eps[k] * v)) < 1e-10
@@ -142,15 +141,20 @@ def test_fast_apply_validation():
 # tree transform
 # ---------------------------------------------------------------------------
 
+def members(levels):
+    """(k, m, slot): member m of multiplet k sits in slot start + m - 1 of block k."""
+    for k in range(levels + 1):
+        start, stop = block_range(k)
+        for slot in range(start, stop):
+            yield k, slot - start + 1, slot
+
+
 def test_tree_transform_of_delta_matches_decomposition():
     geom = TreeGeometry(5)
     coeffs = tree_transform(delta_state(geom.length))
     expected = {(k, m): c for k, m, c in delta_decomposition(geom)}
-    for k in range(geom.levels + 1):
-        for m in range(1, multiplet_degeneracy(k) + 1):
-            assert coeffs.coefficient(k, m) == pytest.approx(
-                expected.get((k, m), 0.0), abs=1e-14
-            )
+    for k, m, slot in members(geom.levels):
+        assert coeffs.values[slot] == pytest.approx(expected.get((k, m), 0.0), abs=1e-14)
 
 
 def test_tree_transform_coefficients_are_projections():
@@ -158,12 +162,9 @@ def test_tree_transform_coefficients_are_projections():
     geom = TreeGeometry(4)
     v = rng.normal(size=16) + 1j * rng.normal(size=16)
     coeffs = tree_transform(v)
-    for k in range(geom.levels + 1):
-        for m in range(1, multiplet_degeneracy(k) + 1):
-            basis = eigenvector(k, m, geom).amplitudes.real
-            assert coeffs.coefficient(k, m) == pytest.approx(
-                complex(basis @ v), abs=1e-12
-            )
+    for k, m, slot in members(geom.levels):
+        basis = eigenvector(k, m, geom).amplitudes.real
+        assert coeffs.values[slot] == pytest.approx(complex(basis @ v), abs=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -187,11 +188,12 @@ def test_tree_transform_roundtrip_and_parseval(levels, seed):
 
 
 def test_coefficient_indexing_validation():
+    # the inverse transform needs one slot per basis vector of its levels
     coeffs = tree_transform(delta_state(8))
     with pytest.raises(InputError):
-        coeffs.coefficient(4, 1)
+        inverse_tree_transform(TreeCoefficients(coeffs.values, 4))
     with pytest.raises(InputError):
-        coeffs.coefficient(2, 3)
+        inverse_tree_transform(TreeCoefficients(coeffs.values[:6], 3))
 
 
 # ---------------------------------------------------------------------------
@@ -201,28 +203,28 @@ def test_coefficient_indexing_validation():
 def test_dense_evolve_identity_at_t0():
     params = params_for(4)
     initial = WaveProfile(delta_state(16), 0.0)
-    evolved = dense_evolve(params, 0.0, initial)
-    assert np.max(np.abs(evolved.amplitudes - initial.amplitudes)) < 1e-14
+    evolved = dense_evolve_series(params, [0.0], initial)[0]
+    assert np.max(np.abs(evolved - initial.amplitudes)) < 1e-14
 
 
 def test_dense_evolve_four_site_closed_form():
     params = params_for(2)
     initial = WaveProfile(delta_state(4), 0.0)
     for t in (0.0, 0.9, 4.2, 17.0):
-        evolved = dense_evolve(params, t, initial)
-        assert np.max(np.abs(evolved.amplitudes - four_site_evolution(t, 1.0, 1.0))) < 1e-12
+        evolved = dense_evolve_series(params, [t], initial)[0]
+        assert np.max(np.abs(evolved - four_site_evolution(t, 1.0, 1.0))) < 1e-12
 
 
 def test_dense_evolve_validation():
     params = params_for(3)
     bad = WaveProfile(np.full(8, 0.5 + 0j), 0.0)
     with pytest.raises(InputError):
-        dense_evolve(params, 1.0, bad)
+        dense_evolve_series(params, [1.0], bad)
     # L = 8192 is over the dense cap: raised before the matrix is built
     with pytest.raises(ResourceLimitError):
-        dense_evolve(params_for(13), 1.0, WaveProfile(delta_state(1 << 13), 0.0))
+        dense_evolve_series(params_for(13), [1.0], WaveProfile(delta_state(1 << 13), 0.0))
     with pytest.raises(InputError):
-        dense_evolve(params_for(2), 1.0, WaveProfile(delta_state(8), 0.0))
+        dense_evolve_series(params_for(2), [1.0], WaveProfile(delta_state(8), 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +330,6 @@ def test_fast_evolve_input_contract(t, scale, bad_entry):
         fast_evolve(params, t, v)
     with pytest.raises(InputError):
         fast_evolve_series(params, [0.5, t], v)
-    with pytest.raises(InputError):
-        dense_evolve(params, t, WaveProfile(v, 0.0))
     with pytest.raises(InputError):
         dense_evolve_series(params, [0.5, t], WaveProfile(v, 0.0))
 

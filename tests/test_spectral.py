@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdyson import (
     InputError,
@@ -11,16 +13,14 @@ from hdyson import (
     delta_decomposition,
     eigenvalues,
     eigenvector,
-    eigvec_descriptor,
-    multiplet_degeneracy,
     renormalized_coupling,
-    shifted_spectrum,
 )
 
 from reference import (
     cluster_distinct,
     coupling_sum_eigenvalue,
     ladder_coupling_from_gaps,
+    level_sum_eigenvalues,
 )
 
 
@@ -38,9 +38,7 @@ def test_eigenvalues_n2_sigma1():
 def test_degeneracies():
     spec = eigenvalues(params_for(3))
     assert list(spec.degeneracy) == [1, 1, 2, 4]
-    assert multiplet_degeneracy(0) == 1
-    assert multiplet_degeneracy(1) == 1
-    assert multiplet_degeneracy(5) == 16
+    assert list(eigenvalues(params_for(5)).degeneracy) == [1, 1, 2, 4, 8, 16]
     for n in range(1, 12):
         assert int(eigenvalues(params_for(n)).degeneracy.sum()) == 1 << n
 
@@ -102,7 +100,7 @@ def test_eigenvector_action_all_members():
         mat = build_hopping_matrix(params)
         spec = eigenvalues(params)
         for k in range(params.geom.levels + 1):
-            for m in range(1, multiplet_degeneracy(k) + 1):
+            for m in range(1, spec.degeneracy[k] + 1):
                 v = eigenvector(k, m, params.geom).amplitudes.real
                 assert abs(np.linalg.norm(v) - 1.0) < 1e-13
                 assert np.max(np.abs(mat @ v - spec.eps[k] * v)) < 1e-12
@@ -110,9 +108,10 @@ def test_eigenvector_action_all_members():
 
 def test_eigenvectors_orthonormal_basis():
     geom = TreeGeometry(6)
+    spec = eigenvalues(ModelParams(geom))
     vectors = [eigenvector(0, 1, geom).amplitudes.real]
     for k in range(1, geom.levels + 1):
-        for m in range(1, multiplet_degeneracy(k) + 1):
+        for m in range(1, spec.degeneracy[k] + 1):
             vectors.append(eigenvector(k, m, geom).amplitudes.real)
     basis = np.array(vectors)
     assert basis.shape == (geom.length, geom.length)
@@ -122,19 +121,19 @@ def test_eigenvectors_orthonormal_basis():
 
 def test_multiplet_supports_disjoint():
     geom = TreeGeometry(4)
+    spec = eigenvalues(ModelParams(geom))
     for k in range(2, geom.levels + 1):
         occupied = np.zeros(geom.length, dtype=int)
-        for m in range(1, multiplet_degeneracy(k) + 1):
+        for m in range(1, spec.degeneracy[k] + 1):
             occupied += eigenvector(k, m, geom).amplitudes.real != 0
         assert occupied.max() == 1
 
 
 def test_descriptor_expand_matches_eigenvector():
+    # member 2 of multiplet 2 at L = 8: +1/2 on sites 5..6, -1/2 on 7..8
     geom = TreeGeometry(3)
-    desc = eigvec_descriptor(2, 2, geom)
-    assert desc.plus_sites == (5, 6)
-    assert desc.minus_sites == (7, 8)
-    assert np.allclose(desc.expand(geom), eigenvector(2, 2, geom).amplitudes.real)
+    expected = [0.0, 0.0, 0.0, 0.0, 0.5, 0.5, -0.5, -0.5]
+    assert np.array_equal(eigenvector(2, 2, geom).amplitudes, expected)
 
 
 def test_eigenvector_validation():
@@ -193,10 +192,14 @@ def test_renormalized_coupling_against_dense_gaps(sigma):
 
 
 def test_shifted_spectrum():
-    assert shifted_spectrum(0, 1.0, 1.0) == pytest.approx(3.0)
-    assert shifted_spectrum(60, 1.0, 1.0) == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(InputError):
-        shifted_spectrum(-1, 1.0, 1.0)
+    # measured from the top of the band, the closed-form levels k >= 1 are
+    # the geometric ladder Jt_sigma (2^(-sigma j) - 1), j = N - k
+    for sigma in (0.5, 1.0, 2.0):
+        for levels in (1, 4, 12, 40):
+            eps = eigenvalues(params_for(levels, sigma=sigma, J=1.3)).eps
+            j = np.arange(levels)
+            ladder = renormalized_coupling(sigma, 1.3) * (2.0 ** (-sigma * j) - 1.0)
+            assert np.allclose(eps[levels - j] - eps[levels], ladder, rtol=0.0, atol=1e-12)
 
 
 def test_shifted_spectrum_matches_finite_gaps():
@@ -208,7 +211,7 @@ def test_shifted_spectrum_matches_finite_gaps():
     top = distinct[-1]
     for k in range(5):
         gap = distinct[12 - k] - top
-        expected = shifted_spectrum(k, 1.0, 1.0) - shifted_spectrum(0, 1.0, 1.0)
+        expected = renormalized_coupling(1.0, 1.0) * (2.0 ** -k - 1.0)
         assert gap == pytest.approx(expected, abs=1e-6)
 
 
@@ -223,6 +226,15 @@ def test_custom_level_couplings():
     assert [count for _, count in clusters] == list(spec.degeneracy)
     for k, (value, _) in enumerate(clusters):
         assert value == pytest.approx(spec.eps[k], abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=39))
+def test_custom_couplings_match_level_sums_to_the_bit(couplings):
+    # the cumsum runs left to right like the per-level Python sums
+    params = ModelParams(TreeGeometry(len(couplings)), level_couplings=couplings)
+    expected = level_sum_eigenvalues(couplings)
+    assert eigenvalues(params).eps.tobytes() == expected.tobytes()
 
 
 def test_model_params_validation():
