@@ -46,6 +46,7 @@ from .errors import InputError, ResourceLimitError, SingularLimitError
 from .geometry import block_bounds
 from .profiles import (
     DEFAULT_POLICY,
+    MAX_SHELL,
     SHELL_MODE,
     SITE_MODE,
     TruncationPolicy,
@@ -331,9 +332,13 @@ def wave_profile_thermo(t: float, sigma: float, J: float = 1.0,
     """Shell-mode thermodynamic profile for r = 0..r_max.
 
     The shells beyond r_max carry total probability at most 2^(1-r_max).
+    r_max beyond MAX_SHELL = 1023 raises ResourceLimitError before any shell
+    is evaluated.
     """
     if r_max < 0:
         raise InputError(f"r_max must be >= 0, got {r_max}")
+    if r_max > MAX_SHELL:
+        raise ResourceLimitError(f"r_max = {r_max} exceeds the shell cap {MAX_SHELL}")
     shells = np.array([psi_thermo(r, t, sigma, J, policy) for r in range(r_max + 1)])
     return WaveProfile(shells, float(t), SHELL_MODE)
 

@@ -125,10 +125,13 @@ def _eigenvalues_from_coupling_sums(params: ModelParams) -> np.ndarray:
 
     eps_k = -sum_{r=1}^{N-k} 2^(r-1) J_{r-1} + 2^(N-k) J_{N-k} (1 - delta_k0):
     the interaction of site 1 with its own half of the support block, minus
-    the sign-flipped half.  The sums run left to right in one cumsum.
+    the sign-flipped half.  The sums run left to right in one cumsum from
+    +0.0, and the empty sum of k = N is +0.0, so signed zeros come out as
+    in a plain loop of sums.
     """
     shells = shell_weights(params.geom.levels)[1:] * params.level_coupling_array()
-    eps = -np.concatenate(([0.0], np.cumsum(shells)))[::-1]
+    eps = -np.cumsum(np.concatenate(([0.0], shells)))[::-1]
+    eps[-1] = 0.0
     eps[1:] += shells[::-1]
     return eps
 

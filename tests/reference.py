@@ -6,6 +6,7 @@ couplings shell by shell, evolution from hand-assembled mode sums or dense
 matrix exponentials, second-order couplings from squaring the dense hopping
 matrix, the spin Hamiltonian from a COO triplet list converted to CSR, the
 per-slot eigenvalues of the tree basis from an explicit slot-by-slot layout,
+the tree cascades from one whole-array pass per level,
 the dynamical-exponent scan from one amplitude call per trial exponent,
 the thermodynamic mode series from one exponential per term, the
 probability left of a cut from a loop over the shells, the gauge factor
@@ -180,6 +181,44 @@ def eigenvalue_slots(params) -> np.ndarray:
     for k in range(1, n + 1):
         slots[1 << (k - 1) : 1 << k] = spec.eps[k]
     return slots
+
+
+def level_forward(v: np.ndarray, coeffs: np.ndarray) -> None:
+    """Unscaled tree cascade of v into coeffs, one whole-array pass per level.
+
+    Level k = N..1 writes the pairwise differences of its sums into slots
+    2^(k-1) .. 2^k - 1 and halves the sums; the last sum goes to slot 0.
+    """
+    n = v.size.bit_length() - 1
+    sums = [np.empty(v.size >> 1, coeffs.dtype), np.empty(v.size >> 2, coeffs.dtype)]
+    src = v
+    for k in range(n, 0, -1):
+        start, stop = block_range(k)
+        np.subtract(src[0::2], src[1::2], out=coeffs[start:stop])
+        target = coeffs[:1] if k == 1 else sums[(n - k) % 2][:start]
+        np.add(src[0::2], src[1::2], out=target)
+        src = target
+
+
+def level_inverse(coeffs: np.ndarray, factors: np.ndarray, out: np.ndarray) -> None:
+    """Unscaled inverse cascade of coeffs with slots of multiplet k times factors[k].
+
+    Level k = 1..N scales slots 2^(k-1) .. 2^k - 1 into the odd half of its
+    output and maps each smooth value s to (s + d, s - d), one whole-array
+    pass per level.
+    """
+    n = coeffs.size.bit_length() - 1
+    sums = [np.empty(coeffs.size >> 1, out.dtype), np.empty(coeffs.size >> 2, out.dtype)]
+    smooth = sums[(n + 1) % 2][:1]
+    np.multiply(coeffs[:1], factors[0], out=smooth)
+    for k in range(1, n + 1):
+        start, stop = block_range(k)
+        target = out if k == n else sums[(n - k + 1) % 2][:stop]
+        detail = target[1::2]
+        np.multiply(coeffs[start:stop], factors[k], out=detail)
+        np.add(smooth, detail, out=target[0::2])
+        np.subtract(smooth, detail, out=detail)
+        smooth = target
 
 
 def ladder_coupling_from_gaps(distinct_evals: np.ndarray, sigma: float) -> float:

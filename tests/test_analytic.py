@@ -328,6 +328,18 @@ def test_occupation_weights_and_validation():
         occupation(np.arange(3), amp)  # shapes do not broadcast
 
 
+def test_wave_profile_thermo_caps_r_max(monkeypatch):
+    # refused before the loop: not one psi_thermo call past the cap
+    calls = []
+    monkeypatch.setattr(analytic, "psi_thermo", lambda *args: calls.append(args))
+    with pytest.raises(ResourceLimitError):
+        wave_profile_thermo(1.0, 1.0, 1.0, r_max=MAX_SHELL + 1)
+    assert calls == []
+    monkeypatch.undo()
+    profile = wave_profile_thermo(1.0, 1.0, 1.0, r_max=MAX_SHELL)
+    assert profile.amplitudes.shape == (MAX_SHELL + 1,)
+
+
 def test_probability_profile_totals():
     thermo = wave_profile_thermo(4.0, 1.0, 1.0, r_max=30)
     total = np.sum(occupation(np.arange(31), thermo.amplitudes))

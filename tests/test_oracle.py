@@ -30,7 +30,9 @@ from hdyson import (
 from hdyson import oracle
 from hdyson.geometry import block_range
 
-from reference import eigenvalue_slots, four_site_evolution
+from reference import eigenvalue_slots, four_site_evolution, level_forward, level_inverse
+
+BLOCK = oracle._BLOCK_LEVELS
 
 
 def params_for(levels, sigma=1.0, J=1.0):
@@ -185,6 +187,33 @@ def test_tree_transform_roundtrip_and_parseval(levels, seed):
     assert abs(np.vdot(coeffs.values, w) - adjoint) <= (
         1e-12 * np.linalg.norm(v) * np.linalg.norm(w)
     )
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("part", [1.0, 1j], ids=["real", "complex"])
+def test_tree_kernels_reject_non_finite_entries(bad, part):
+    # one NaN or infinite entry (the imaginary part of a complex one)
+    # makes the sum of all entries non-finite; the cascade runs first, so
+    # an inf may meet inf - inf on its way
+    v = np.ones(32) * part
+    v[7] = bad * part
+    with pytest.raises(InputError):
+        fast_apply(params_for(5), v)
+    with pytest.raises(InputError):
+        tree_transform(v)
+    with pytest.raises(InputError):
+        inverse_tree_transform(TreeCoefficients(v, 5))
+
+
+def test_tree_kernels_need_1d_input():
+    grid = np.ones((2, 4))
+    with pytest.raises(InputError):
+        fast_apply(params_for(3), grid)
+    with pytest.raises(InputError):
+        tree_transform(grid)
+    with pytest.raises(InputError):
+        inverse_tree_transform(TreeCoefficients(grid, 3))
 
 
 def test_coefficient_indexing_validation():
@@ -390,3 +419,63 @@ def test_scratch_store_holds_one_size_per_kernel():
     assert not worker.is_alive()
     sizes = {kernel: [a.size for a in arrays] for (kernel, _), arrays in seen.items()}
     assert sizes == {"cascade": [1 << 9, 1 << 8], "coefficients": [1 << 10]}
+
+
+def test_cascade_scratch_is_bounded_by_the_block():
+    # above one block the sums run through block-sized buffers plus the
+    # 2^b sums between the fine and the coarse levels, never through L/2
+    levels = BLOCK + 2
+    seen = {}
+
+    def work():
+        fast_evolve(params_for(levels), 1.0, delta_state(1 << levels))
+        seen.update(oracle._SCRATCH.store)
+
+    worker = threading.Thread(target=work)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    sizes = {kernel: [a.size for a in arrays] for (kernel, _), arrays in seen.items()}
+    block = 1 << BLOCK
+    assert sizes == {"cascade": [block >> 1, block >> 2, block],
+                     "coefficients": [1 << levels]}
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, BLOCK + 3), st.booleans(), st.integers(0, 2**32 - 1))
+@example(BLOCK - 1, True, 0)
+@example(BLOCK, False, 1)
+@example(BLOCK + 1, True, 2)
+@example(BLOCK + 2, False, 3)
+def test_blocked_cascades_match_the_level_loop_to_the_bit(levels, complex_input, seed):
+    # every element sees the adds, subtracts and multiplies of the
+    # level-by-level loop, in the same order, whichever block it lies in
+    rng = np.random.default_rng(seed)
+    L = 1 << levels
+    params = ModelParams(TreeGeometry(levels), level_couplings=rng.uniform(-5.0, 5.0, levels))
+    scale = oracle._multiplet_scale(levels)
+    eps = eigenvalues(params).eps
+    v, w = rng.normal(size=(2, L))
+    if complex_input:
+        v, w = v + 1j * rng.normal(size=L), w + 1j * rng.normal(size=L)
+    coeffs, expected = np.empty(L, v.dtype), np.empty(L, v.dtype)
+    level_forward(v, coeffs)
+
+    level_inverse(coeffs, eps * scale, expected)
+    assert fast_apply(params, v).tobytes() == expected.tobytes()
+
+    for k, root in enumerate(np.sqrt(scale)):
+        start, stop = block_range(k)
+        coeffs[start:stop] *= root
+    assert tree_transform(v).values.tobytes() == coeffs.tobytes()
+    level_inverse(w, np.sqrt(scale), expected)
+    assert inverse_tree_transform(TreeCoefficients(w, levels)).tobytes() == expected.tobytes()
+
+    u = v / np.linalg.norm(v) + 0j
+    times = rng.uniform(0.0, 100.0, 2)
+    series = fast_evolve_series(params, times, u)
+    coeffs, row = np.empty(L, complex), np.empty(L, complex)
+    level_forward(u, coeffs)
+    for t, fast in zip(times.tolist(), series):
+        level_inverse(coeffs, oracle._evolution_factors(eps, scale, t), row)
+        assert fast.tobytes() == row.tobytes()

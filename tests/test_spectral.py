@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hdyson import (
@@ -230,8 +230,11 @@ def test_custom_level_couplings():
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=39))
+@example([-0.0])
+@example([-0.0, 0.0])
 def test_custom_couplings_match_level_sums_to_the_bit(couplings):
-    # the cumsum runs left to right like the per-level Python sums
+    # the cumsum runs left to right like the per-level Python sums, which
+    # start from 0 and so turn a leading -0.0 into +0.0
     params = ModelParams(TreeGeometry(len(couplings)), level_couplings=couplings)
     expected = level_sum_eigenvalues(couplings)
     assert eigenvalues(params).eps.tobytes() == expected.tobytes()
