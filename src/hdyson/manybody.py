@@ -13,19 +13,27 @@ Every term of H flips zero or two spins, so the spin parity prod_x sz_x
 is conserved and a state of definite parity (the local spin flip is odd)
 never leaves its half of the space.  Evolution runs in that sector,
 matrix-free in the sx basis.  A Hadamard on every spin (`hadamard_all`,
-unitary and its own inverse) turns sx sx into sz sz and sz into a bit
-flip, so the Hamiltonian becomes a real diagonal
+unitary and its own inverse, a constant-geometry Walsh-Hadamard
+transform whose every pass reads two stride-2 views and writes two
+contiguous halves) turns sx sx into sz sz and sz into a bit flip, so the
+Hamiltonian becomes a real diagonal
 E(s) = -sum_p J_p sum_blocks M_left M_right, built from the
 magnetisations of the tree blocks, plus L single-bit flips of weight -h.
 There the parity is the global bit flip, phi[~s] = parity phi[s], so the
 state is carried by its 2^(L-1) amplitudes with the top bit clear
 (`SigmaXOperator`), on which a product is one diagonal multiply, L - 1
-single-axis flipped views and one reversal.  In the sz basis the parity
-fixes the top bit, so the sector's amplitudes are indexed by the low
-L - 1 bits and both basis changes are (L - 1)-site Hadamard transforms
-plus one gather or scatter.  The state enters the sector once per run,
-and n(x) and the entropies of every cut are read off its sz amplitudes
-at every output time.  The reduced density matrix of a state of definite
+single-bit flips (flipped views for the high bits, strided column
+updates for the three lowest) and one reversal.  In the sz basis the
+parity fixes the top bit, so the sector's amplitudes are indexed by the
+low L - 1 bits and both basis changes are (L - 1)-site Hadamard
+transforms plus one selection between the two halves of the 2^L vector.
+The state enters the sector once per run, and n(x) and the entropies of
+every cut are read off its sz amplitudes at every output time.  The
+tables a run reads but never writes are built once and cached,
+read-only: the uint8 bit masks of the sector index (`_bit_masks`, which
+give n(x) and the top bit of each sector amplitude) and the half
+diagonal of each coupling profile (`_sector_diagonal`), together 0.8 MiB
+at L = 16.  The reduced density matrix of a state of definite
 parity is block-diagonal in the parity of its own sites, so the
 entropies come from two half-width blocks of each of two density
 matrices, of the lower and of the upper half of the chain; every other
@@ -49,6 +57,7 @@ cross-check in the test suite.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -84,6 +93,9 @@ __all__ = [
 SPARSE_CAP = 16
 KRYLOV_DIM = 30
 LOCAL_TOL = 1e-9
+# the sector product flips bits below this one by strided column updates
+# and the others by flipped views, whose innermost loops are 2^bit long
+_COLUMN_FLIP_BITS = 3
 
 
 @dataclass(frozen=True)
@@ -179,52 +191,97 @@ def _spin_count(size: int) -> int:
 def hadamard_all(amplitudes) -> np.ndarray:
     """Amplitudes after a Hadamard on every spin: the sz <-> sx basis change.
 
-    A fast Walsh-Hadamard transform, one butterfly pass per site, scaled by
-    2^(-L/2).  The map is real, symmetric and unitary, so it is its own
+    A fast Walsh-Hadamard transform in constant geometry, scaled by
+    2^(-L/2).  Each pass reads the pairs (2k, 2k+1), which differ in the
+    lowest bit, as two stride-2 views and writes their sums to the lower
+    half and their differences to the upper half of the other buffer: the
+    bit just transformed moves to the top and the next one comes to the
+    bottom, so the passes take the bits in order from bit 0 and after L
+    passes the index is back in natural order.  Every amplitude sees the
+    same sums and differences as in the in-place butterfly, in the same
+    order.  The map is real, symmetric and unitary, so it is its own
     inverse.  The scale is a power of two, applied exactly, only for an
     even number of sites; the parity-sector engine transforms L - 1 sites,
     an odd number, where it carries one rounding.
     """
-    source = np.array(amplitudes, dtype=complex)
+    source = np.asarray(amplitudes, dtype=complex).reshape(-1)
     sites = _spin_count(source.size)
-    target = np.empty_like(source)
+    half = source.size // 2
+    buffers = [np.empty_like(source), np.empty_like(source)]
     for x in range(sites):
-        pairs = source.reshape(-1, 2, 1 << x)  # bit x of s picks the middle index
-        halves = target.reshape(-1, 2, 1 << x)
-        np.add(pairs[:, 0], pairs[:, 1], out=halves[:, 0])
-        np.subtract(pairs[:, 0], pairs[:, 1], out=halves[:, 1])
-        source, target = target, source
+        target = buffers[x & 1]
+        even, odd = source[0::2], source[1::2]
+        np.add(even, odd, out=target[:half])
+        np.subtract(even, odd, out=target[half:])
+        source = target
     source *= 2.0 ** (-sites / 2)
     return source
 
 
-def _state_parity(amplitudes: np.ndarray) -> int:
-    """Spin parity, -1 (odd) or +1 (even), of a state of definite parity.
+@functools.lru_cache(maxsize=8)
+def _bit_masks(size: int) -> np.ndarray:
+    """Read-only uint8 table of the bits of every index k < size, built once per size.
 
-    The parity of basis state s is (-1)^popcount(s).  A state whose
-    smaller parity component has norm above 1e-8, the tolerance of the
-    normalisation check, is an InputError.
+    Row x is bit x of k, for x < log2(size); the last two rows are the
+    parity of popcount(k) and its complement.  For the sector amplitudes
+    of L = log2(size) + 1 spins, indexed by the low L - 1 bits of their
+    basis states, those two rows are the top bit of the basis state in the
+    even and in the odd sector.
     """
-    odd = (popcount(np.arange(amplitudes.size)) & 1).astype(bool)
-    probs = np.abs(amplitudes) ** 2
-    odd_norm = float(np.sqrt(probs[odd].sum()))
-    even_norm = float(np.sqrt(probs[~odd].sum()))
+    bits = size.bit_length() - 1
+    k = np.arange(size)
+    masks = np.empty((bits + 2, size), dtype=np.uint8)
+    for x in range(bits):
+        masks[x] = (k >> x) & 1
+    masks[bits] = popcount(k) & 1
+    masks[bits + 1] = 1 - masks[bits]
+    masks.flags.writeable = False
+    return masks
+
+
+def _sector_amplitudes(amplitudes: np.ndarray) -> tuple[int, np.ndarray]:
+    """Spin parity, -1 (odd) or +1 (even), and sector amplitudes of a state of definite parity.
+
+    The parity fixes the top bit of a basis state from its other bits, so
+    each half-space index k (the low L - 1 bits) holds one amplitude of
+    each sector, one in the lower and one in the upper half of the vector.
+    A state whose smaller parity component has norm above 1e-8, the
+    tolerance of the normalisation check, is an InputError.
+    """
+    halves = amplitudes.reshape(2, -1)
+    odd_top = _bit_masks(halves.shape[1])[-1].view(bool)
+    odd = np.where(odd_top, halves[1], halves[0])
+    even = np.where(odd_top, halves[0], halves[1])
+    odd_norm = float(np.linalg.norm(odd))
+    even_norm = float(np.linalg.norm(even))
     if min(odd_norm, even_norm) > 1e-8:
         raise InputError(
             f"initial state mixes both spin parities (odd part {odd_norm:.3e}, "
             f"even part {even_norm:.3e})"
         )
-    return -1 if odd_norm >= even_norm else 1
+    return (-1, odd) if odd_norm >= even_norm else (1, even)
 
 
-def _sector_index(sites: int, parity: int) -> np.ndarray:
-    """sz-basis index of each amplitude of a parity sector, by its low L-1 bits.
+@functools.lru_cache(maxsize=8)
+def _sector_diagonal(couplings: tuple[float, ...]) -> np.ndarray:
+    """Read-only lower half of the sx-basis diagonal E(s), built once per coupling profile.
 
-    The parity fixes the top bit of a basis state from its other bits.
+    The level-p pairs are those whose sites sit in the two halves of one
+    level-(p+1) block, so they add -J_p M_left M_right, the product of the
+    halves' magnetisations.  Every block of a level has the same energy
+    function of its own spins, so a block's diagonal follows from its
+    halves' as an outer sum, with the index of the right half (the higher
+    bits) first.
     """
-    low = np.arange(1 << (sites - 1))
-    top = (popcount(low) & 1) ^ int(parity < 0)
-    return low | (top << (sites - 1))
+    diagonal = np.zeros(2)                  # one site: no pairs
+    magnetisation = np.array([1.0, -1.0])   # s = 1 - 2 bit
+    for coupling in couplings:
+        diagonal = (diagonal[:, None] + diagonal[None, :]
+                    - coupling * np.multiply.outer(magnetisation, magnetisation)).ravel()
+        magnetisation = np.add.outer(magnetisation, magnetisation).ravel()
+    half = diagonal[: diagonal.size // 2].copy()
+    half.flags.writeable = False
+    return half
 
 
 class SigmaXOperator:
@@ -235,7 +292,7 @@ class SigmaXOperator:
     field gives L single-bit flips of weight -h.  The spin parity is the
     global flip there, phi[~s] = parity phi[s], so the operator acts on
     chi = sqrt(2) phi[:2^(L-1)], the unit-norm half with the top bit clear:
-    the flips of sites 1..L-1 stay single-axis flips of chi, and the flip
+    the flips of sites 1..L-1 stay single-bit flips of chi, and the flip
     of site L becomes parity times the reversal of chi.  E is unchanged by
     the global flip, so `diagonal` is its lower half.
     """
@@ -246,45 +303,50 @@ class SigmaXOperator:
         self.diagonal = diagonal
         self.h = h
         self.parity = parity
-        # views of the (2,)*(L-1) tensor of an h chi buffer, made once:
-        # flipping axis a flips one bit of s, and flipping all of them is
-        # the reversal that stands for the flip of the top bit
-        self._shape = (2,) * _spin_count(diagonal.size)
+        # views of an h chi buffer, made once.  Bit b >= _COLUMN_FLIP_BITS
+        # flips as axis L-2-b of the (2,)*(L-1) tensor, a lower bit b as the
+        # 2^(b+1) columns c ^ 2^b of a (-1, 2^(b+1)) view, the sources of
+        # columns 0, 1, ... of the target's view.  Flipping every bit is
+        # the reversal that stands for the flip of the top bit.
+        bits = _spin_count(diagonal.size)
+        low = min(_COLUMN_FLIP_BITS, bits)
+        self._shape = (2,) * bits
         self._scaled = np.empty(diagonal.size, dtype=complex)
         tensor = self._scaled.reshape(self._shape)
-        self._flipped = [np.flip(tensor, axis) for axis in range(tensor.ndim)]
+        self._flipped = [np.flip(tensor, axis) for axis in range(bits - low)]
+        self._columns = []
+        for bit in reversed(range(low)):
+            width = 2 << bit
+            columns = self._scaled.reshape(-1, width)
+            self._columns.append(
+                (width, [columns[:, c ^ (1 << bit)] for c in range(width)]))
         self._reversed = self._scaled[::-1]
 
     @classmethod
     def from_params(cls, params: ModelParams, parity: int) -> "SigmaXOperator":
-        """E(s) from tree block magnetisations, one level at a time, O(2^L).
-
-        The level-p pairs are those whose sites sit in the two halves of
-        one level-(p+1) block, so they add -J_p M_left M_right, the product
-        of the halves' magnetisations.  Every block of a level has the same
-        energy function of its own spins, so a block's diagonal follows from
-        its halves' as an outer sum, with the index of the right half (the
-        higher bits) first.
-        """
+        """The operator of `params` on one sector; E(s) comes from `_sector_diagonal`."""
         L = params.geom.length
         if L > SPARSE_CAP:
             raise ResourceLimitError(f"L = {L} exceeds the sparse cap {SPARSE_CAP}")
-        diagonal = np.zeros(2)                  # one site: no pairs
-        magnetisation = np.array([1.0, -1.0])   # s = 1 - 2 bit
-        for coupling in params.level_coupling_array():
-            diagonal = (diagonal[:, None] + diagonal[None, :]
-                        - coupling * np.multiply.outer(magnetisation, magnetisation)).ravel()
-            magnetisation = np.add.outer(magnetisation, magnetisation).ravel()
-        return cls(diagonal[: diagonal.size // 2].copy(), params.h, parity)
+        couplings = tuple(float(c) for c in params.level_coupling_array())
+        return cls(_sector_diagonal(couplings), params.h, parity)
 
     def product(self, chi: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """out = H chi; `out` must not share memory with `chi`."""
+        """out = H chi; `out` must not share memory with `chi`.
+
+        The flips are subtracted from the highest bit to the lowest, then
+        the reversal is added or subtracted.
+        """
         np.multiply(self.diagonal, chi, out=out)
         if self.h != 0.0:
             np.multiply(chi, self.h, out=self._scaled)
             target = out.reshape(self._shape)
             for flipped in self._flipped:
                 target -= flipped
+            for width, sources in self._columns:
+                columns = out.reshape(-1, width)
+                for c, source in enumerate(sources):
+                    columns[:, c] -= source
             if self.parity < 0:
                 out += self._reversed
             else:
@@ -292,15 +354,16 @@ class SigmaXOperator:
         return out
 
 
-def _occupations(probs: np.ndarray, index: np.ndarray, sites: int) -> np.ndarray:
-    """n(x) = sum of the probabilities of the basis states index[k] with bit x-1 set."""
-    return np.array([float(probs @ ((index >> x) & 1)) for x in range(sites)])
+def _occupations(probs: np.ndarray, masks) -> np.ndarray:
+    """n(x) = probs @ masks[x-1]: the probability of the basis states with bit x-1 set."""
+    return np.array([float(probs @ mask) for mask in masks])
 
 
 def magnetization_profile(psi) -> np.ndarray:
     """Local excitation numbers n(x) = (1 - <sz_x>)/2, x = 1..L."""
     amp = psi.amplitudes if isinstance(psi, SpinState) else np.asarray(psi)
-    return _occupations(np.abs(amp) ** 2, np.arange(amp.size), amp.size.bit_length() - 1)
+    sites = _spin_count(amp.size)
+    return _occupations(np.abs(amp) ** 2, _bit_masks(amp.size)[:sites])
 
 
 def spin_parity_expectation(psi) -> float:
@@ -510,7 +573,10 @@ def _lanczos_step(product, psi: np.ndarray, dt: float, m_max: int,
             if beta_next * abs(y[-1]) <= target:
                 break
         betas[used] = beta_next
-        np.divide(w, beta_next, out=basis[used])
+        # numpy divides by beta_next + 0j as a multiply by 1 / beta_next too,
+        # after adding a product with zero that can only flip the sign of a
+        # zero part, at six times the cost of this real multiply
+        np.multiply(w.view(float), 1.0 / beta_next, out=basis[used].view(float))
     if y is None or y.size != used:  # no check ran at the final dimension
         y = _krylov_coefficients(alphas[:used], betas[:used], dt)
     psi_new = basis[:used].T @ y
@@ -579,29 +645,32 @@ def evolve_spin(model: ModelParams | SparseHamiltonian, psi0: SpinState, times,
         raise InputError("state dimension does not match the Hamiltonian")
 
     sites = params.geom.length
-    parity = _state_parity(psi0.amplitudes)
-    index = _sector_index(sites, parity)
+    parity, z = _sector_amplitudes(psi0.amplitudes)
     operator = SigmaXOperator.from_params(params, parity)
-    applied = np.empty(index.size, dtype=complex)
+    applied = np.empty(z.size, dtype=complex)
     stats = LanczosStats()
+    # bits 0..L-2 of the sector index, then the top bit of its basis state
+    masks = _bit_masks(z.size)
+    top = masks[sites - 1 + (parity < 0)]
+    occupation_masks = [*masks[: sites - 1], top]
+    upper = top.view(bool)  # amplitudes in the upper half of the 2^L vector
 
-    z = psi0.amplitudes[index]  # the sz amplitudes of the basis states `index`
     chi = hadamard_all(z)
     t_now = 0.0
     dt = 0.05
 
     n_rows, totals, norms, energies = [], [], [], []
     entropies = [] if compute_entropy else None
-    states = [] if keep_states else None
+    states = np.empty((times.size, 1 << sites), dtype=complex) if keep_states else None
 
-    for target in times:
+    for i, target in enumerate(times):
         span = target - t_now
         if span > 0:
             chi, dt = _advance(operator.product, chi, span, dt,
                                KRYLOV_DIM, LOCAL_TOL, stats)
             z = hadamard_all(chi)
             t_now = target
-        n = _occupations(np.abs(z) ** 2, index, sites)
+        n = _occupations(np.abs(z) ** 2, occupation_masks)
         n_rows.append(n)
         totals.append(float(n.sum()))
         norms.append(float(np.linalg.norm(chi)))
@@ -609,9 +678,9 @@ def evolve_spin(model: ModelParams | SparseHamiltonian, psi0: SpinState, times,
         if compute_entropy:
             entropies.append(_cut_entropies(z))
         if keep_states:
-            psi = np.zeros(1 << sites, dtype=complex)
-            psi[index] = z
-            states.append(psi)
+            halves = states[i].reshape(2, -1)
+            halves[0] = np.where(upper, 0j, z)
+            halves[1] = np.where(upper, z, 0j)
 
     n_block = np.asarray(n_rows)
     return ObservableSeries(
@@ -622,7 +691,7 @@ def evolve_spin(model: ModelParams | SparseHamiltonian, psi0: SpinState, times,
         entropy=None if entropies is None else np.asarray(entropies),
         norms=np.asarray(norms),
         energies=np.asarray(energies),
-        states=None if states is None else np.asarray(states),
+        states=states,
         lanczos=stats,
-        sector={"parity": "odd" if parity < 0 else "even", "dimension": index.size},
+        sector={"parity": "odd" if parity < 0 else "even", "dimension": z.size},
     )

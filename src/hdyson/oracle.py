@@ -251,7 +251,8 @@ def fast_apply(params: ModelParams, v: np.ndarray,
     out = _prepare_out(out, v.size, dtype, v)
     factors = eigenvalues(params).eps * _multiplet_scale(params.geom.levels)
     coeffs = _scratch("coefficients", v.size, dtype)[0]
-    _forward(v, coeffs)
+    with np.errstate(invalid="ignore", over="ignore"):  # checked just below
+        _forward(v, coeffs)
     _check_sum(coeffs[0], "v")
     _inverse(coeffs, factors, out)
     return out
@@ -280,7 +281,8 @@ def tree_transform(v: np.ndarray, out: np.ndarray | None = None) -> TreeCoeffici
         raise InputError(f"v must be 1-d, got shape {v.shape}")
     n = TreeGeometry.from_length(v.size).levels
     values = _prepare_out(out, v.size, np.result_type(v.dtype, float), v)
-    _forward(v, values, np.sqrt(_multiplet_scale(n)))
+    with np.errstate(invalid="ignore", over="ignore"):  # checked just below
+        _forward(v, values, np.sqrt(_multiplet_scale(n)))
     _check_sum(values[0], "v")
     return TreeCoefficients(values, n)
 
@@ -296,7 +298,9 @@ def inverse_tree_transform(coeffs: TreeCoefficients,
     if values.shape != (block_bounds(n)[-1],):
         raise InputError(f"coefficient shape {values.shape} is not one slot per basis "
                          f"vector of {n} levels")
-    _check_sum(np.sum(values), "coefficients")
+    with np.errstate(invalid="ignore", over="ignore"):
+        total = np.sum(values)
+    _check_sum(total, "coefficients")
     out = _prepare_out(out, values.size, np.result_type(values.dtype, float), values)
     _inverse(values, np.sqrt(_multiplet_scale(n)), out)
     return out

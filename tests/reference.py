@@ -15,7 +15,9 @@ constant,
 many-body evolution from CSR products in the sz basis over the full 2^L
 space at the full Krylov dimension, the Krylov exponential from scipy's
 tridiagonal eigensolver, entanglement entropies from one Schmidt SVD per
-cut.  Tests freeze values computed by these routines.
+cut, the Hadamard on every spin from the in-place butterfly, the sector
+product from one flipped tensor view per bit, the sector layout from an
+explicit index.  Tests freeze values computed by these routines.
 """
 
 from __future__ import annotations
@@ -313,6 +315,58 @@ def dense_hadamard(sites: int) -> np.ndarray:
     index = np.arange(1 << sites)
     signs = 1.0 - 2.0 * (popcount(index[:, None] & index[None, :]) & 1)
     return signs * 2.0 ** (-sites / 2)
+
+
+def butterfly_hadamard_all(amplitudes) -> np.ndarray:
+    """Hadamard on every spin by the in-place butterfly, one pass per bit from bit 0.
+
+    Pass x pairs the amplitudes that differ in bit x through 2-d views of
+    inner length 2^x and writes sum and difference in place of the pair;
+    the result is scaled by 2^(-L/2).
+    """
+    source = np.array(amplitudes, dtype=complex)
+    sites = source.size.bit_length() - 1
+    target = np.empty_like(source)
+    for x in range(sites):
+        pairs = source.reshape(-1, 2, 1 << x)  # bit x of s picks the middle index
+        halves = target.reshape(-1, 2, 1 << x)
+        np.add(pairs[:, 0], pairs[:, 1], out=halves[:, 0])
+        np.subtract(pairs[:, 0], pairs[:, 1], out=halves[:, 1])
+        source, target = target, source
+    source *= 2.0 ** (-sites / 2)
+    return source
+
+
+def flipped_view_product(operator, chi: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = H chi for a `SigmaXOperator`, every bit flipped as one axis of a (2,)*(L-1) tensor.
+
+    The diagonal multiply, then the flips of h chi from the highest bit
+    (axis 0) to the lowest, then parity times the reversal; the same
+    operations per element as the library's product.
+    """
+    np.multiply(operator.diagonal, chi, out=out)
+    if operator.h != 0.0:
+        scaled = chi * operator.h
+        shape = (2,) * (chi.size.bit_length() - 1)
+        tensor = scaled.reshape(shape)
+        target = out.reshape(shape)
+        for axis in range(tensor.ndim):
+            target -= np.flip(tensor, axis)
+        if operator.parity < 0:
+            out += scaled[::-1]
+        else:
+            out -= scaled[::-1]
+    return out
+
+
+def sector_index(sites: int, parity: int) -> np.ndarray:
+    """sz-basis index of each amplitude of a parity sector, by its low L-1 bits.
+
+    The parity fixes the top bit of a basis state from its other bits.
+    """
+    low = np.arange(1 << (sites - 1))
+    top = (popcount(low) & 1) ^ int(parity < 0)
+    return low | (top << (sites - 1))
 
 
 def svd_entanglement_entropy(amplitudes: np.ndarray, cut: int) -> float:

@@ -31,19 +31,21 @@ from hdyson.manybody import (
     _cut_entropies,
     _krylov_coefficients,
     _lanczos_step,
-    _sector_index,
     hadamard_all,
     spin_parity_expectation,
 )
 
 from reference import (
+    butterfly_hadamard_all,
     coo_spin_hamiltonian,
     csr_evolve_spin,
     csr_lanczos_step,
     dense_expm_evolve,
     dense_hadamard,
     eigh_tridiagonal_coefficients,
+    flipped_view_product,
     second_order_level_couplings,
+    sector_index,
     svd_entanglement_entropy,
     two_spin_defect_occupations,
 )
@@ -166,6 +168,97 @@ def test_hadamard_all_is_unitary_involution(sites):
     assert np.linalg.norm(hadamard_all(state)) == pytest.approx(np.linalg.norm(state))
 
 
+def random_complex(seed, size):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=size) + 1j * rng.normal(size=size)
+
+
+def complex_vectors(min_bits, max_bits):
+    """Random complex vectors of 2^bits entries, bits in [min_bits, max_bits]."""
+    return st.tuples(st.integers(0, 2**32 - 1), st.integers(min_bits, max_bits)).map(
+        lambda drawn: random_complex(drawn[0], 1 << drawn[1]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(complex_vectors(1, 15))
+def test_hadamard_all_matches_butterfly_to_the_bit(vector):
+    assert hadamard_all(vector).tobytes() == butterfly_hadamard_all(vector).tobytes()
+
+
+def top_first_hadamard(amplitudes):
+    """A constant-geometry transform that takes the bits from the top down."""
+    source = np.array(amplitudes, dtype=complex)
+    sites = source.size.bit_length() - 1
+    half = source.size // 2
+    for _ in range(sites):
+        target = np.empty_like(source)
+        np.add(source[:half], source[half:], out=target[0::2])
+        np.subtract(source[:half], source[half:], out=target[1::2])
+        source = target
+    return source * 2.0 ** (-sites / 2)
+
+
+def test_bitwise_oracle_tells_the_pass_order():
+    # the same transform with the bits in the other order agrees to rounding
+    # but not to the bit, which the property above would catch
+    vector = random_complex(8, 256)
+    mutant = top_first_hadamard(vector)
+    expected = butterfly_hadamard_all(vector)
+    assert np.max(np.abs(mutant - expected)) < 1e-14
+    assert mutant.tobytes() != expected.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(complex_vectors(1, 15), st.sampled_from([-1, 1]), st.just(0.0) | st.floats(0.1, 50.0),
+       st.integers(0, 2**32 - 1))
+def test_sigma_x_product_matches_flipped_views_to_the_bit(chi, parity, h, seed):
+    diagonal = np.random.default_rng(seed).normal(scale=10.0, size=chi.size)
+    operator = SigmaXOperator(diagonal, h, parity)
+    got = operator.product(chi, np.empty_like(chi))
+    expected = flipped_view_product(operator, chi, np.empty_like(chi))
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("length, times", [
+    (8, np.linspace(0.0, 1.0, 5)),
+    (16, np.array([0.0, 0.004, 0.009])),
+], ids=["L8", "L16"])
+def test_evolution_matches_reference_kernels_to_the_bit(length, times):
+    params = params_for(length, h=40.0)
+    rng = np.random.default_rng(length)
+    amps = rng.normal(size=length) + 1j * rng.normal(size=length)
+    psi0 = one_defect_state(amps / np.linalg.norm(amps))
+    run = lambda: evolve_spin(params, psi0, times, compute_entropy=True, keep_states=True)
+    series = run()
+    with mock.patch.object(manybody, "hadamard_all", butterfly_hadamard_all), \
+            mock.patch.object(SigmaXOperator, "product", flipped_view_product):
+        expected = run()
+    for field in ("times", "n", "total", "shell_p", "entropy", "norms", "energies", "states"):
+        assert getattr(series, field).tobytes() == getattr(expected, field).tobytes(), field
+    assert series.lanczos == expected.lanczos
+    assert series.lanczos.accepted > 0
+    assert series.sector == expected.sector
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 4, 8, 16]), st.sampled_from([-1, 1]), st.integers(0, 2**32 - 1))
+def test_occupations_match_index_bits_to_the_bit(length, parity, seed):
+    # n(x) from the cached uint8 masks equals the sum over the int64 index bits
+    z = random_complex(seed, 1 << (length - 1))
+    z /= np.linalg.norm(z)
+    probs = np.abs(z) ** 2
+    masks = manybody._bit_masks(z.size)
+    got = manybody._occupations(probs, [*masks[: length - 1], masks[length - 1 + (parity < 0)]])
+    index = sector_index(length, parity)
+    expected = np.array([float(probs @ ((index >> x) & 1)) for x in range(length)])
+    assert got.tobytes() == expected.tobytes()
+    full = np.zeros(1 << length, dtype=complex)
+    full[index] = z
+    assert magnetization_profile(full).tobytes() == np.array(
+        [float(np.abs(full) ** 2 @ ((np.arange(full.size) >> x) & 1)) for x in range(length)]
+    ).tobytes()
+
+
 @pytest.mark.parametrize("length", [2, 4, 8, 16])
 def test_in_place_lanczos_matches_reference_bitwise(length):
     # the step stops early; the reference run to the same dimension agrees
@@ -237,18 +330,26 @@ def test_even_sector_matches_csr_reference(length):
 
 
 def test_mixed_parity_state_is_rejected():
-    params = params_for(4, h=3.0)
-    mixed = np.zeros(16, dtype=complex)
-    mixed[0] = mixed[1] = 2 ** -0.5  # all up plus a single flip
-    with pytest.raises(InputError, match="parities"):
-        evolve_spin(params, SpinState(mixed), [0.0, 1.0])
-    # a part below the 1e-8 normalisation tolerance is dropped
-    nearly = np.zeros(16, dtype=complex)
-    nearly[1], nearly[0] = 1.0, 1e-9
-    series = evolve_spin(params, SpinState(nearly), [0.0], keep_states=True)
-    assert series.sector == {"parity": "odd", "dimension": 8}
-    assert series.states[0, 0] == 0.0
-    assert series.states[0, 1] == pytest.approx(1.0, abs=1e-15)
+    for length, parity in [(4, -1), (4, 1), (16, -1), (16, 1)]:
+        params = params_for(length, h=3.0)
+        dim = 1 << length
+        odd = np.bitwise_count(np.arange(dim)) & 1 == 1
+        inside = odd if parity < 0 else ~odd
+        rng = np.random.default_rng(length)
+        amps = np.where(inside, rng.normal(size=dim) + 1j * rng.normal(size=dim), 0.0)
+        amps /= np.linalg.norm(amps)
+        other = np.zeros(dim, dtype=complex)
+        other[np.flatnonzero(~inside)[3]] = 1.0
+        # both parts well above the 1e-8 normalisation tolerance
+        with pytest.raises(InputError, match="parities"):
+            evolve_spin(params, SpinState((amps + other) / np.sqrt(2.0)), [0.0, 1.0])
+        # a part below it is dropped: the run stays in the sector of the
+        # rest, whose amplitudes it keeps to the bit
+        nearly = amps + 1e-9 * other
+        series = evolve_spin(params, SpinState(nearly), [0.0], keep_states=True)
+        assert series.sector == {"parity": "odd" if parity < 0 else "even",
+                                 "dimension": dim // 2}
+        assert series.states[0].tobytes() == np.where(inside, nearly, 0.0).tobytes()
 
 
 def test_lanczos_stats_of_two_site_defect():
@@ -399,7 +500,7 @@ def test_cut_entropies_match_svd_oracle(length, kind, seed):
     rng = np.random.default_rng(seed)
     amps = random_state(rng, length, kind)
     expected = np.array([svd_entanglement_entropy(amps, cut) for cut in range(1, length)])
-    sector = amps[_sector_index(length, 1 if kind == "even" else -1)]
+    sector = amps[sector_index(length, 1 if kind == "even" else -1)]
     assert np.linalg.norm(sector) == pytest.approx(1.0)
     assert np.max(np.abs(_cut_entropies(sector) - expected)) <= 1e-12
     # one cut of any state, of definite parity or not
@@ -414,7 +515,7 @@ def test_entropies_of_twice_transformed_flips_are_nonnegative():
     # transforms leave a flip within rounding of itself and its density
     # matrices can have an eigenvalue just above 1
     for length in range(2, 9):
-        index = _sector_index(length, -1)
+        index = sector_index(length, -1)
         for site in range(1, length + 1):
             amps = hadamard_all(hadamard_all(SpinState.single_flip(length, site).amplitudes))
             assert np.all(_cut_entropies(amps[index]) >= 0.0)
