@@ -13,6 +13,15 @@ configurations produce byte-identical outputs (floats are printed with 17
 significant digits, so every table re-parses to the exact values that
 produced it).
 
+Every table is written from arrays, with no loop over rows: a block of
+values over (outer x inner) keys is raveled beside its key columns from
+`_keys`, t-major for the time series and r-major for `collapse`, and
+`spectrum` and `timeavg` zip their 1-d columns.  Every output time grid
+comes from `_time_grid`, which refuses a table of more than
+MAX_TABLE_ROWS rows (times x keys) before anything is built, and the
+site-resolved `evolve` modes, `fast` and `dense`, hold at most
+MAX_SITE_BLOCK amplitudes.
+
 Exit codes: 0 success, 2 input error, 3 resource cap, 4 convergence
 failure.
 """
@@ -32,7 +41,7 @@ from typing import Annotated
 import numpy as np
 
 from . import __version__
-from ._util import MAX_TIME_STEPS, fmt17, time_steps
+from ._util import fmt17, time_steps
 from .analytic import (
     closed_form_average,
     estimate_dynamical_exponent,
@@ -57,7 +66,6 @@ from .manybody import (
 from .oracle import dense_evolve_series, fast_evolve_series
 from .profiles import (
     MAX_SHELL,
-    SITE_MODE,
     TruncationPolicy,
     WaveProfile,
     collapse_sites_to_shells,
@@ -83,12 +91,12 @@ EVOLVE_MODES = ("thermo", "finite", "dense", "fast")
 ENTROPY_MODES = ("single", "manybody")
 FORMATS = ("csv", "json")
 
-# Largest times x 2^N amplitude block of `evolve --mode fast` (2^27 complex
-# entries, 2 GiB); the README run, --N 20 at 81 times, holds 2^26.3.
+# Largest times x 2^N amplitude block of `evolve --mode fast` and `--mode
+# dense` (2^27 complex entries, 2 GiB); the README run, --N 20 at 81 times,
+# holds 2^26.3.
 MAX_SITE_BLOCK = 1 << 27
-# Largest table built row by row (`evolve --mode thermo`, `collapse`,
-# `entropy --mode single`): each row is a Python tuple and a text line,
-# about 0.2 KiB together.
+# Largest table, times x keys rows: each row is a Python tuple and a text
+# line, about 0.2 KiB together.
 MAX_TABLE_ROWS = 1 << 22
 
 
@@ -245,21 +253,45 @@ def _write_manifest(config: RunConfig, outputs: list[str], extras: dict) -> str:
     return path
 
 
-def _time_grid(tmax: float, dt: float) -> np.ndarray:
-    return np.linspace(0.0, tmax, time_steps(tmax, dt) + 1)
+def _time_grid(tmax: float, dt: float | None, width: int,
+               points: int | None = None) -> np.ndarray:
+    """Output times 0..tmax about dt apart (or `points` of them), width keys each.
+
+    The table of times x width rows is refused above MAX_TABLE_ROWS before
+    anything is built.
+    """
+    if points is None:
+        points = time_steps(tmax, dt) + 1
+    if points * width > MAX_TABLE_ROWS:
+        raise ResourceLimitError(
+            f"table of {points} times x {width} = {points * width} rows exceeds the cap "
+            f"of {MAX_TABLE_ROWS}"
+        )
+    return np.linspace(0.0, tmax, points)
+
+
+def _keys(outer, inner) -> tuple[np.ndarray, np.ndarray]:
+    """Key columns of an outer-major table: each outer key once per inner key."""
+    outer, inner = np.asarray(outer), np.asarray(inner)
+    return np.repeat(outer, inner.size), np.tile(inner, outer.size)
+
+
+def _write_series(path: str, header: list[str], grid: np.ndarray, keys,
+                  blocks, fmt: str) -> str:
+    """t-major table of (times x keys) blocks: t, the key, one column per block."""
+    return write_table(path, header, zip(*_keys(grid, keys), *(b.ravel() for b in blocks)),
+                       fmt)
+
+
+def _write_entropies(path: str, grid: np.ndarray, entropy: np.ndarray, fmt: str) -> str:
+    """t, x, S table of the cut entropies, cuts x = 1..L-1 across."""
+    cuts = np.arange(1, entropy.shape[1] + 1)
+    return _write_series(path, ["t", "x", "S"], grid, cuts, [entropy], fmt)
 
 
 def _sided_path(out: str, tag: str) -> str:
     path = Path(out)
     return str(path.with_name(path.stem + tag + path.suffix))
-
-
-def _check_block(name: str, times: int, width: int, cap: int) -> None:
-    """Cap a times x width block before anything of it is allocated."""
-    if times * width > cap:
-        raise ResourceLimitError(
-            f"{name}: {times} times x {width} = {times * width} exceeds the cap of {cap}"
-        )
 
 
 def _check_rmax(rmax: int, sigma: float = 0.0) -> None:
@@ -278,18 +310,9 @@ def _check_rmax(rmax: int, sigma: float = 0.0) -> None:
 def cmd_spectrum(config: RunConfig) -> dict:
     params = ModelParams(TreeGeometry(config.N), J=config.J, sigma=config.sigma)
     spec = eigenvalues(params)
-    rows = [
-        (k, spec.eps[k], int(spec.degeneracy[k]))
-        for k in range(spec.eps.size)
-    ]
+    rows = zip(range(spec.eps.size), spec.eps, spec.degeneracy)
     out = write_table(config.out, ["k", "epsilon", "degeneracy"], rows, config.format)
     return {"outputs": [out]}
-
-
-def _delta_profile(geom: TreeGeometry) -> WaveProfile:
-    amp = np.zeros(geom.length, dtype=complex)
-    amp[0] = 1.0
-    return WaveProfile(amp, 0.0, SITE_MODE)
 
 
 def cmd_evolve(config: RunConfig) -> dict:
@@ -298,41 +321,33 @@ def cmd_evolve(config: RunConfig) -> dict:
     if config.rmax < 0:
         raise InputError(f"rmax must be >= 0, got {config.rmax}")
     _check_rmax(config.rmax)
-    if config.mode == "fast":
-        _check_block("amplitude block", time_steps(config.tmax, config.dt) + 1,
-                     TreeGeometry(config.N).length, MAX_SITE_BLOCK)
-    elif config.mode == "thermo":
-        _check_block("evolve table rows", time_steps(config.tmax, config.dt) + 1,
-                     config.rmax + 1, MAX_TABLE_ROWS)
-    grid = _time_grid(config.tmax, config.dt)
+    geom = None if config.mode == "thermo" else TreeGeometry(config.N)
+    shells = range(config.rmax + 1 if geom is None else geom.levels + 1)
+    grid = _time_grid(config.tmax, config.dt, len(shells))
+    if config.mode in ("fast", "dense") and grid.size * geom.length > MAX_SITE_BLOCK:
+        raise ResourceLimitError(
+            f"amplitude block of {grid.size} times x {geom.length} sites exceeds the "
+            f"cap of {MAX_SITE_BLOCK}"
+        )
     policy = TruncationPolicy(config.K)
 
     if config.mode == "thermo":
-        r_top = config.rmax
         shell_amps = np.array(
-            [psi_thermo(r, grid, config.sigma, config.J, policy) for r in range(r_top + 1)]
+            [psi_thermo(r, grid, config.sigma, config.J, policy) for r in shells]
         )
     else:
-        params = ModelParams(TreeGeometry(config.N), J=config.J, sigma=config.sigma)
-        r_top = params.geom.levels
+        params = ModelParams(geom, J=config.J, sigma=config.sigma)
         if config.mode == "finite":
-            shell_amps = np.array(
-                [psi_finite(r, grid, params) for r in range(r_top + 1)]
-            )
+            shell_amps = np.array([psi_finite(r, grid, params) for r in shells])
         else:
-            if config.mode == "dense":
-                sites = dense_evolve_series(params, grid, _delta_profile(params.geom))
-            else:
-                sites = fast_evolve_series(params, grid, _delta_profile(params.geom).amplitudes)
-            shell_amps = collapse_sites_to_shells(sites, params.geom).T
+            delta = np.zeros(geom.length, dtype=complex)
+            delta[0] = 1.0
+            evolve = dense_evolve_series if config.mode == "dense" else fast_evolve_series
+            shell_amps = collapse_sites_to_shells(evolve(params, grid, delta), geom).T
 
-    probs = occupation(np.arange(r_top + 1)[:, None], shell_amps)
-    rows = []
-    for it, t in enumerate(grid):
-        for r in range(r_top + 1):
-            amp = shell_amps[r, it]
-            rows.append((t, r, amp.real, amp.imag, probs[r, it]))
-    out = write_table(config.out, ["t", "r", "psi_re", "psi_im", "P"], rows, config.format)
+    probs = occupation(np.asarray(shells)[:, None], shell_amps)
+    out = _write_series(config.out, ["t", "r", "psi_re", "psi_im", "P"], grid, shells,
+                        [shell_amps.real.T, shell_amps.imag.T, probs.T], config.format)
     return {"outputs": [out]}
 
 
@@ -342,29 +357,22 @@ def cmd_collapse(config: RunConfig) -> dict:
     _check_rmax(config.rmax, config.sigma)
     if config.points < 1:
         raise InputError(f"points must be >= 1, got {config.points}")
-    if config.points > MAX_TIME_STEPS:
-        raise ResourceLimitError(
-            f"points = {config.points} exceeds the cap of {MAX_TIME_STEPS} time steps"
-        )
-    _check_block("collapse table rows", config.points, config.rmax - config.rmin + 1,
-                 MAX_TABLE_ROWS)
+    shells = range(config.rmin, config.rmax + 1)
+    s_grid = _time_grid(config.tmax, None, len(shells), points=config.points)
     policy = TruncationPolicy(config.K)
     fit_grid = np.linspace(0.0, min(config.tmax, 6.0), 61)[1:]
     z_est = estimate_dynamical_exponent(
-        lambda r, t: psi_thermo(r, t, config.sigma, config.J, policy),
-        range(config.rmin, config.rmax + 1),
-        fit_grid,
+        lambda r, t: psi_thermo(r, t, config.sigma, config.J, policy), shells, fit_grid,
     )
 
-    s_grid = np.linspace(0.0, config.tmax, config.points)
-    rows = []
-    for r in range(config.rmin, config.rmax + 1):
-        curve = 2.0 ** r * psi_thermo(
-            r, s_grid * 2.0 ** (config.sigma * r), config.sigma, config.J, policy
-        )
-        for s, value in zip(s_grid, curve):
-            rows.append((s, value.real, value.imag, r))
-    out = write_table(config.out, ["s", "F_re", "F_im", "r_source"], rows, config.format)
+    curves = np.array([
+        2.0 ** r * psi_thermo(r, s_grid * 2.0 ** (config.sigma * r), config.sigma,
+                              config.J, policy)
+        for r in shells
+    ])
+    r_source, s = _keys(shells, s_grid)
+    out = write_table(config.out, ["s", "F_re", "F_im", "r_source"],
+                      zip(s, curves.real.ravel(), curves.imag.ravel(), r_source), config.format)
     print(f"recovered dynamical exponent z = {z_est:.6f} (sigma = {config.sigma})")
     return {"outputs": [out], "z_estimate": z_est}
 
@@ -374,65 +382,53 @@ def cmd_timeavg(config: RunConfig) -> dict:
         raise InputError(f"need 0 <= rmin <= rmax, got {config.rmin}..{config.rmax}")
     _check_rmax(config.rmax, 0.0 if config.tmax else config.sigma)
     policy = TruncationPolicy(config.K)
-    horizons, averages, rows = [], [], []
-    for r in range(config.rmin, config.rmax + 1):
-        horizon = config.tmax if config.tmax else 100.0 * 2.0 ** (r * config.sigma)
-        value = time_average(r, horizon, config.sigma, config.J, policy, dt=config.dt)
-        horizons.append(horizon)
-        averages.append(value)
-        rows.append((r, horizon, value, closed_form_average(r)))
-    out = write_table(
-        config.out, ["r", "T", "numerical_avg", "closed_form"], rows, config.format
-    )
-
-    tail_rows = []
-    accumulated = 0.0
-    for i, r in enumerate(range(config.rmin, config.rmax + 1)):
-        accumulated += averages[i]
-        if config.rmin == 0:  # 1 - cumulative average only closes from r = 0
-            tail_rows.append(
-                (r, horizons[i], 1.0 - accumulated, tail_average(r), tail_bound(r))
-            )
-    outputs = [out]
-    if tail_rows:
-        tail_path = _sided_path(config.out, "_tail")
+    shells = range(config.rmin, config.rmax + 1)
+    horizons = [config.tmax if config.tmax else 100.0 * 2.0 ** (r * config.sigma)
+                for r in shells]
+    averages = [time_average(r, horizon, config.sigma, config.J, policy, dt=config.dt)
+                for r, horizon in zip(shells, horizons)]
+    outputs = [write_table(
+        config.out, ["r", "T", "numerical_avg", "closed_form"],
+        zip(shells, horizons, averages, map(closed_form_average, shells)), config.format,
+    )]
+    if config.rmin == 0:  # 1 - cumulative average only closes from r = 0
         outputs.append(write_table(
-            tail_path,
+            _sided_path(config.out, "_tail"),
             ["R", "T", "numerical_tail", "closed_form_tail", "bound"],
-            tail_rows, config.format,
+            zip(shells, horizons, 1.0 - np.cumsum(averages), map(tail_average, shells),
+                map(tail_bound, shells)),
+            config.format,
         ))
     return {"outputs": outputs}
 
 
-def _spin_params(config: RunConfig) -> ModelParams:
-    """Spin-chain parameters, with L capped before any 2^L state is built."""
+def _spin_series(config: RunConfig, width: int):
+    """Parameters, time grid and evolution of one flip at site 1, with entropies.
+
+    L is capped before any 2^L state is built, and the grid as a table
+    width keys wide.
+    """
     geom = TreeGeometry.from_length(config.L)
     if geom.length > SPARSE_CAP:
         raise ResourceLimitError(f"L = {geom.length} exceeds the sparse cap {SPARSE_CAP}")
-    return ModelParams(geom, J=config.J, sigma=config.sigma, h=config.h)
+    params = ModelParams(geom, J=config.J, sigma=config.sigma, h=config.h)
+    grid = _time_grid(config.tmax, config.dt, width)
+    series = evolve_spin(params, SpinState.single_flip(config.L), grid, compute_entropy=True)
+    return params, grid, series
 
 
 def cmd_manybody(config: RunConfig) -> dict:
-    params = _spin_params(config)
     if config.compare_single_particle and config.h == 0:
         raise InputError("single-particle comparison needs h > 0 (paramagnetic phase)")
-    grid = _time_grid(config.tmax, config.dt)
-    series = evolve_spin(params, SpinState.single_flip(config.L),
-                         grid, compute_entropy=True)
+    params, grid, series = _spin_series(config, config.L)
 
     ext = ".csv" if config.format == "csv" else ".json"
-    n_rows, p_rows, s_rows = [], [], []
-    for it, t in enumerate(grid):
-        for x in range(1, config.L + 1):
-            n_rows.append((t, x, series.n[it, x - 1]))
-        for r in range(params.geom.levels + 1):
-            p_rows.append((t, r, series.shell_p[it, r]))
-        for x in range(1, config.L):
-            s_rows.append((t, x, series.entropy[it, x - 1]))
     outputs = [
-        write_table(f"{config.out}_n{ext}", ["t", "x", "n"], n_rows, config.format),
-        write_table(f"{config.out}_P{ext}", ["t", "r", "P"], p_rows, config.format),
-        write_table(f"{config.out}_S{ext}", ["t", "x", "S"], s_rows, config.format),
+        _write_series(f"{config.out}_n{ext}", ["t", "x", "n"], grid,
+                      range(1, config.L + 1), [series.n], config.format),
+        _write_series(f"{config.out}_P{ext}", ["t", "r", "P"], grid,
+                      range(params.geom.levels + 1), [series.shell_p], config.format),
+        _write_entropies(f"{config.out}_S{ext}", grid, series.entropy, config.format),
     ]
     extras = {
         "scheme": "adaptive-lanczos-expm",
@@ -460,31 +456,24 @@ def cmd_entropy(config: RunConfig) -> dict:
         raise InputError(
             f"entropy mode must be one of {ENTROPY_MODES}, got {config.mode!r}"
         )
+    extras = {}
     if config.mode == "single":
-        _check_block("entropy table rows", time_steps(config.tmax, config.dt) + 1,
-                     TreeGeometry(config.N).length - 1, MAX_TABLE_ROWS)
-    grid = _time_grid(config.tmax, config.dt)
-    rows, extras = [], {}
-    if config.mode == "single":
-        policy = TruncationPolicy(config.K)
         geom = TreeGeometry(config.N)
+        grid = _time_grid(config.tmax, config.dt, geom.length - 1)
+        policy = TruncationPolicy(config.K)
         shell_amps = np.array([psi_thermo(r, grid, config.sigma, config.J, policy)
                                for r in range(geom.levels + 1)])
         cuts = np.arange(1, geom.length)
-        for it, t in enumerate(grid):
-            # site mode: S is ill-conditioned near x = L, where a shell sum moves it
-            sites = WaveProfile(expand_shells_to_sites(shell_amps[:, it], geom), t)
-            entropy = single_particle_entropy(cuts, t, sites)
-            for x in range(1, geom.length):
-                rows.append((t, x, entropy[x - 1]))
+        # site mode: S is ill-conditioned near x = L, where a shell sum moves it
+        entropy = np.array([
+            single_particle_entropy(cuts, t, WaveProfile(expand_shells_to_sites(amps, geom), t))
+            for t, amps in zip(grid, shell_amps.T)
+        ])
     else:
-        series = evolve_spin(_spin_params(config), SpinState.single_flip(config.L),
-                             grid, compute_entropy=True)
-        for it, t in enumerate(grid):
-            for x in range(1, config.L):
-                rows.append((t, x, series.entropy[it, x - 1]))
+        _, grid, series = _spin_series(config, config.L - 1)
+        entropy = series.entropy
         extras["sector"] = series.sector
-    out = write_table(config.out, ["t", "x", "S"], rows, config.format)
+    out = _write_entropies(config.out, grid, entropy, config.format)
     return {"outputs": [out], **extras}
 
 

@@ -31,10 +31,12 @@ The state enters the sector once per run, and n(x) and the entropies of
 every cut are read off its sz amplitudes at every output time.  The
 tables a run reads but never writes are built once and cached,
 read-only: the uint8 bit masks of the sector index (`_bit_masks`, which
-give n(x) and the top bit of each sector amplitude) and the half
-diagonal of each coupling profile (`_sector_diagonal`), together 0.8 MiB
-at L = 16.  The reduced density matrix of a state of definite
-parity is block-diagonal in the parity of its own sites, so the
+give n(x), the top bit of each sector amplitude and the index parities
+the entropies gather by) and the half diagonal of each coupling profile
+(`_sector_diagonal`), together 0.8 MiB at L = 16; the parity row of the
+2^L-index masks, 1.1 MiB more at L = 16, gives the signs of
+`spin_parity_expectation`.  The reduced density matrix of a state of
+definite parity is block-diagonal in the parity of its own sites, so the
 entropies come from two half-width blocks of each of two density
 matrices, of the lower and of the upper half of the chain; every other
 cut follows by tracing out one site at a time.
@@ -370,7 +372,7 @@ def spin_parity_expectation(psi) -> float:
     """<prod_x sz_x>: exactly conserved since every coupling flips two spins."""
     amp = psi.amplitudes if isinstance(psi, SpinState) else np.asarray(psi)
     probs = np.abs(amp) ** 2
-    signs = 1.0 - 2.0 * (popcount(np.arange(amp.size)) & 1)
+    signs = 1.0 - 2.0 * _bit_masks(amp.size)[-2]
     return float(probs @ signs)
 
 
@@ -414,8 +416,8 @@ def _parity_columns(matrix: np.ndarray) -> np.ndarray:
     block is indexed by a >> 1.
     """
     pairs = np.arange(matrix.shape[1] // 2)
-    low = popcount(pairs) & 1
-    return np.stack([matrix[:, 2 * pairs + low], matrix[:, 2 * pairs + (1 - low)]])
+    parity = _bit_masks(pairs.size)[-2:]
+    return np.stack([matrix[:, 2 * pairs + parity[0]], matrix[:, 2 * pairs + parity[1]]])
 
 
 def _cut_entropies(z: np.ndarray) -> np.ndarray:

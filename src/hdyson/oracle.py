@@ -45,7 +45,6 @@ import numpy as np
 
 from .errors import InputError
 from .geometry import TreeGeometry, block_bounds
-from .profiles import SITE_MODE, WaveProfile
 from .spectral import ModelParams, build_hopping_matrix, eigenvalues
 
 __all__ = [
@@ -218,18 +217,18 @@ def _check_times(times, ndim: int) -> np.ndarray:
     return times
 
 
-def dense_evolve_series(params: ModelParams, times, initial: WaveProfile) -> np.ndarray:
-    """Row i holds the site amplitudes at times[i], a finite 1-d grid.
+def dense_evolve_series(params: ModelParams, times, initial: np.ndarray) -> np.ndarray:
+    """Amplitudes at every time of a finite 1-d grid, shape (len(times), L).
 
-    One `eigh` of the hopping matrix and one matmul per call; nothing is
-    cached between calls, so evaluate many times in one call.
+    The initial site amplitudes must be finite and normalized to 1e-8 in
+    their squared norm, as in `fast_evolve_series`.  One `eigh` of the
+    hopping matrix and one matmul per call; nothing is cached between
+    calls, so evaluate many times in one call.
     """
     times = _check_times(times, 1)
-    if initial.mode != SITE_MODE:
-        raise InputError("dense evolution needs a site-mode initial profile")
-    amp = initial.amplitudes
+    amp = np.asarray(initial, dtype=complex)
     _check_length(params, amp)
-    _check_normalized(amp, "initial profile")
+    _check_normalized(amp, "initial state")
     evals, evecs = np.linalg.eigh(build_hopping_matrix(params))
     modes = evecs.conj().T @ amp
     phases = np.exp(-1j * np.outer(evals, times)) * modes[:, None]

@@ -17,7 +17,8 @@ space at the full Krylov dimension, the Krylov exponential from scipy's
 tridiagonal eigensolver, entanglement entropies from one Schmidt SVD per
 cut, the Hadamard on every spin from the in-place butterfly, the sector
 product from one flipped tensor view per bit, the sector layout from an
-explicit index.  Tests freeze values computed by these routines.
+explicit index, index parities from a fresh popcount.  Tests freeze values
+computed by these routines.
 """
 
 from __future__ import annotations
@@ -367,6 +368,18 @@ def sector_index(sites: int, parity: int) -> np.ndarray:
     low = np.arange(1 << (sites - 1))
     top = (popcount(low) & 1) ^ int(parity < 0)
     return low | (top << (sites - 1))
+
+
+def popcount_parity_signs(size: int) -> np.ndarray:
+    """(-1)^popcount(k) of every index k < size, from a fresh popcount."""
+    return 1.0 - 2.0 * (popcount(np.arange(size)) & 1)
+
+
+def popcount_parity_columns(matrix: np.ndarray) -> np.ndarray:
+    """(2, rows, cols/2): the columns of even, then of odd popcount, by a fresh popcount."""
+    pairs = np.arange(matrix.shape[1] // 2)
+    low = popcount(pairs) & 1
+    return np.stack([matrix[:, 2 * pairs + low], matrix[:, 2 * pairs + (1 - low)]])
 
 
 def svd_entanglement_entropy(amplitudes: np.ndarray, cut: int) -> float:

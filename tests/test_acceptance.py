@@ -63,8 +63,7 @@ def test_criterion_2_propagator_equivalence():
         for levels in range(1, 11):
             params = params_for(levels, sigma=sigma)
             L = params.geom.length
-            initial = hd.WaveProfile(delta_state(L), 0.0)
-            dense = hd.dense_evolve_series(params, times, initial)
+            dense = hd.dense_evolve_series(params, times, delta_state(L))
             fast = hd.fast_evolve_series(params, times, delta_state(L))
             shells = np.array(
                 [hd.psi_finite(r, times, params) for r in range(levels + 1)]
@@ -251,7 +250,7 @@ def test_criterion_9_fast_path_performance():
                 float(np.max(np.abs(hd.fast_apply(params, v) - dense))) / scale,
             )
         times = (3.0, 21.0)
-        dense = hd.dense_evolve_series(params, times, hd.WaveProfile(delta_state(L), 0.0))
+        dense = hd.dense_evolve_series(params, times, delta_state(L))
         for t, row in zip(times, dense):
             gap = np.abs(hd.fast_evolve(params, t, delta_state(L)) - row)
             evolve_gap = max(evolve_gap, float(np.max(gap)))

@@ -54,10 +54,10 @@ def params_for(levels, sigma=1.0, J=1.0):
     return ModelParams(TreeGeometry(levels), J=J, sigma=sigma)
 
 
-def delta_profile(length):
+def delta_state(length):
     amp = np.zeros(length, dtype=complex)
     amp[0] = 1.0
-    return WaveProfile(amp, 0.0)
+    return amp
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +78,7 @@ def test_psi_finite_initial_delta():
 def test_psi_finite_matches_dense_evolution(sigma):
     params = params_for(6, sigma=sigma)
     for t in (0.7, 2.0, 13.5):
-        evolved = dense_evolve_series(params, [t], delta_profile(64))[0]
+        evolved = dense_evolve_series(params, [t], delta_state(64))[0]
         predicted = wave_profile_finite(t, params)
         assert np.max(np.abs(evolved - predicted.amplitudes)) < 1e-10
 

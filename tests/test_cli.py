@@ -31,7 +31,10 @@ from hdyson import (
     psi_thermo,
     single_particle_entropy,
 )
-from hdyson.cli import ENTROPY_MODES, EVOLVE_MODES, SUBCOMMANDS, RunConfig, build_run_config, main
+from hdyson import cli
+from hdyson.cli import (
+    ENTROPY_MODES, EVOLVE_MODES, FORMATS, SUBCOMMANDS, RunConfig, build_run_config, main,
+)
 
 from reference import two_spin_defect_occupations
 
@@ -297,6 +300,39 @@ def test_json_format(tmp_path):
     assert records[2]["degeneracy"] == 2
 
 
+TABLE_RUNS = {
+    **{f"evolve-{mode}": ["evolve", "--mode", mode, "--N", 3, "--rmax", 3, "--tmax", 1,
+                          "--dt", 0.5] for mode in EVOLVE_MODES},
+    "collapse": ["collapse", "--rmin", 1, "--rmax", 3, "--points", 5, "--tmax", 2],
+    "timeavg": ["timeavg", "--rmax", 2, "--tmax", 1, "--dt", 0.5],
+    "manybody": ["manybody", "--L", 4, "--tmax", 1, "--dt", 0.5],
+    **{f"entropy-{mode}": ["entropy", "--mode", mode, "--N", 3, "--L", 4, "--tmax", 1,
+                           "--dt", 0.5] for mode in ENTROPY_MODES},
+}
+KEY_COLUMNS = {"r", "R", "x", "r_source"}
+
+
+@pytest.mark.parametrize("argv", TABLE_RUNS.values(), ids=TABLE_RUNS.keys())
+def test_json_tables_hold_the_csv_values(tmp_path, argv):
+    outputs = {}
+    for fmt in ("csv", "json"):
+        (tmp_path / fmt).mkdir()
+        out = tmp_path / fmt / ("t" if argv[0] == "manybody" else "t.txt")
+        assert run(tmp_path, *argv, "--format", fmt, "--out", out) == 0
+        outputs[fmt] = json.loads(Path(f"{out}.manifest.json").read_text())["outputs"]
+    assert len(outputs["csv"]) == len(outputs["json"])
+    for csv_path, json_path in zip(outputs["csv"], outputs["json"]):
+        header, rows = read_csv(Path(csv_path))
+        records = json.loads(Path(json_path).read_text())
+        assert rows and [list(record) for record in records] == [header] * len(rows)
+        assert [list(record.values()) for record in records] == [
+            [row[key] for key in header] for row in rows
+        ]
+        for record in records:
+            for key, value in record.items():
+                assert type(value) is (int if key in KEY_COLUMNS else float), (key, value)
+
+
 def test_config_file_layering(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# defaults for this study\nN=3\nsigma=2.0\n")
@@ -497,16 +533,32 @@ def test_collapse_points_cap(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.fixture
+def no_compute(monkeypatch):
+    # a cap that is missing fails here, before anything of the refused size
+    # is allocated
+    def refuse(*args, **kwargs):
+        raise AssertionError("a capped run reached its computation")
+
+    for name in ("psi_thermo", "psi_finite", "dense_evolve_series", "fast_evolve_series",
+                 "evolve_spin"):
+        monkeypatch.setattr(cli, name, refuse)
+
+
 @pytest.mark.parametrize("argv", [
     # 3 x 2^40 complex amplitudes, 48 TiB
     ["evolve", "--mode", "fast", "--N", 40, "--tmax", 1, "--dt", 0.5],
     # 3 x (2^30 - 1) table rows
     ["entropy", "--mode", "single", "--N", 30, "--tmax", 1, "--dt", 0.5],
-], ids=["evolve-fast", "entropy-single"])
-def test_site_block_caps(tmp_path, capsys, argv):
+    # 10^7 + 1 times x 4096 sites (and x 13 shells)
+    ["evolve", "--mode", "dense", "--N", 12, "--tmax", 1e6, "--dt", 0.1],
+    # 201 times x 2^20 sites: a table of 201 x 21 rows, a block of 2^27.65
+    ["evolve", "--mode", "dense", "--N", 20, "--tmax", 20, "--dt", 0.1],
+], ids=["evolve-fast", "entropy-single", "evolve-dense", "evolve-dense-block"])
+def test_site_block_caps(tmp_path, capsys, no_compute, argv):
     out = tmp_path / "big.csv"
     assert run(tmp_path, *argv, "--out", out) == 3
-    assert not out.exists()
+    assert not list(tmp_path.iterdir())
     assert capsys.readouterr().err.startswith("resource limit:")
 
 
@@ -515,12 +567,32 @@ def test_site_block_caps(tmp_path, capsys, argv):
     ["evolve", "--mode", "thermo", "--tmax", 1e6, "--dt", 0.1, "--rmax", 1023],
     # 2^24 points x 8 shells, refused before the exponent fit
     ["collapse", "--points", 1 << 24, "--rmin", 1, "--rmax", 8],
-], ids=["evolve-thermo", "collapse"])
-def test_table_row_caps(tmp_path, capsys, argv):
+    # 10^7 + 1 times x 41 shells, 4.1e8 rows
+    ["evolve", "--mode", "finite", "--N", 40, "--tmax", 1e6, "--dt", 0.1],
+    # 10^7 + 1 times x 16 sites (x 15 cuts for the entropies)
+    ["manybody", "--L", 16, "--tmax", 1e6, "--dt", 0.1],
+    ["manybody", "--L", 16, "--tmax", 1e6, "--dt", 0.1, "--compare-single-particle"],
+    ["entropy", "--mode", "manybody", "--L", 16, "--tmax", 1e6, "--dt", 0.1],
+    # 300001 times, below the cap alone: x 16 sites, x 15 cuts
+    ["manybody", "--L", 16, "--tmax", 3e4, "--dt", 0.1],
+    ["entropy", "--mode", "manybody", "--L", 16, "--tmax", 3e4, "--dt", 0.1],
+], ids=["evolve-thermo", "collapse", "evolve-finite", "manybody", "manybody-compare",
+        "entropy-manybody", "manybody-width", "entropy-manybody-width"])
+def test_table_row_caps(tmp_path, capsys, no_compute, argv):
     out = tmp_path / "big.csv"
     assert run(tmp_path, *argv, "--out", out) == 3
-    assert not out.exists()
+    assert not list(tmp_path.iterdir())
     assert capsys.readouterr().err.startswith("resource limit:")
+
+
+def test_table_row_cap_is_inclusive():
+    # times x width = 2^22 rows pass; one time or one point more is refused
+    assert cli._time_grid(1.0, 1.0, 1 << 21).tolist() == [0.0, 1.0]
+    assert cli._time_grid(1.0, None, 1 << 21, points=2).tolist() == [0.0, 1.0]
+    with pytest.raises(hdyson.ResourceLimitError):
+        cli._time_grid(2.0, 1.0, 1 << 21)
+    with pytest.raises(hdyson.ResourceLimitError):
+        cli._time_grid(1.0, None, 1, points=(1 << 22) + 1)
 
 
 def test_missing_config_file_is_input_error(tmp_path, capsys):
@@ -634,14 +706,16 @@ def fuzz_argv(draw):
     argv = list(base)
     for key in draw(st.lists(st.sampled_from(keys), max_size=4)):
         argv.append("--" + key.replace("_", "-"))
-        if key != "compare_single_particle":
+        if key == "format":
+            argv.append(draw(st.sampled_from(FORMATS)))
+        elif key != "compare_single_particle":
             argv.append(draw(st.sampled_from(FUZZ_VALUES)))
     return argv
 
 
-def table_values(path: Path) -> list[float]:
+def table_values(path: Path, fmt: str) -> list[float]:
     text = path.read_text()
-    if path.suffix == ".json":
+    if fmt == "json":
         return [value for record in json.loads(text) for value in record.values()]
     return [float(cell) for line in text.splitlines()[1:] for cell in line.split(",")]
 
@@ -664,9 +738,12 @@ def test_cli_fuzz_exit_codes(argv):
             assert code in (0, 2, 3, 4), (argv, code, stderr.getvalue())
             assert "Traceback" not in stderr.getvalue()
             if code == 0:
+                # the manifest, not the suffix, says how a table is written
+                [manifest] = Path(tmp).glob("*.manifest.json")
+                fmt = json.loads(manifest.read_text())["config"]["format"]
                 for path in Path(tmp).iterdir():
-                    if not path.name.endswith(".manifest.json"):
-                        values = table_values(path)
+                    if path != manifest:
+                        values = table_values(path, fmt)
                         assert values and all(math.isfinite(v) for v in values), (argv, path)
         finally:
             os.chdir(cwd)

@@ -44,6 +44,8 @@ from reference import (
     dense_hadamard,
     eigh_tridiagonal_coefficients,
     flipped_view_product,
+    popcount_parity_columns,
+    popcount_parity_signs,
     second_order_level_couplings,
     sector_index,
     svd_entanglement_entropy,
@@ -257,6 +259,22 @@ def test_occupations_match_index_bits_to_the_bit(length, parity, seed):
     assert magnetization_profile(full).tobytes() == np.array(
         [float(np.abs(full) ** 2 @ ((np.arange(full.size) >> x) & 1)) for x in range(length)]
     ).tobytes()
+
+
+@pytest.mark.parametrize("sites", range(1, 17))
+def test_parity_tables_match_popcount(sites):
+    # the cached parity row gives the popcount signs and gathered columns exactly
+    size = 1 << sites
+    signs = 1.0 - 2.0 * manybody._bit_masks(size)[-2]
+    assert np.array_equal(signs, popcount_parity_signs(size))
+    amp = random_complex(sites, size)
+    amp /= np.linalg.norm(amp)
+    expected = float((np.abs(amp) ** 2) @ popcount_parity_signs(size))
+    assert spin_parity_expectation(amp) == expected
+    matrix = random_complex(sites + 100, (3, size))
+    columns = manybody._parity_columns(matrix)
+    assert columns.dtype == matrix.dtype
+    assert np.array_equal(columns, popcount_parity_columns(matrix))
 
 
 @pytest.mark.parametrize("length", [2, 4, 8, 16])

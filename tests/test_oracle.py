@@ -12,7 +12,6 @@ from hdyson import (
     SingularLimitError,
     TreeCoefficients,
     TreeGeometry,
-    WaveProfile,
     build_hopping_matrix,
     delta_decomposition,
     dense_evolve_series,
@@ -231,14 +230,14 @@ def test_coefficient_indexing_validation():
 
 def test_dense_evolve_identity_at_t0():
     params = params_for(4)
-    initial = WaveProfile(delta_state(16), 0.0)
+    initial = delta_state(16)
     evolved = dense_evolve_series(params, [0.0], initial)[0]
-    assert np.max(np.abs(evolved - initial.amplitudes)) < 1e-14
+    assert np.max(np.abs(evolved - initial)) < 1e-14
 
 
 def test_dense_evolve_four_site_closed_form():
     params = params_for(2)
-    initial = WaveProfile(delta_state(4), 0.0)
+    initial = delta_state(4)
     for t in (0.0, 0.9, 4.2, 17.0):
         evolved = dense_evolve_series(params, [t], initial)[0]
         assert np.max(np.abs(evolved - four_site_evolution(t, 1.0, 1.0))) < 1e-12
@@ -246,14 +245,14 @@ def test_dense_evolve_four_site_closed_form():
 
 def test_dense_evolve_validation():
     params = params_for(3)
-    bad = WaveProfile(np.full(8, 0.5 + 0j), 0.0)
+    bad = np.full(8, 0.5 + 0j)
     with pytest.raises(InputError):
         dense_evolve_series(params, [1.0], bad)
     # L = 8192 is over the dense cap: raised before the matrix is built
     with pytest.raises(ResourceLimitError):
-        dense_evolve_series(params_for(13), [1.0], WaveProfile(delta_state(1 << 13), 0.0))
+        dense_evolve_series(params_for(13), [1.0], delta_state(1 << 13))
     with pytest.raises(InputError):
-        dense_evolve_series(params_for(2), [1.0], WaveProfile(delta_state(8), 0.0))
+        dense_evolve_series(params_for(2), [1.0], delta_state(8))
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +264,7 @@ def test_fast_evolve_identity_and_dense_agreement():
     d = delta_state(1 << 10)
     assert np.max(np.abs(fast_evolve(params, 0.0, d) - d)) < 1e-14
     times = (1.0, 7.0, 42.0)
-    dense = dense_evolve_series(params, times, WaveProfile(d, 0.0))
+    dense = dense_evolve_series(params, times, d)
     for t, row in zip(times, dense):
         assert np.max(np.abs(fast_evolve(params, t, d) - row)) < 1e-10
 
@@ -275,7 +274,7 @@ def test_fast_evolve_series_matches_pointwise():
     d = delta_state(64)
     times = np.linspace(0.0, 9.0, 13)
     series = fast_evolve_series(params, times, d)
-    dense = dense_evolve_series(params, times, WaveProfile(d, 0.0))
+    dense = dense_evolve_series(params, times, d)
     assert np.max(np.abs(series - dense)) < 1e-10
 
 
@@ -360,7 +359,7 @@ def test_fast_evolve_input_contract(t, scale, bad_entry):
     with pytest.raises(InputError):
         fast_evolve_series(params, [0.5, t], v)
     with pytest.raises(InputError):
-        dense_evolve_series(params, [0.5, t], WaveProfile(v, 0.0))
+        dense_evolve_series(params, [0.5, t], v)
 
 
 @pytest.mark.parametrize("times", [[[1.0, 2.0]], 1.0, [[1.0], [2.0]]],
@@ -369,7 +368,7 @@ def test_fast_evolve_series_needs_a_1d_grid(times):
     with pytest.raises(InputError):
         fast_evolve_series(params_for(4), times, delta_state(16))
     with pytest.raises(InputError):
-        dense_evolve_series(params_for(4), times, WaveProfile(delta_state(16), 0.0))
+        dense_evolve_series(params_for(4), times, delta_state(16))
 
 
 def test_fast_evolve_accepts_norm_within_tolerance():
