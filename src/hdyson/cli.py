@@ -18,9 +18,9 @@ values over (outer x inner) keys is raveled beside its key columns from
 `_keys`, t-major for the time series and r-major for `collapse`, and
 `spectrum` and `timeavg` zip their 1-d columns.  Every output time grid
 comes from `_time_grid`, which refuses a table of more than
-MAX_TABLE_ROWS rows (times x keys) before anything is built, and the
-site-resolved `evolve` modes, `fast` and `dense`, hold at most
-MAX_SITE_BLOCK amplitudes.
+MAX_TABLE_ROWS rows (times x keys), and for the site-resolved `evolve`
+modes, `fast` and `dense`, a block of more than MAX_SITE_BLOCK amplitudes
+(times x sites), before anything is built.
 
 Exit codes: 0 success, 2 input error, 3 resource cap, 4 convergence
 failure.
@@ -254,11 +254,12 @@ def _write_manifest(config: RunConfig, outputs: list[str], extras: dict) -> str:
 
 
 def _time_grid(tmax: float, dt: float | None, width: int,
-               points: int | None = None) -> np.ndarray:
+               points: int | None = None, sites: int = 0) -> np.ndarray:
     """Output times 0..tmax about dt apart (or `points` of them), width keys each.
 
-    The table of times x width rows is refused above MAX_TABLE_ROWS before
-    anything is built.
+    The table of times x width rows is refused above MAX_TABLE_ROWS, and a
+    site-resolved block of times x sites amplitudes above MAX_SITE_BLOCK,
+    before anything is built.
     """
     if points is None:
         points = time_steps(tmax, dt) + 1
@@ -266,6 +267,11 @@ def _time_grid(tmax: float, dt: float | None, width: int,
         raise ResourceLimitError(
             f"table of {points} times x {width} = {points * width} rows exceeds the cap "
             f"of {MAX_TABLE_ROWS}"
+        )
+    if points * sites > MAX_SITE_BLOCK:
+        raise ResourceLimitError(
+            f"amplitude block of {points} times x {sites} sites exceeds the "
+            f"cap of {MAX_SITE_BLOCK}"
         )
     return np.linspace(0.0, tmax, points)
 
@@ -323,12 +329,8 @@ def cmd_evolve(config: RunConfig) -> dict:
     _check_rmax(config.rmax)
     geom = None if config.mode == "thermo" else TreeGeometry(config.N)
     shells = range(config.rmax + 1 if geom is None else geom.levels + 1)
-    grid = _time_grid(config.tmax, config.dt, len(shells))
-    if config.mode in ("fast", "dense") and grid.size * geom.length > MAX_SITE_BLOCK:
-        raise ResourceLimitError(
-            f"amplitude block of {grid.size} times x {geom.length} sites exceeds the "
-            f"cap of {MAX_SITE_BLOCK}"
-        )
+    sites = geom.length if config.mode in ("fast", "dense") else 0
+    grid = _time_grid(config.tmax, config.dt, len(shells), sites=sites)
     policy = TruncationPolicy(config.K)
 
     if config.mode == "thermo":

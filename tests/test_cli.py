@@ -595,6 +595,27 @@ def test_table_row_cap_is_inclusive():
         cli._time_grid(1.0, None, 1, points=(1 << 22) + 1)
 
 
+def test_site_block_cap_is_checked_before_the_grid(monkeypatch):
+    # 2 x 2^26 amplitudes pass; with one time more no grid is built
+    assert cli._time_grid(1.0, 1.0, 1, sites=1 << 26).tolist() == [0.0, 1.0]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a refused grid was built")
+
+    monkeypatch.setattr(cli.np, "linspace", refuse)
+    with pytest.raises(hdyson.ResourceLimitError):
+        cli._time_grid(2.0, 1.0, 1, sites=1 << 26)
+    with pytest.raises(hdyson.ResourceLimitError):
+        cli._time_grid(20.0, 0.1, 21, sites=1 << 20)
+
+
+def test_unknown_format_is_input_error(tmp_path, capsys):
+    out = tmp_path / "s.xml"
+    assert run(tmp_path, "spectrum", "--N", 2, "--format", "xml", "--out", out) == 2
+    assert not list(tmp_path.iterdir())
+    assert capsys.readouterr().err.startswith("input error: format must be one of")
+
+
 def test_missing_config_file_is_input_error(tmp_path, capsys):
     out = tmp_path / "s.csv"
     assert run(tmp_path, "spectrum", "--config", tmp_path / "missing.cfg",
@@ -707,7 +728,7 @@ def fuzz_argv(draw):
     for key in draw(st.lists(st.sampled_from(keys), max_size=4)):
         argv.append("--" + key.replace("_", "-"))
         if key == "format":
-            argv.append(draw(st.sampled_from(FORMATS)))
+            argv.append(draw(st.sampled_from(FORMATS + tuple(FUZZ_VALUES))))
         elif key != "compare_single_particle":
             argv.append(draw(st.sampled_from(FUZZ_VALUES)))
     return argv
