@@ -18,7 +18,7 @@ values over (outer x inner) keys is raveled beside its key columns from
 `_keys`, t-major for the time series and r-major for `collapse`, and
 `spectrum` and `timeavg` zip their 1-d columns.  Every output time grid
 comes from `_time_grid`, which refuses a table of more than
-MAX_TABLE_ROWS rows (times x keys), and for the site-resolved `evolve`
+MAX_TABLE_ROWS rows (times x keys), and in the site-resolved `evolve`
 modes, `fast` and `dense`, a block of more than MAX_SITE_BLOCK amplitudes
 (times x sites), before anything is built.
 
