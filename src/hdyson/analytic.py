@@ -25,6 +25,12 @@ from their Taylor moments through order _TAIL_ORDER = 13, which adds at
 most 6.1e-24 times their total weight (see `_return_series`); the other
 terms are summed one exponential at a time.
 
+Long-time averages (`time_average`) are the composite trapezoid of P(r, t)
+on the grid t_j = jT/n, summed in closed form over pairs of shell r's K + 1
+modes (or, for shells the excitation has not reached, from the Taylor
+moments of its amplitude), so they cost O(K^2) per shell, independent of
+T / dt.
+
 Conventions: hbar = 1, times in units of 1/J, natural logarithms.  The
 thermodynamic-limit amplitudes drop a k-independent phase (the additive
 constant -J/(1 - 2^-sigma) of the reindexed spectrum), so they match the
@@ -159,8 +165,9 @@ def _series_plan(sigma: float, J: float, K: int):
 
     Returns the head rates -i c 2^(-sigma k) and weights 2^(-k-1) as the
     Python scalars of the direct sum, the signed speeds c 2^(-sigma k), the
-    scale and offset of the head count (see `_return_series`) and the even
-    and odd coefficient rows of the tail polynomial.  With
+    rate -i c 2^sigma of the closing term of F, the scale and offset of the
+    head count (see `_return_series`) and the even and odd coefficient rows
+    of the tail polynomial.  With
         N_n(j) = sum_{k=j}^{K-1} 2^(-k-1) 2^(-sigma (k-j) n) / n!,
     the Taylor moments in units of the speed of mode j, the tail of an
     element with k0 = j and y = c 2^(-sigma j) s is
@@ -172,6 +179,7 @@ def _series_plan(sigma: float, J: float, K: int):
     rates = tuple(-1j * coupling * 2.0 ** (-sigma * k) for k in range(K))
     weights = tuple(2.0 ** (-k - 1) for k in range(K))
     speeds = np.array([coupling * 2.0 ** (-sigma * k) for k in range(K)])
+    closing = -1j * coupling * 2.0 ** sigma
     phase_bits = math.log2(abs(coupling) / _TAIL_PHASE) if coupling else -math.inf
     offset = (phase_bits - 2.0) / sigma + 1.0
     n = np.arange(_TAIL_ORDER + 1)[:, None]
@@ -184,11 +192,18 @@ def _series_plan(sigma: float, J: float, K: int):
     even, odd = signs * moments[0::2], -signs * moments[1::2]
     for array in (speeds, even, odd):
         array.flags.writeable = False
-    return rates, weights, speeds, 1.0 / sigma, offset, even, odd
+    return rates, weights, speeds, closing, 1.0 / sigma, offset, even, odd
 
 
-def _return_series(s, sigma: float, J: float, policy: TruncationPolicy):
+def _return_series(s, sigma: float, J: float, policy: TruncationPolicy,
+                   shell: int = 0, closing: bool = False):
     """Mode series psi(0, s) = sum_{k<K} 2^(-k-1) exp(-i c 2^(-sigma k) s).
+
+    With `closing` it is F(s) = psi(0, s) - exp(-i c 2^sigma s), and with
+    shell = r >= 1 as well psi(r, s) = 2^-r F(2^(-sigma r) s).  The time
+    scaling, the closing term and 2^-r are each one elementwise operation
+    on a block, so a call on a float array allocates its output and the
+    block scratch, no whole-array temporary.
 
     Error model: the terms k >= K are dropped, a remainder of modulus at
     most 2^-K (policy.tail_bound).  The kept terms split per element at k0:
@@ -210,23 +225,25 @@ def _return_series(s, sigma: float, J: float, policy: TruncationPolicy):
     position.  NaN and inf times get k0 = K, the direct sum, and give NaN.
     """
     K = policy.K
-    rates, weights, speeds, scale, offset, even, odd = _series_plan(sigma, J, K)
+    rates, weights, speeds, closing_rate, scale, offset, even, odd = _series_plan(sigma, J, K)
     sarr = np.asarray(s, dtype=float)
     out = np.empty(sarr.shape, dtype=complex)
-    flat, flat_out = sarr.reshape(-1), out.reshape(-1)
-    size = min(flat.size, _SERIES_BLOCK)
+    flat_out = out.reshape(-1)
+    size = min(sarr.size, _SERIES_BLOCK)
     # block scratch, allocated once per call
-    times, bits = np.empty(size), np.empty(size, dtype=np.int32)
+    block, times, bits = np.empty(size), np.empty(size), np.empty(size, dtype=np.int32)
     key = np.empty(size, dtype=np.int16)
     modes = np.empty(size, dtype=np.int16)
     acc = np.empty(size, dtype=complex)
     term = np.empty(size, dtype=complex)
     y, u, poly, coef = (np.empty(size) for _ in range(4))
-    for start in range(0, flat.size, _SERIES_BLOCK):
-        block = flat[start:start + _SERIES_BLOCK]
-        m = block.size
+    for start in range(0, sarr.size, _SERIES_BLOCK):
+        m = min(_SERIES_BLOCK, sarr.size - start)
+        block[:m] = sarr.flat[start:start + m]  # C order, whatever the layout
+        if shell:
+            block[:m] *= 2.0 ** (-sigma * shell)
         g = times[:m]  # holds the head count k0, then the sorted times
-        np.frexp(block, out=(g, bits[:m]))
+        np.frexp(block[:m], out=(g, bits[:m]))
         np.abs(g, out=g)
         g *= 2.0
         g += bits[:m]
@@ -237,7 +254,7 @@ def _return_series(s, sigma: float, J: float, policy: TruncationPolicy):
         np.fmax(g, 0, out=g)
         np.subtract(K, g, out=key[:m], casting="unsafe")  # K - k0
         order = np.argsort(key[:m], kind="stable")  # radix sort: descending k0
-        np.take(block, order, out=times[:m], mode="clip")
+        np.take(block[:m], order, out=times[:m], mode="clip")
         below = np.cumsum(np.bincount(key[:m], minlength=K + 1)).tolist()
         acc[:m] = 0.0
         for k in range(K):
@@ -266,16 +283,15 @@ def _return_series(s, sigma: float, J: float, policy: TruncationPolicy):
                 if rows is odd:
                     poly_t *= y_t
                 part += poly_t
+        if closing:
+            t = term[:m]
+            np.multiply(closing_rate, times[:m], out=t)
+            np.exp(t, out=t)
+            acc[:m] -= t
+        if shell:
+            np.multiply(2.0 ** (-shell), acc[:m], out=acc[:m])
         flat_out[start:start + m][order] = acc[:m]
     return out
-
-
-def _scaling_array(sarr: np.ndarray, sigma: float, J: float,
-                   policy: TruncationPolicy) -> np.ndarray:
-    coupling = renormalized_coupling(sigma, J)
-    return _return_series(sarr, sigma, J, policy) - np.exp(
-        -1j * coupling * 2.0 ** sigma * sarr
-    )
 
 
 def scaling_function(s, sigma: float, J: float = 1.0,
@@ -292,8 +308,16 @@ def scaling_function(s, sigma: float, J: float = 1.0,
             "use sigma_zero for the amplitudes"
         )
     sarr, scalar = _as_time_array(s)
-    out = _scaling_array(sarr, sigma, J, policy)
+    out = _return_series(sarr, sigma, J, policy, closing=True)
     return complex(out[()]) if scalar else out
+
+
+def _warn_sigma_zero(sigma: float) -> None:
+    warnings.warn(
+        f"sigma = {sigma} is below {SIGMA_NEAR_ZERO}; using the sigma = 0 "
+        "closed form (global phase convention differs)",
+        stacklevel=3,
+    )
 
 
 def psi_thermo(r: int, t, sigma: float, J: float = 1.0,
@@ -310,19 +334,10 @@ def psi_thermo(r: int, t, sigma: float, J: float = 1.0,
         raise InputError(f"shell index must be >= 0, got {r}")
     _check_sigma(sigma, J)
     if _near_zero(sigma):
-        warnings.warn(
-            f"sigma = {sigma} is below {SIGMA_NEAR_ZERO}; using the sigma = 0 "
-            "closed form (global phase convention differs)",
-            stacklevel=2,
-        )
+        _warn_sigma_zero(sigma)
         return sigma_zero(r, t, J)
     tarr, scalar = _as_time_array(t)
-    if r == 0:
-        out = _return_series(tarr, sigma, J, policy)
-    else:
-        out = 2.0 ** (-r) * _scaling_array(
-            tarr * 2.0 ** (-sigma * r), sigma, J, policy
-        )
+    out = _return_series(tarr, sigma, J, policy, shell=r, closing=r > 0)
     return complex(out[()]) if scalar else out
 
 
@@ -402,34 +417,162 @@ def tail_bound(R: int) -> float:
     return 2.0 ** (1 - R)
 
 
+# Closed-form trapezoid averages (see `time_average`): a shell whose Taylor
+# remainder bound at order _AVERAGE_ORDER is below _AVERAGE_REMAINDER of its
+# first moment is summed from its moments, through trapezoid means of
+# (t/T)^d that are summed directly up to _POWER_SUM_DIRECT steps and by
+# Euler-Maclaurin beyond.  The sigma -> 0 ladder keeps _SIGMA_ZERO_MODES
+# modes, a remainder below 2^-64 of the closed form's series.
+_AVERAGE_ORDER = 20
+_AVERAGE_REMAINDER = 2.0 ** -53
+_POWER_SUM_DIRECT = 8
+_SIGMA_ZERO_MODES = 64
+
+
+def _shell_modes(r: int, sigma: float, J: float, K: int):
+    """Amplitudes a_m, speeds f_m and time scale of shell r's modes.
+
+    2^r psi(r, t) = sum_m a_m exp(-i f_m s) with s = scale * t, up to a
+    global phase: the series modes 2^(-k-1) at c 2^(-sigma k) and, for
+    r >= 1, the closing mode -1 at c 2^sigma, first, all from
+    `_series_plan`, with scale 2^(-sigma r).  Below SIGMA_NEAR_ZERO the
+    ladder is the sigma = 0 one, f = -k J and J, with scale 1.
+    """
+    if _near_zero(sigma):
+        K = _SIGMA_ZERO_MODES
+        speeds, closing, scale = -J * np.arange(K), J, 1.0
+    else:
+        _, _, speeds, rate, _, _, _, _ = _series_plan(sigma, J, K)
+        closing, scale = -rate.imag, 2.0 ** (-sigma * r)
+    amplitudes = 0.5 ** np.arange(1.0, K + 1.0)
+    if r == 0:
+        return amplitudes, speeds, scale
+    return (np.concatenate(([-1.0], amplitudes)), np.concatenate(([closing], speeds)),
+            scale)
+
+
+def _pair_mean(amplitudes: np.ndarray, speeds: np.ndarray, step: float, n: int) -> float:
+    """Trapezoid mean of |sum_m a_m exp(-i f_m s)|^2 over s = j step, j = 0..n.
+
+    Each pair adds a_m a_l sin(2nx) / (n tan x) with x = (f_m - f_l) step / 2:
+    the Dirichlet sum cos(nx) sin((n+1)x) / sin x less the trapezoid's half
+    end points (1 + cos 2nx) / 2, times 2/n.  It has period pi in x and is 2
+    at x = 0; x is reduced mod pi first, since near an aliased x = k pi the
+    rounding of x and of 2nx would not cancel.
+    """
+    m, l = np.triu_indices(amplitudes.size, 1)
+    x = (speeds[m] - speeds[l]) * (step / 2.0)
+    x -= np.pi * np.rint(x / np.pi)
+    pair = np.full(x.size, 2.0)
+    moving = x != 0.0
+    pair[moving] = np.sin(2 * n * x[moving]) / (n * np.tan(x[moving]))
+    return math.fsum(amplitudes * amplitudes) + math.fsum(amplitudes[m] * amplitudes[l] * pair)
+
+
+@functools.lru_cache(maxsize=1)
+def _euler_maclaurin_rows() -> np.ndarray:
+    """Row d/2, column k-1: B_2k binom(d, 2k-1) / 2k for d = 0, 2, .., 2 order.
+
+    The trapezoid mean of x^d on n steps of [0, 1] is 1/(d+1) plus these
+    coefficients of n^(-2k); the sum ends at 2k = d, so it is exact.
+    """
+    order = _AVERAGE_ORDER
+    bernoulli = [1.0]
+    for m in range(1, 2 * order + 1):
+        bernoulli.append(-sum(math.comb(m + 1, j) * bernoulli[j] for j in range(m)) / (m + 1))
+    rows = np.zeros((order + 1, order))
+    for i in range(order + 1):
+        for k in range(1, i + 1):
+            rows[i, k - 1] = bernoulli[2 * k] * math.comb(2 * i, 2 * k - 1) / (2 * k)
+    rows.flags.writeable = False
+    return rows
+
+
+def _power_means(n: int) -> np.ndarray:
+    """Trapezoid means of (t/T)^d on t = jT/n, j = 0..n, for d = 0, 2, .., 2 order."""
+    d = np.arange(0, 2 * _AVERAGE_ORDER + 1, 2)
+    if n <= _POWER_SUM_DIRECT:
+        x = np.arange(n + 1) / n
+        return (np.sum(x ** d[:, None], axis=1) - (x[0] ** d + 1.0) / 2.0) / n
+    rows = _euler_maclaurin_rows()
+    y = float(n) ** -2
+    acc = rows[:, -1].copy()
+    for column in rows[:, -2::-1].T:  # Horner in n^-2
+        acc *= y
+        acc += column
+    return 1.0 / (d + 1.0) + acc * y
+
+
+def _moment_mean(amplitudes: np.ndarray, phases: np.ndarray, n: int) -> float | None:
+    """Trapezoid mean of |A|^2 on x = j/n, A(x) = -1 + sum_k a_k exp(-i p_k x).
+
+    With beta_0 = sum_k a_k - 1 and beta_q = sum_k a_k p_k^q / q!, the
+    Taylor coefficients of A are (-i)^q beta_q, and |A|^2 has the even
+    coefficients (-1)^(d/2) sum_q (-1)^q beta_(d-q) beta_q.  None when the
+    remainder bound of order _AVERAGE_ORDER, sum_k a_k |p_k|^(order+1) /
+    (order+1)!, exceeds _AVERAGE_REMAINDER of the first moment.
+    """
+    remainder = np.sum(amplitudes * np.abs(phases) ** (_AVERAGE_ORDER + 1))
+    if remainder / math.factorial(_AVERAGE_ORDER + 1) > (
+            _AVERAGE_REMAINDER * abs(np.sum(amplitudes * phases))):
+        return None
+    q = np.arange(1, _AVERAGE_ORDER + 1)
+    beta = np.empty(_AVERAGE_ORDER + 1)
+    beta[0] = -0.5 ** amplitudes.size  # exactly sum_k a_k - 1
+    factorials = np.cumprod(q.astype(float))
+    beta[1:] = np.sum(amplitudes * phases ** q[:, None], axis=1) / factorials
+    signs = (-1.0) ** np.arange(_AVERAGE_ORDER + 1)
+    square = np.convolve(beta, signs * beta)[0::2] * signs
+    return math.fsum(square * _power_means(n))
+
+
 def time_average(r: int, T: float, sigma: float, J: float = 1.0,
                  policy: TruncationPolicy = DEFAULT_POLICY,
                  dt: float | None = None) -> float:
     """Finite-horizon average (1/T) int_0^T P(r, t) dt, composite trapezoid.
 
-    The grid step defaults to 0.01/J, about two hundred points per period
-    of the fastest mode.  Convergence to `closed_form_average(r)` requires
-    a horizon with 2^(r sigma) << J T; the relative error then decays like
-    2^(r sigma) / (J T).  Evaluation is chunked so long horizons use bounded
-    memory; more than 2^24 steps raise ResourceLimitError.
+    The grid is t_j = jT/n, j = 0..n, with n = `time_steps(T, dt)`; the
+    step defaults to 0.01/J, about two hundred points per period of the
+    fastest mode, and more than 2^24 steps raise ResourceLimitError.
+    Convergence to `closed_form_average(r)` requires a horizon with
+    2^(r sigma) << J T; the relative error then decays like 2^(r sigma) / (J T).
+
+    The trapezoid is summed in closed form, not sampled: P(r, t) is w_r 2^-2r
+    |A(t)|^2 for shell r's K + 1 modes (`_shell_modes`), so its mean is a sum
+    over mode pairs, O(K^2) per shell whatever T / dt.  Where every mode
+    phase over the horizon is small, that sum cancels to rounding; there
+    the mean comes from the Taylor moments of A through order
+    _AVERAGE_ORDER = 20, taken when their remainder bound is below
+    _AVERAGE_REMAINDER = 2^-53 of the first moment.  The factor 2^-2r comes
+    after the mean, one 2^-r into the weight w_r and one into the mean, so
+    no shell up to MAX_SHELL underflows for lack of range.  Below
+    SIGMA_NEAR_ZERO the sigma = 0 ladder is used (with psi_thermo's
+    warning), whatever policy.K.
     """
     if T <= 0:
         raise InputError(f"averaging horizon must be positive, got T = {T}")
     if dt is None:
         dt = 0.01 / J if J > 0 else 0.01
-    n_steps = time_steps(T, dt)
-    step = T / n_steps
-    total = 0.0
-    chunk = 1 << 20
-    for start in range(0, n_steps + 1, chunk):
-        idx = np.arange(start, min(start + chunk, n_steps + 1))
-        values = probability_thermo(r, idx * step, sigma, J, policy)
-        total += float(np.sum(values))
-        if start == 0:
-            total -= 0.5 * float(values[0])
-    # remove the half-weight of the final grid point
-    total -= 0.5 * float(probability_thermo(r, T, sigma, J, policy))
-    return total * step / T
+    n = time_steps(T, dt)
+    if r < 0:
+        raise InputError(f"shell index must be >= 0, got {r}")
+    _check_sigma(sigma, J)
+    if _near_zero(sigma):
+        _warn_sigma_zero(sigma)
+    weight = occupation(r, 1.0)  # also checks r against MAX_SHELL
+    amplitudes, speeds, scale = _shell_modes(r, sigma, J, policy.K)
+    horizon = T * scale
+    if _near_zero(sigma) and J != 0:
+        # P(r, t) then has period 2 pi / J, so only the step modulo that
+        # period matters; reducing it sends a grid whose times all sit near
+        # multiples of the period, where P is small, to the moment branch
+        horizon = n * abs(math.remainder(horizon / n, 2.0 * math.pi / J))
+    # phases of the series modes against the closing mode, which comes first
+    mean = _moment_mean(amplitudes[1:], (speeds[1:] - speeds[0]) * horizon, n) if r else None
+    if mean is None:  # r = 0, or a shell the excitation has reached
+        mean = _pair_mean(amplitudes, speeds, horizon / n, n)
+    # a mean of squares; rounding of a pair sum near 0 may not make it negative
+    return float(weight * 2.0 ** -r * (2.0 ** -r * max(mean, 0.0)))
 
 
 # ---------------------------------------------------------------------------

@@ -354,6 +354,8 @@ def cmd_evolve(config: RunConfig) -> dict:
 
 
 def cmd_collapse(config: RunConfig) -> dict:
+    if config.tmax <= 0:  # the fit grid and the table need rescaled times s > 0
+        raise InputError(f"tmax must be positive, got {config.tmax}")
     if config.rmin < 1 or config.rmax < config.rmin:
         raise InputError(f"need 1 <= rmin <= rmax, got {config.rmin}..{config.rmax}")
     _check_rmax(config.rmax, config.sigma)

@@ -9,6 +9,8 @@ per-slot eigenvalues of the tree basis from an explicit slot-by-slot layout,
 the tree cascades from one whole-array pass per level,
 the dynamical-exponent scan from one amplitude call per trial exponent,
 the thermodynamic mode series from one exponential per term, the
+amplitudes of shells r >= 1 from whole-array steps around that series,
+long-time averages from sampling P(r, t) on the trapezoid grid, the
 probability left of a cut from a loop over the shells, the gauge factor
 between finite-L and thermodynamic amplitudes from the spectrum's dropped
 constant,
@@ -34,11 +36,13 @@ from hdyson import (
     build_hopping_matrix,
     eigenvalues,
     magnetization_profile,
+    probability_thermo,
     renormalized_coupling,
 )
-from hdyson._util import popcount
+from hdyson._util import popcount, time_steps
+from hdyson.analytic import _return_series
 from hdyson.geometry import block_range
-from hdyson.profiles import shell_sums
+from hdyson.profiles import DEFAULT_POLICY, shell_sums
 
 
 def partition_scan_distance(i: int, j: int, levels: int) -> int:
@@ -309,6 +313,64 @@ def direct_return_series(s, sigma: float, J: float, policy) -> np.ndarray:
         np.multiply(2.0 ** (-k - 1), term, out=term)
         acc += term
     return acc
+
+
+def _scaling_array(sarr: np.ndarray, sigma: float, J: float, policy) -> np.ndarray:
+    coupling = renormalized_coupling(sigma, J)
+    return _return_series(sarr, sigma, J, policy) - np.exp(
+        -1j * coupling * 2.0 ** sigma * sarr
+    )
+
+
+def composed_scaling_function(s, sigma: float, J: float = 1.0, policy=DEFAULT_POLICY):
+    """F(s) as the series minus a whole-array closing term.
+
+    The library applies the closing term inside the series' block loop;
+    this is the composition it replaced, kept as its bitwise oracle.
+    """
+    sarr = np.asarray(s, dtype=float)
+    out = _scaling_array(sarr, sigma, J, policy)
+    return complex(out[()]) if sarr.ndim == 0 else out
+
+
+def composed_psi_thermo(r: int, t, sigma: float, J: float = 1.0, policy=DEFAULT_POLICY):
+    """psi(r, t) with the time scaling, closing term and 2^-r as whole-array steps.
+
+    The library applies all three inside the series' block loop; this is
+    the composition it replaced, kept as its bitwise oracle (sigma >= 1e-6).
+    """
+    tarr = np.asarray(t, dtype=float)
+    if r == 0:
+        out = _return_series(tarr, sigma, J, policy)
+    else:
+        out = 2.0 ** (-r) * _scaling_array(tarr * 2.0 ** (-sigma * r), sigma, J, policy)
+    return complex(out[()]) if tarr.ndim == 0 else out
+
+
+def trapezoid_time_average(r: int, T: float, sigma: float, J: float = 1.0,
+                           policy=DEFAULT_POLICY, dt: float | None = None) -> float:
+    """Composite trapezoid of P(r, t) on t_j = jT/n, by sampling every t_j.
+
+    The library sums the same trapezoid in closed form over mode pairs;
+    this is the sampling loop it replaced, kept as its oracle.
+    """
+    if T <= 0:
+        raise InputError(f"averaging horizon must be positive, got T = {T}")
+    if dt is None:
+        dt = 0.01 / J if J > 0 else 0.01
+    n_steps = time_steps(T, dt)
+    step = T / n_steps
+    total = 0.0
+    chunk = 1 << 20
+    for start in range(0, n_steps + 1, chunk):
+        idx = np.arange(start, min(start + chunk, n_steps + 1))
+        values = probability_thermo(r, idx * step, sigma, J, policy)
+        total += float(np.sum(values))
+        if start == 0:
+            total -= 0.5 * float(values[0])
+    # remove the half-weight of the final grid point
+    total -= 0.5 * float(probability_thermo(r, T, sigma, J, policy))
+    return total * step / T
 
 
 def dense_hadamard(sites: int) -> np.ndarray:

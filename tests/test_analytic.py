@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -43,10 +44,13 @@ from hdyson.profiles import (
 )
 
 from reference import (
+    composed_psi_thermo,
+    composed_scaling_function,
     direct_return_series,
     finite_to_thermo_phase,
     per_z_dynamical_exponent,
     shell_loop_cumulative_probability,
+    trapezoid_time_average,
 )
 
 
@@ -223,6 +227,141 @@ def test_psi_thermo_is_elementwise_to_the_bit(sigma):
         picks = rng.choice(t.size, 150, replace=False)
         scalars = np.array([psi_thermo(r, float(t[i]), sigma) for i in picks])
         assert scalars.tobytes() == base[picks].tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    r=st.integers(0, 40) | st.sampled_from([537, 1023, 1100]),
+    sigma=st.sampled_from([analytic.SIGMA_NEAR_ZERO, 0.05, 0.5, 1.0, 2.0, 4.0]),
+    J=st.sampled_from([1.0, -0.5, 2.5]),
+    K=st.sampled_from([1, 7, 64, 1074]),
+    special=st.lists(
+        st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 1e-300, 1e15])
+        | st.floats(-1e6, 1e6),
+        min_size=1, max_size=12,
+    ),
+    shape=st.sampled_from([(), (1,), (4095,), (4097,), (64, 64), (3, 1365)]),
+    layout=st.sampled_from(["contiguous", "strided", "transposed"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_shell_steps_keep_the_composed_bytes(r, sigma, J, K, special, shape, layout, seed):
+    # the time scaling, closing term and 2^-r run per block inside the
+    # series; each stays the same elementwise operation as the whole-array
+    # composition it replaced, so every value keeps its bits
+    rng = np.random.default_rng(seed)
+    size = math.prod(shape)
+    values = np.where(rng.random(size) < 0.5, rng.choice(special, size),
+                      10.0 ** rng.uniform(-3.0, 4.0, size))
+    t = _laid_out(values, shape, layout)
+    policy = TruncationPolicy(K)
+    with np.errstate(invalid="ignore"):  # NaN and inf times warn on both sides
+        pairs = [(psi_thermo(r, t, sigma, J, policy),
+                  composed_psi_thermo(r, t, sigma, J, policy)),
+                 (scaling_function(t, sigma, J, policy),
+                  composed_scaling_function(t, sigma, J, policy))]
+        if not shape:  # a Python float as well as a 0-d array
+            pairs += [(psi_thermo(r, float(t), sigma, J, policy),
+                       composed_psi_thermo(r, float(t), sigma, J, policy)),
+                      (scaling_function(float(t), sigma, J, policy),
+                       composed_scaling_function(float(t), sigma, J, policy))]
+    for got, want in pairs:
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+# Largest |time_average / trapezoid_time_average - 1| measured over 20,000
+# draws of the strategy below: 5.1e-13, at a single step (no averaging)
+# with mode phases near 3e3 rad, where both sides round the phase at that
+# scale; the median was 2e-16.  The bound leaves a factor of 2.
+AVERAGE_AGREEMENT = 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    r=st.integers(0, 12),
+    sigma=st.sampled_from([1e-7, 0.05, 0.5, 1.0, 2.0, 4.0]),
+    J=st.sampled_from([0.5, 1.0, 2.5]),
+    K=st.sampled_from([1, 7, 64]),
+    # T = reach 2^(sigma r) / J: shells not yet reached for reach << 1
+    reach=st.floats(-4.0, 2.0).map(lambda u: 10.0 ** u),
+    # few steps put (f_m - f_l) dt / 2 past pi for the fast pairs; the
+    # examples' None is the default dt
+    steps=st.integers(1, 3000),
+)
+# the pair sum alone missed these unreached shells by 1.9e-9 and 4.0e-5
+@example(r=20, sigma=1.0, J=1.0, K=64, reach=100.0 / 2.0 ** 20, steps=None)
+@example(r=12, sigma=2.0, J=1.0, K=64, reach=10.0 / 2.0 ** 24, steps=None)
+@example(r=1, sigma=4.0, J=2.5, K=64, reach=100.0, steps=1)
+# dt = 4 pi / c: the pairs of the modes c 2^(1-k), k <= 1, alias to x near 2 pi
+@example(r=1, sigma=1.0, J=1.0, K=64, reach=20.0 * math.pi / 3.0, steps=10)
+def test_time_average_matches_trapezoid_sampling(r, sigma, J, K, reach, steps):
+    T = reach * 2.0 ** (sigma * r) / J
+    dt = None if steps is None else T / steps
+    policy = TruncationPolicy(K)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # sigma -> 0 reroutes
+        want = trapezoid_time_average(r, T, sigma, J, policy, dt=dt)
+    if sigma < analytic.SIGMA_NEAR_ZERO:
+        with pytest.warns(UserWarning, match="closed form"):
+            got = time_average(r, T, sigma, J, policy, dt=dt)
+    else:
+        got = time_average(r, T, sigma, J, policy, dt=dt)
+    assert type(got) is float
+    assert abs(got - want) <= AVERAGE_AGREEMENT * want
+
+
+@pytest.mark.parametrize("J, r", [(1.0, 1), (2.5, 3)])
+@pytest.mark.parametrize("steps", [10, 1000])
+def test_time_average_on_an_aliased_sigma_zero_grid(J, r, steps):
+    # at sigma -> 0, P(r, t) has period 2 pi / J: a step 1e-9 off the period
+    # samples only times near multiples of it, where P is about 1e-15, so
+    # the phases must come from the step reduced modulo the period (the
+    # pair sum alone was off by 100%); both sides round 2 pi / J, a
+    # relative 1e-7 of the reduced step
+    dt = 2.0 * math.pi / J * (1.0 + 1e-9)
+    T = steps * dt
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        want = trapezoid_time_average(r, T, 1e-7, J, dt=dt)
+        got = time_average(r, T, 1e-7, J, dt=dt)
+    assert want < 1e-8
+    assert abs(got - want) <= 1e-6 * want
+
+
+def test_power_means_match_exact_sums():
+    # trapezoid means of (t/T)^d for d = 0, 2, .., 40: direct sums for few
+    # steps, Euler-Maclaurin (off by 6e2 at n = 1, 1.5e-6 at n = 2) beyond
+    for n in list(range(1, 41)) + [97, 1000]:
+        exact = [float((sum(Fraction(j, n) ** d for j in range(n + 1))
+                        - Fraction(int(d == 0) + 1, 2)) / n)
+                 for d in range(0, 2 * analytic._AVERAGE_ORDER + 1, 2)]
+        assert np.max(np.abs(analytic._power_means(n) / exact - 1.0)) <= 1e-15, n
+
+
+def test_time_average_never_samples_the_series(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("time_average evaluated the mode series")
+
+    for name in ("psi_thermo", "probability_thermo", "sigma_zero", "_return_series"):
+        monkeypatch.setattr(analytic, name, refuse)
+    # the criterion-3 horizon at r = 10: 1.02e7 steps
+    assert time_average(10, 102400.0, 1.0) == pytest.approx(2.0 ** -9 / 3.0, rel=0.02)
+    assert 0.0 < time_average(40, 1.0, 2.0) < 1e-40  # a shell not yet reached
+    with pytest.warns(UserWarning):
+        assert time_average(3, 500.0, 1e-7) > 0.0
+
+
+@pytest.mark.parametrize("sigma, T", [(1.0, 1e3), (4.0, 1e5), (0.01, 1e5), (1e-7, 1e3)])
+def test_time_average_is_finite_up_to_the_shell_cap(sigma, T):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        values = np.array([time_average(r, T, sigma) for r in range(MAX_SHELL + 1)])
+    assert np.all(np.isfinite(values)) and np.all(values >= 0.0)
+    if sigma <= 0.01:  # every shell is reached: 2^(sigma r) <= 1200 << J T
+        # one 2^-r goes into the weight before the square, so even the
+        # subnormal P(1023) ~ 2^-1022 / 3 does not underflow to 0
+        expected = np.array([closed_form_average(r) for r in range(MAX_SHELL + 1)])
+        assert np.max(np.abs(values / expected - 1.0)) <= 0.02
 
 
 def test_sigma_guards():

@@ -501,6 +501,31 @@ def test_shell_cap(tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith("resource limit:")
 
 
+@pytest.mark.parametrize("tmax", [0, -2])
+def test_collapse_rejects_non_positive_tmax(tmp_path, capsys, no_compute, tmax):
+    # a zero horizon made an all-zero fit grid (z = 0.100137, exit 0), and a
+    # negative one a table of negative rescaled times
+    out = tmp_path / "col.csv"
+    assert run(tmp_path, "collapse", "--rmax", 3, "--points", 3, "--tmax", tmax,
+               "--out", out) == 2
+    assert not list(tmp_path.iterdir())
+    assert capsys.readouterr().err.startswith("input error: tmax must be positive")
+
+
+def test_timeavg_every_shell_at_a_long_horizon_is_quick(tmp_path):
+    # 1024 shells x 1.6e7 trapezoid steps: summed over mode pairs, not sampled
+    out = tmp_path / "ta.csv"
+    argv = ["-m", "hdyson.cli", "timeavg", "--rmin", "0", "--rmax", "1023",
+            "--tmax", "1.6e5", "--out", str(out)]
+    env = dict(os.environ, PYTHONPATH=str(Path(hdyson.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    _, rows = read_csv(out)
+    assert [int(row["r"]) for row in rows] == list(range(1024))
+    assert all(math.isfinite(row["numerical_avg"]) and row["numerical_avg"] >= 0.0
+               for row in rows)
+
+
 def test_evolve_negative_rmax(tmp_path, capsys):
     out = tmp_path / "neg.csv"
     assert run(tmp_path, "evolve", "--rmax", -1, "--tmax", 0, "--out", out) == 2
@@ -541,7 +566,7 @@ def no_compute(monkeypatch):
         raise AssertionError("a capped run reached its computation")
 
     for name in ("psi_thermo", "psi_finite", "dense_evolve_series", "fast_evolve_series",
-                 "evolve_spin"):
+                 "evolve_spin", "estimate_dynamical_exponent", "time_average"):
         monkeypatch.setattr(cli, name, refuse)
 
 
