@@ -31,7 +31,7 @@ def main():
     for t in (0.0, 1.0, 5.0, 20.0):
         profile = wave_profile_thermo(t, sigma, J, r_max=24)
         row = "  ".join(
-            f"{single_particle_entropy(x, t, profile):.5f}"
+            f"{single_particle_entropy(profile, x):.5f}"
             for x in (2, 4, 8, 16, 64, 256, 1024)
         )
         print(f"  {t:4.0f} |  {row}")
@@ -39,7 +39,7 @@ def main():
     profile = wave_profile_thermo(5.0, sigma, J, r_max=24)
     for r in range(1, 11):
         x = 1 << r
-        print(f"  x = {x:5d}: S = {single_particle_entropy(x, 5.0, profile):.3e}")
+        print(f"  x = {x:5d}: S = {single_particle_entropy(profile, x):.3e}")
 
     L = 8
     print("\n" + "=" * 64)

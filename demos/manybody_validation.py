@@ -17,6 +17,8 @@ from hdyson import (
     SpinState,
     TreeGeometry,
     evolve_spin,
+    expand_shells_to_sites,
+    occupation,
     quasi_conservation_report,
     wave_profile_finite,
 )
@@ -37,10 +39,8 @@ def main():
         series = evolve_spin(
             params, SpinState.single_flip(L), times
         )
-        dev = 0.0
-        for i, t in enumerate(times):
-            predicted = np.abs(wave_profile_finite(t, params).amplitudes) ** 2
-            dev = max(dev, float(np.max(np.abs(series.n[i] - predicted))))
+        predicted = occupation(0, expand_shells_to_sites(wave_profile_finite(times, params), geom))
+        dev = float(np.max(np.abs(series.n - predicted)))
         runs[h] = series
         print(f"  {h:4.0f}    {dev:.6f}            {quasi_conservation_report(series):.6f}")
 

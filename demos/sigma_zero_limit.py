@@ -10,7 +10,7 @@ Run with: python demos/sigma_zero_limit.py
 
 import numpy as np
 
-from hdyson import TruncationPolicy, probability_thermo, sigma_zero_probability
+from hdyson import TruncationPolicy, occupation, probability_thermo, sigma_zero
 
 
 def main():
@@ -22,19 +22,19 @@ def main():
     print("=" * 60)
     print("   Jt/pi    P(0)      P(1)      P(2)     sum over shells")
     for ti in t:
-        p0 = sigma_zero_probability(0, ti, J)
-        p1 = sigma_zero_probability(1, ti, J)
-        p2 = sigma_zero_probability(2, ti, J)
-        total = p0 + sum(sigma_zero_probability(r, ti, J) for r in range(1, 60))
+        p0 = occupation(0, sigma_zero(0, ti, J))
+        p1 = occupation(1, sigma_zero(1, ti, J))
+        p2 = occupation(2, sigma_zero(2, ti, J))
+        total = p0 + sum(occupation(r, sigma_zero(r, ti, J)) for r in range(1, 60))
         print(f"  {ti / np.pi:6.2f}  {p0:.6f}  {p1:.6f}  {p2:.6f}   {total:.12f}")
 
     print(f"\nminimum return probability 1/9 = {1/9:.6f} at Jt = pi "
-          f"(computed {sigma_zero_probability(0, np.pi, J):.6f})")
+          f"(computed {occupation(0, sigma_zero(0, np.pi, J)):.6f})")
 
     grid = np.linspace(0.0, 2 * np.pi, 500)
     drift = np.max(np.abs(
-        sigma_zero_probability(0, grid + 2 * np.pi, J)
-        - sigma_zero_probability(0, grid, J)
+        occupation(0, sigma_zero(0, grid + 2 * np.pi, J))
+        - occupation(0, sigma_zero(0, grid, J))
     ))
     print(f"period-2pi recurrence error: {drift:.2e}")
 
@@ -42,7 +42,8 @@ def main():
     worst = 0.0
     for r in range(6):
         series = probability_thermo(r, grid, 1e-5, J, policy)
-        worst = max(worst, float(np.max(np.abs(series - sigma_zero_probability(r, grid, J)))))
+        closed = occupation(r, sigma_zero(r, grid, J))
+        worst = max(worst, float(np.max(np.abs(series - closed))))
     print(f"sigma = 1e-5 mode series vs closed form, max gap over r <= 5: {worst:.2e}")
     print("\nThe recurrence is exactly shared by every shell: the breathing is global.")
 

@@ -51,7 +51,7 @@ def main():
     print("(exactly one member per multiplet -- the origin of localization):")
     rebuilt = np.zeros(geom.length)
     for k, m, coeff in delta_decomposition(geom):
-        rebuilt += coeff * eigenvector(k, m, geom).amplitudes.real
+        rebuilt += coeff * eigenvector(k, m, geom).real
         print(f"  multiplet k={k} member m={m}: weight {coeff:.6f}"
               f"  (weight^2 = {coeff**2:.6f})")
     print(f"reconstruction error: {np.max(np.abs(rebuilt - np.eye(geom.length)[0])):.2e}")

@@ -19,7 +19,6 @@ from .errors import (
 from .geometry import TreeGeometry
 from .profiles import (
     TruncationPolicy,
-    WaveProfile,
     collapse_sites_to_shells,
     expand_shells_to_sites,
 )
@@ -43,7 +42,6 @@ from .analytic import (
     psi_thermo,
     scaling_function,
     sigma_zero,
-    sigma_zero_probability,
     single_particle_entropy,
     tail_average,
     tail_bound,

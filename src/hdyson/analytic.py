@@ -15,8 +15,11 @@ with Jt_sigma the renormalized band coupling.  F is the universal scaling
 function: space and time enter only through s = 2^(-sigma r) t, which is
 the t ~ x^sigma dynamical scaling.  This module evaluates both forms, the
 occupation probabilities P(r, t), their long-time averages and rigorous
-bounds, the periodic sigma -> 0 closed forms, and the binary-entropy
-entanglement of a single-defect state.
+bounds, the periodic sigma -> 0 closed form, and the binary-entropy
+entanglement of a single-defect state.  A profile (`wave_profile_finite`,
+`wave_profile_thermo`) is a complex array with the shells r = 0..R on its
+last axis and the times on its leading axes; the cut probability and
+entropy take such arrays.
 
 Error model of the thermodynamic series: the terms k >= K are dropped, a
 remainder of modulus at most 2^-K (`TruncationPolicy.tail_bound`).  Of the
@@ -53,11 +56,7 @@ from .geometry import block_bounds
 from .profiles import (
     DEFAULT_POLICY,
     MAX_SHELL,
-    SHELL_MODE,
-    SITE_MODE,
     TruncationPolicy,
-    WaveProfile,
-    expand_shells_to_sites,
     shell_weights,
 )
 from .spectral import ModelParams, eigenvalues, renormalized_coupling
@@ -76,7 +75,6 @@ __all__ = [
     "tail_average",
     "tail_bound",
     "sigma_zero",
-    "sigma_zero_probability",
     "binary_entropy",
     "cumulative_probability",
     "single_particle_entropy",
@@ -99,7 +97,7 @@ def _check_sigma(sigma: float, J: float) -> None:
     if sigma == 0:
         raise SingularLimitError(
             "thermodynamic-limit series diverges at sigma = 0; "
-            "use sigma_zero / sigma_zero_probability"
+            "use sigma_zero"
         )
     if sigma < 0:
         raise InputError(f"sigma must be >= 0, got {sigma}")
@@ -137,12 +135,15 @@ def psi_finite(r: int, t, params: ModelParams):
     return complex(acc[()]) if scalar else acc
 
 
-def wave_profile_finite(t: float, params: ModelParams) -> WaveProfile:
-    """Site-resolved finite-chain profile at time t (unit norm)."""
-    shells = np.array(
-        [psi_finite(r, t, params) for r in range(params.geom.levels + 1)]
+def wave_profile_finite(t, params: ModelParams) -> np.ndarray:
+    """Finite-chain profile: psi_finite(r, t) for r = 0..N on the last axis.
+
+    A scalar or array t gives shape t.shape + (N+1,); each element is the
+    per-shell `psi_finite` call's.  Unit norm: sum_r P(r) = 1.
+    """
+    return np.stack(
+        [psi_finite(r, t, params) for r in range(params.geom.levels + 1)], axis=-1
     )
-    return WaveProfile(expand_shells_to_sites(shells, params.geom), float(t), SITE_MODE)
 
 
 # ---------------------------------------------------------------------------
@@ -341,21 +342,21 @@ def psi_thermo(r: int, t, sigma: float, J: float = 1.0,
     return complex(out[()]) if scalar else out
 
 
-def wave_profile_thermo(t: float, sigma: float, J: float = 1.0,
+def wave_profile_thermo(t, sigma: float, J: float = 1.0,
                         policy: TruncationPolicy = DEFAULT_POLICY,
-                        r_max: int = 24) -> WaveProfile:
-    """Shell-mode thermodynamic profile for r = 0..r_max.
+                        r_max: int = 24) -> np.ndarray:
+    """Thermodynamic profile: psi_thermo(r, t) for r = 0..r_max on the last axis.
 
-    The shells beyond r_max carry total probability at most 2^(1-r_max).
-    r_max beyond MAX_SHELL = 1023 raises ResourceLimitError before any shell
-    is evaluated.
+    A scalar or array t gives shape t.shape + (r_max+1,); each element is
+    the per-shell `psi_thermo` call's.  The shells beyond r_max carry total
+    probability at most 2^(1-r_max).  r_max beyond MAX_SHELL = 1023 raises
+    ResourceLimitError before any shell is evaluated.
     """
     if r_max < 0:
         raise InputError(f"r_max must be >= 0, got {r_max}")
     if r_max > MAX_SHELL:
         raise ResourceLimitError(f"r_max = {r_max} exceeds the shell cap {MAX_SHELL}")
-    shells = np.array([psi_thermo(r, t, sigma, J, policy) for r in range(r_max + 1)])
-    return WaveProfile(shells, float(t), SHELL_MODE)
+    return np.stack([psi_thermo(r, t, sigma, J, policy) for r in range(r_max + 1)], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -377,13 +378,6 @@ def occupation(r, amplitude):
         return shell_weights(int(r.max(initial=0)))[r] * np.square(np.abs(amplitude))
     except ValueError as exc:  # shapes that do not broadcast
         raise InputError(f"shell indices and amplitudes: {exc}") from exc
-
-
-def _check_profile_time(source: WaveProfile, t, what: str) -> None:
-    if np.ndim(t) != 0:
-        raise InputError(f"{what} needs one time, got {t!r}")
-    if float(t) != source.time:
-        raise InputError(f"profile holds t = {source.time}, {what} asked at t = {t}")
 
 
 def probability_thermo(r: int, t, sigma: float, J: float = 1.0,
@@ -460,12 +454,16 @@ def _pair_mean(amplitudes: np.ndarray, speeds: np.ndarray, step: float, n: int) 
     at x = 0; x is reduced mod pi first, since near an aliased x = k pi the
     rounding of x and of 2nx would not cancel.
     """
+    n = float(n)  # a step count beyond 2^63 is no int64
     m, l = np.triu_indices(amplitudes.size, 1)
     x = (speeds[m] - speeds[l]) * (step / 2.0)
     x -= np.pi * np.rint(x / np.pi)
     pair = np.full(x.size, 2.0)
     moving = x != 0.0
-    pair[moving] = np.sin(2 * n * x[moving]) / (n * np.tan(x[moving]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        term = np.sin(2.0 * (n * x[moving])) / (n * np.tan(x[moving]))
+    # where n x overflows, the term is below 1 / (n |x|) < 1e-308
+    pair[moving] = np.where(np.isfinite(term), term, 0.0)
     return math.fsum(amplitudes * amplitudes) + math.fsum(amplitudes[m] * amplitudes[l] * pair)
 
 
@@ -533,7 +531,8 @@ def time_average(r: int, T: float, sigma: float, J: float = 1.0,
 
     The grid is t_j = jT/n, j = 0..n, with n = `time_steps(T, dt)`; the
     step defaults to 0.01/J, about two hundred points per period of the
-    fastest mode, and more than 2^24 steps raise ResourceLimitError.
+    fastest mode.  Any finite T / dt is taken; an infinite one raises
+    ResourceLimitError.
     Convergence to `closed_form_average(r)` requires a horizon with
     2^(r sigma) << J T; the relative error then decays like 2^(r sigma) / (J T).
 
@@ -602,22 +601,6 @@ def sigma_zero(r: int, t, J: float = 1.0):
     return complex(out[()]) if scalar else out
 
 
-def sigma_zero_probability(r: int, t, J: float = 1.0):
-    """P(r, t) in the sigma -> 0 limit: 1/(5 - 4 cos Jt) at r = 0 and
-    2^-r (4 - 4 cos Jt)/(5 - 4 cos Jt) beyond; sums to 1 over shells."""
-    if r < 0:
-        raise InputError(f"shell index must be >= 0, got {r}")
-    if not math.isfinite(J):
-        raise InputError(f"J must be finite, got {J}")
-    tarr, scalar = _as_time_array(t)
-    c = np.cos(J * tarr)
-    if r == 0:
-        out = 1.0 / (5.0 - 4.0 * c)
-    else:
-        out = 2.0 ** (-r) * (4.0 - 4.0 * c) / (5.0 - 4.0 * c)
-    return float(out[()]) if scalar else out
-
-
 # ---------------------------------------------------------------------------
 # single-defect entanglement
 # ---------------------------------------------------------------------------
@@ -641,49 +624,43 @@ def binary_entropy(p):
 _SHELL_STARTS = np.array(block_bounds(62))  # first sites of shells 0..63: all int64 cuts
 
 
-def _cut_array(x, top: int) -> np.ndarray:
-    cuts = np.asarray(x)
+def cumulative_probability(amplitudes, x):
+    """Probability that the excitation lies in sites 1..x of a profile.
+
+    `amplitudes` holds shells r = 0..R on its last axis; x is an integer or
+    an integer array of cuts >= 1.  The result has shape
+    amplitudes.shape[:-1] + x.shape (a float for one profile and one cut):
+    the whole shells inside the cut plus the covered sites of the cut shell.
+    A cut past site 2^R covers the whole profile; shells beyond R are
+    treated as empty (their total weight is <= 2^(1-R) for the
+    thermodynamic profile).
+    """
+    amplitudes = np.asarray(amplitudes)
+    if amplitudes.ndim == 0 or amplitudes.shape[-1] == 0:
+        raise InputError("a profile needs at least shell 0 on its last axis")
+    n = amplitudes.shape[-1] - 1
+    cuts, top = np.asarray(x), np.iinfo(np.int64).max
     if cuts.dtype.kind not in "iu" or np.any(cuts < 1) or np.any(cuts > top):
         raise InputError(f"cut positions must be integers in 1..{top}, got {x!r}")
-    return cuts.astype(np.int64, copy=False)
-
-
-def cumulative_probability(source: WaveProfile, x):
-    """Probability that the excitation lies in sites 1..x, elementwise in x.
-
-    x is an integer or an integer array of cuts; a scalar x gives a float.
-    Site-mode profiles take cuts 1..L.  Shell-mode profiles count the
-    whole shells inside the cut plus the covered fraction of the cut shell;
-    shells beyond the profile truncation are treated as empty (their total
-    weight is <= 2^(1-r_max)).
-    """
-    if source.mode == SITE_MODE:
-        cuts = _cut_array(x, source.length)
-        out = np.cumsum(occupation(0, source.amplitudes))[cuts - 1]
-    else:
-        n = source.length - 1
-        cuts = _cut_array(x, np.iinfo(np.int64).max)
-        if n < 63:  # a cut past the profile covers all of it
-            cuts = np.minimum(cuts, 1 << n)
-        shell = np.searchsorted(_SHELL_STARTS, cuts) - 1  # the shell of site x
-        below = np.cumsum(occupation(np.arange(n + 1), source.amplitudes))
-        below = np.concatenate(([0.0], below))[shell]
-        inside = cuts - _SHELL_STARTS[shell]
-        out = below + inside * occupation(0, source.amplitudes[shell])
+    cuts = cuts.astype(np.int64, copy=False)
+    if n < 63:  # a cut past the profile covers all of it
+        cuts = np.minimum(cuts, 1 << n)
+    shell = np.searchsorted(_SHELL_STARTS, cuts) - 1  # the shell of site x
+    below = np.cumsum(occupation(np.arange(n + 1), amplitudes), axis=-1)
+    below = np.concatenate((np.zeros(below.shape[:-1] + (1,)), below), axis=-1)
+    inside = cuts - _SHELL_STARTS[shell]
+    out = below[..., shell] + inside * occupation(0, amplitudes[..., shell])
     return float(out) if out.ndim == 0 else out
 
 
-def single_particle_entropy(x, t, source: WaveProfile):
-    """Entanglement entropy of the cut [1..x] for a single-defect state.
+def single_particle_entropy(amplitudes, x):
+    """Entanglement entropy of the cut [1..x] for a single-defect profile.
 
-    Equals the binary entropy of P_A, the probability of finding the defect
-    left of the cut; natural-log convention.  Elementwise over integer
-    cuts x (1..L-1 in site mode); t is the profile's time, a scalar.
+    Equals the binary entropy of P_A = `cumulative_probability(amplitudes,
+    x)`, the probability of finding the defect left of the cut, with the
+    same shapes; natural-log convention.
     """
-    _check_profile_time(source, t, "entropy")
-    if source.mode == SITE_MODE:
-        _cut_array(x, source.length - 1)
-    return binary_entropy(cumulative_probability(source, x))
+    return binary_entropy(cumulative_probability(amplitudes, x))
 
 
 # ---------------------------------------------------------------------------

@@ -46,12 +46,13 @@ from .analytic import (
     closed_form_average,
     estimate_dynamical_exponent,
     occupation,
-    psi_finite,
     psi_thermo,
     single_particle_entropy,
     tail_average,
     tail_bound,
     time_average,
+    wave_profile_finite,
+    wave_profile_thermo,
 )
 from .errors import ConvergenceError, InputError, ResourceLimitError
 from .geometry import TreeGeometry
@@ -67,7 +68,6 @@ from .oracle import dense_evolve_series, fast_evolve_series
 from .profiles import (
     MAX_SHELL,
     TruncationPolicy,
-    WaveProfile,
     collapse_sites_to_shells,
     expand_shells_to_sites,
 )
@@ -334,22 +334,20 @@ def cmd_evolve(config: RunConfig) -> dict:
     policy = TruncationPolicy(config.K)
 
     if config.mode == "thermo":
-        shell_amps = np.array(
-            [psi_thermo(r, grid, config.sigma, config.J, policy) for r in shells]
-        )
+        block = wave_profile_thermo(grid, config.sigma, config.J, policy, config.rmax)
     else:
         params = ModelParams(geom, J=config.J, sigma=config.sigma)
         if config.mode == "finite":
-            shell_amps = np.array([psi_finite(r, grid, params) for r in shells])
+            block = wave_profile_finite(grid, params)
         else:
             delta = np.zeros(geom.length, dtype=complex)
             delta[0] = 1.0
             evolve = dense_evolve_series if config.mode == "dense" else fast_evolve_series
-            shell_amps = collapse_sites_to_shells(evolve(params, grid, delta), geom).T
+            block = collapse_sites_to_shells(evolve(params, grid, delta), geom)
 
-    probs = occupation(np.asarray(shells)[:, None], shell_amps)
+    probs = occupation(np.asarray(shells), block)
     out = _write_series(config.out, ["t", "r", "psi_re", "psi_im", "P"], grid, shells,
-                        [shell_amps.real.T, shell_amps.imag.T, probs.T], config.format)
+                        [block.real, block.imag, probs], config.format)
     return {"outputs": [out]}
 
 
@@ -449,8 +447,8 @@ def cmd_manybody(config: RunConfig) -> dict:
         ),
     }
     if config.compare_single_particle:
-        shells = np.array([psi_finite(r, grid, params) for r in range(params.geom.levels + 1)])
-        predicted = occupation(0, expand_shells_to_sites(shells.T, params.geom))
+        block = wave_profile_finite(grid, params)
+        predicted = occupation(0, expand_shells_to_sites(block, params.geom))
         extras["single_particle_max_deviation"] = float(np.max(np.abs(series.n - predicted)))
     return {"outputs": outputs, **extras}
 
@@ -464,15 +462,9 @@ def cmd_entropy(config: RunConfig) -> dict:
     if config.mode == "single":
         geom = TreeGeometry(config.N)
         grid = _time_grid(config.tmax, config.dt, geom.length - 1)
-        policy = TruncationPolicy(config.K)
-        shell_amps = np.array([psi_thermo(r, grid, config.sigma, config.J, policy)
-                               for r in range(geom.levels + 1)])
-        cuts = np.arange(1, geom.length)
-        # site mode: S is ill-conditioned near x = L, where a shell sum moves it
-        entropy = np.array([
-            single_particle_entropy(cuts, t, WaveProfile(expand_shells_to_sites(amps, geom), t))
-            for t, amps in zip(grid, shell_amps.T)
-        ])
+        block = wave_profile_thermo(grid, config.sigma, config.J,
+                                    TruncationPolicy(config.K), geom.levels)
+        entropy = single_particle_entropy(block, np.arange(1, geom.length))
     else:
         _, grid, series = _spin_series(config, config.L - 1)
         entropy = series.entropy

@@ -14,8 +14,8 @@ class InputError(ValueError):
 class SingularLimitError(InputError):
     """A sigma = 0 value hit a formula that diverges there.
 
-    The sigma = 0 dynamics is well defined; use the dedicated closed forms
-    (`analytic.sigma_zero`, `analytic.sigma_zero_probability`) instead.
+    The sigma = 0 dynamics is well defined; use the dedicated closed form
+    `analytic.sigma_zero` instead.
     """
 
 

@@ -1,10 +1,11 @@
-"""Wavefunction containers and the shell layout shared across modules.
+"""The shell layout shared across modules, and the series cutoff policy.
 
-Two indexing modes exist.  "site" mode stores one complex amplitude per
-lattice site x = 1..L (array index x-1).  "shell" mode exploits the fact
-that the amplitude of the spreading excitation depends on the site only
-through its hierarchical distance r from site 1, and stores one amplitude
-per shell r = 0..r_max.  Times are measured in units of 1/J.
+The amplitude of the spreading excitation depends on the site only through
+its hierarchical distance r from site 1, so a single-particle profile is a
+complex array with one amplitude per shell r = 0..r_max on its last axis
+(leading axes, if any, are times).  `expand_shells_to_sites` broadcasts it
+onto the L = 2^N sites x = 1..L (array index x-1) where a site-resolved
+array is needed.  Times are measured in units of 1/J.
 """
 
 from __future__ import annotations
@@ -17,19 +18,13 @@ from .errors import InputError, ResourceLimitError
 from .geometry import TreeGeometry, block_bounds
 
 __all__ = [
-    "SITE_MODE",
-    "SHELL_MODE",
     "TruncationPolicy",
-    "WaveProfile",
     "expand_shells_to_sites",
     "collapse_sites_to_shells",
     "shell_sums",
     "shell_weights",
     "MAX_SHELL",
 ]
-
-SITE_MODE = "site"
-SHELL_MODE = "shell"
 
 # Term k of the series carries 2^(-k-1), exactly 0 for k >= 1074: a larger K
 # only adds zero terms.
@@ -61,29 +56,6 @@ class TruncationPolicy:
 
 
 DEFAULT_POLICY = TruncationPolicy()
-
-
-@dataclass(frozen=True)
-class WaveProfile:
-    """Complex amplitudes of a single-particle state at a fixed time."""
-
-    amplitudes: np.ndarray
-    time: float
-    mode: str = SITE_MODE
-
-    def __post_init__(self):
-        if self.mode not in (SITE_MODE, SHELL_MODE):
-            raise InputError(f"unknown profile mode {self.mode!r}")
-        amp = np.asarray(self.amplitudes, dtype=complex)
-        object.__setattr__(self, "amplitudes", amp)
-        if self.mode == SITE_MODE:
-            TreeGeometry.from_length(amp.size)
-        elif amp.size == 0:
-            raise InputError("a shell-mode profile needs at least shell 0")
-
-    @property
-    def length(self) -> int:
-        return int(self.amplitudes.size)
 
 
 # Largest shell: 2^r, the scale of shell r's weight and amplitude, is a

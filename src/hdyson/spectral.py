@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import InputError, ResourceLimitError, SingularLimitError
 from .geometry import TreeGeometry, block_bounds, block_range, pair_level
-from .profiles import SITE_MODE, WaveProfile, shell_weights
+from .profiles import shell_weights
 
 __all__ = [
     "ModelParams",
@@ -154,7 +154,7 @@ def eigenvalues(params: ModelParams) -> SpectrumData:
     return SpectrumData(eps, degeneracy)
 
 
-def eigenvector(k: int, m: int, geom: TreeGeometry) -> WaveProfile:
+def eigenvector(k: int, m: int, geom: TreeGeometry) -> np.ndarray:
     """Unit-norm eigenvector (k, m) expanded over the L sites.
 
     Members are ordered left to right by support block, so m = 1 is always
@@ -178,7 +178,7 @@ def eigenvector(k: int, m: int, geom: TreeGeometry) -> WaveProfile:
         amplitude = math.sqrt((stop - start) / geom.length)
         vec[first:middle] = amplitude
         vec[middle:first + width] = -amplitude
-    return WaveProfile(vec, time=0.0, mode=SITE_MODE)
+    return vec
 
 
 def build_hopping_matrix(params: ModelParams) -> np.ndarray:

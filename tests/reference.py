@@ -11,7 +11,9 @@ the dynamical-exponent scan from one amplitude call per trial exponent,
 the thermodynamic mode series from one exponential per term, the
 amplitudes of shells r >= 1 from whole-array steps around that series,
 long-time averages from sampling P(r, t) on the trapezoid grid, the
-probability left of a cut from a loop over the shells, the gauge factor
+probability left of a cut from a loop over the shells or a running sum
+over the sites, the sigma -> 0 occupations from their cosine closed form,
+the gauge factor
 between finite-L and thermodynamic amplitudes from the spectrum's dropped
 constant,
 many-body evolution from CSR products in the sz basis over the full 2^L
@@ -36,6 +38,7 @@ from hdyson import (
     build_hopping_matrix,
     eigenvalues,
     magnetization_profile,
+    occupation,
     probability_thermo,
     renormalized_coupling,
 )
@@ -558,3 +561,29 @@ def shell_loop_cumulative_probability(amplitudes: np.ndarray, x: int) -> float:
             break
         total += inside * value
     return float(total)
+
+
+def site_cumulative_probability(site_amplitudes: np.ndarray, x) -> np.ndarray:
+    """Probability in sites 1..x of a site-resolved profile, cuts x = 1..L.
+
+    A running sum of |psi(x)|^2 over the L sites: shell r adds its 2^(r-1)
+    equal terms one at a time.  The library sums whole shells instead.
+    """
+    cuts = np.asarray(x)
+    if cuts.dtype.kind not in "iu" or np.any(cuts < 1) or np.any(cuts > site_amplitudes.size):
+        raise InputError(f"cut positions must be integers in 1..{site_amplitudes.size}")
+    return np.cumsum(occupation(0, site_amplitudes))[cuts - 1]
+
+
+def sigma_zero_probability(r: int, t, J: float = 1.0):
+    """P(r, t) in the sigma -> 0 limit: 1/(5 - 4 cos Jt) at r = 0 and
+    2^-r (4 - 4 cos Jt)/(5 - 4 cos Jt) beyond; sums to 1 over shells.
+
+    The library gets P(r, t) as `occupation(r, sigma_zero(r, t, J))`.
+    """
+    c = np.cos(J * np.asarray(t, dtype=float))
+    if r == 0:
+        out = 1.0 / (5.0 - 4.0 * c)
+    else:
+        out = 2.0 ** (-r) * (4.0 - 4.0 * c) / (5.0 - 4.0 * c)
+    return float(out) if out.ndim == 0 else out

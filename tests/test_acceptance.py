@@ -14,7 +14,7 @@ import pytest
 
 import hdyson as hd
 
-from reference import cluster_distinct, second_order_level_couplings
+from reference import cluster_distinct, second_order_level_couplings, sigma_zero_probability
 
 
 def report(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -162,10 +162,10 @@ def test_criterion_6_sigma_zero_limit():
     worst = 0.0
     for r in range(6):
         series = hd.probability_thermo(r, t, 1e-5, 1.0, policy)
-        closed = hd.sigma_zero_probability(r, t)
+        closed = sigma_zero_probability(r, t)
         worst = max(worst, float(np.max(np.abs(series - closed))))
-    shifted = hd.sigma_zero_probability(0, t + 2 * np.pi)
-    period_err = float(np.max(np.abs(shifted - hd.sigma_zero_probability(0, t))))
+    shifted = sigma_zero_probability(0, t + 2 * np.pi)
+    period_err = float(np.max(np.abs(shifted - sigma_zero_probability(0, t))))
     ok = worst <= 1e-3 and period_err <= 1e-12
     report(
         6,
@@ -190,10 +190,9 @@ def test_criterion_7_many_body_validation():
         )
 
         def worst(model):
-            predicted = [
-                np.abs(hd.wave_profile_finite(t, model).amplitudes) ** 2 for t in times
-            ]
-            return float(np.max(np.abs(series.n - np.array(predicted))))
+            shells = hd.wave_profile_finite(times, model)
+            predicted = np.abs(hd.expand_shells_to_sites(shells, model.geom)) ** 2
+            return float(np.max(np.abs(series.n - predicted)))
 
         return worst(dressed), worst(params), hd.quasi_conservation_report(series)
 
@@ -222,7 +221,7 @@ def test_criterion_8_entanglement_consistency():
             binary = hd.binary_entropy(float(np.sum(np.abs(amps[:cut]) ** 2)))
             worst = max(worst, abs(schmidt - binary))
     profile = hd.wave_profile_thermo(5.0, 1.0, 1.0, r_max=24)
-    tail = [hd.single_particle_entropy(1 << r, 5.0, profile) for r in range(3, 11)]
+    tail = [hd.single_particle_entropy(profile, 1 << r) for r in range(3, 11)]
     decays = all(tail[i] > tail[i + 1] for i in range(len(tail) - 1))
     ok = worst <= 1e-8 and decays
     report(

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import typing
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -24,9 +25,8 @@ from hdyson import (
     ModelParams,
     TreeGeometry,
     TruncationPolicy,
-    WaveProfile,
+    binary_entropy,
     eigenvalues,
-    expand_shells_to_sites,
     occupation,
     psi_thermo,
     single_particle_entropy,
@@ -256,13 +256,39 @@ def test_entropy_single_mode(tmp_path):
     late = [row["S"] for row in rows if row["t"] == 5.0]
     assert len(late) == 31
     assert late[15] > late[29]  # decay beyond the first shells
-    # the S column is the library's entropy of the site-expanded profile
-    geom = TreeGeometry(5)
+    # the S column is the library's entropy of the shell profile
     for t in (0.0, 2.5, 5.0):
         shells = np.array([psi_thermo(r, t, 1.0) for r in range(6)])
-        profile = WaveProfile(expand_shells_to_sites(shells, geom), t)
-        expected = single_particle_entropy(np.arange(1, 32), t, profile)
+        expected = single_particle_entropy(shells, np.arange(1, 32))
         assert np.array_equal([row["S"] for row in rows if row["t"] == t], expected)
+
+
+# Largest |S - binary_entropy(P_A)| of the `entropy --mode single --N 8`
+# table, P_A the exact Fraction sum of the same amplitudes, rounded once:
+# measured 3.6e-15 (t = 8, x = 183).  A running sum over the 255 sites
+# measured 1.2e-13 (t = 3, x = 255), where the entropy amplifies rounding.
+ENTROPY_EXACT_SUM_GAP = 4e-15
+
+
+def test_entropy_single_table_against_exact_sums(tmp_path):
+    out = tmp_path / "ent.csv"
+    assert run(tmp_path, "entropy", "--mode", "single", "--N", 8, "--out", out) == 0
+    _, rows = read_csv(out)
+    grid = np.unique([row["t"] for row in rows])
+    amplitudes = np.array([psi_thermo(r, grid, 1.0) for r in range(9)]).T
+    worst = 0.0
+    for t, shells in zip(grid, amplitudes):
+        density = [Fraction(a.real) ** 2 + Fraction(a.imag) ** 2 for a in shells.tolist()]
+        exact = []  # P_A at cuts 1..255, shell by shell
+        below = Fraction(0)
+        for r, value in enumerate(density):
+            width = 1 if r == 0 else 1 << (r - 1)
+            exact += [below + k * value for k in range(1, width + 1)]
+            below += width * value
+        table = [row["S"] for row in rows if row["t"] == t]
+        gaps = np.abs(np.array(table) - binary_entropy(np.array([float(p) for p in exact[:255]])))
+        worst = max(worst, float(np.max(gaps)))
+    assert worst <= ENTROPY_EXACT_SUM_GAP
 
 
 def test_entropy_manybody_mode(tmp_path):
@@ -476,10 +502,21 @@ def test_zero_horizon_writes_one_time_point(tmp_path, argv, table, index, count)
 
 @pytest.mark.parametrize("command", ["evolve", "timeavg"])
 def test_time_step_cap(tmp_path, capsys, command):
+    # span / dt overflows to inf: no step count to take
     out = tmp_path / "big.csv"
-    assert run(tmp_path, command, "--tmax", 1e9, "--dt", 1e-6, "--out", out) == 3
+    assert run(tmp_path, command, "--tmax", 1e300, "--dt", 1e-300, "--out", out) == 3
     assert not out.exists()
     assert capsys.readouterr().err.startswith("resource limit:")
+
+
+def test_timeavg_takes_default_horizons_past_two_to_the_24_steps(tmp_path):
+    # r = 11, 12 average 2.0e7 and 4.1e7 steps at the default horizons
+    out = tmp_path / "ta.csv"
+    assert run(tmp_path, "timeavg", "--rmax", 12, "--out", out) == 0
+    _, rows = read_csv(out)
+    assert [row["T"] for row in rows][-2:] == [100.0 * 2.0 ** 11, 100.0 * 2.0 ** 12]
+    for row in rows:
+        assert abs(row["numerical_avg"] - row["closed_form"]) <= 0.02 * row["closed_form"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -565,7 +602,8 @@ def no_compute(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a capped run reached its computation")
 
-    for name in ("psi_thermo", "psi_finite", "dense_evolve_series", "fast_evolve_series",
+    for name in ("psi_thermo", "wave_profile_thermo", "wave_profile_finite",
+                 "dense_evolve_series", "fast_evolve_series",
                  "evolve_spin", "estimate_dynamical_exponent", "time_average"):
         monkeypatch.setattr(cli, name, refuse)
 

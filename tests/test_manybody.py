@@ -23,7 +23,7 @@ from hdyson import (
     wave_profile_finite,
 )
 from hdyson import manybody
-from hdyson.profiles import shell_sums
+from hdyson.profiles import expand_shells_to_sites, shell_sums
 from hdyson.manybody import (
     LOCAL_TOL,
     LanczosStats,
@@ -58,7 +58,7 @@ def params_for(length, sigma=1.0, J=1.0, h=0.0):
 
 
 def single_particle_occupations(t, params):
-    return np.abs(wave_profile_finite(t, params).amplitudes) ** 2
+    return np.abs(expand_shells_to_sites(wave_profile_finite(t, params), params.geom)) ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -111,7 +111,7 @@ def test_fast_apply_eigen_action():
         spec = eigenvalues(params)
         for k in range(levels + 1):
             for m in (1, spec.degeneracy[k]):
-                v = eigenvector(k, m, params.geom).amplitudes
+                v = eigenvector(k, m, params.geom)
                 result = fast_apply(params, v)
                 assert np.max(np.abs(result - spec.eps[k] * v)) < 1e-10
 
@@ -164,7 +164,7 @@ def test_tree_transform_coefficients_are_projections():
     v = rng.normal(size=16) + 1j * rng.normal(size=16)
     coeffs = tree_transform(v)
     for k, m, slot in members(geom.levels):
-        basis = eigenvector(k, m, geom).amplitudes.real
+        basis = eigenvector(k, m, geom).real
         assert coeffs.values[slot] == pytest.approx(complex(basis @ v), abs=1e-12)
 
 

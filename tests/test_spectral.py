@@ -86,9 +86,9 @@ def test_eigenvalues_sigma_zero_raises():
 
 def test_eigenvector_examples():
     geom = TreeGeometry(2)
-    assert np.allclose(eigenvector(0, 1, geom).amplitudes, [0.5, 0.5, 0.5, 0.5])
-    assert np.allclose(eigenvector(1, 1, geom).amplitudes, [0.5, 0.5, -0.5, -0.5])
-    v = eigenvector(2, 1, geom).amplitudes
+    assert np.allclose(eigenvector(0, 1, geom), [0.5, 0.5, 0.5, 0.5])
+    assert np.allclose(eigenvector(1, 1, geom), [0.5, 0.5, -0.5, -0.5])
+    v = eigenvector(2, 1, geom)
     assert np.allclose(v, [2 ** -0.5, -(2 ** -0.5), 0.0, 0.0])
     mat = build_hopping_matrix(params_for(2))
     assert np.allclose(mat @ v.real, eigenvalues(params_for(2)).eps[2] * v.real)
@@ -101,7 +101,7 @@ def test_eigenvector_action_all_members():
         spec = eigenvalues(params)
         for k in range(params.geom.levels + 1):
             for m in range(1, spec.degeneracy[k] + 1):
-                v = eigenvector(k, m, params.geom).amplitudes.real
+                v = eigenvector(k, m, params.geom).real
                 assert abs(np.linalg.norm(v) - 1.0) < 1e-13
                 assert np.max(np.abs(mat @ v - spec.eps[k] * v)) < 1e-12
 
@@ -109,10 +109,10 @@ def test_eigenvector_action_all_members():
 def test_eigenvectors_orthonormal_basis():
     geom = TreeGeometry(6)
     spec = eigenvalues(ModelParams(geom))
-    vectors = [eigenvector(0, 1, geom).amplitudes.real]
+    vectors = [eigenvector(0, 1, geom).real]
     for k in range(1, geom.levels + 1):
         for m in range(1, spec.degeneracy[k] + 1):
-            vectors.append(eigenvector(k, m, geom).amplitudes.real)
+            vectors.append(eigenvector(k, m, geom).real)
     basis = np.array(vectors)
     assert basis.shape == (geom.length, geom.length)
     gram = basis @ basis.T
@@ -125,7 +125,7 @@ def test_multiplet_supports_disjoint():
     for k in range(2, geom.levels + 1):
         occupied = np.zeros(geom.length, dtype=int)
         for m in range(1, spec.degeneracy[k] + 1):
-            occupied += eigenvector(k, m, geom).amplitudes.real != 0
+            occupied += eigenvector(k, m, geom).real != 0
         assert occupied.max() == 1
 
 
@@ -133,7 +133,7 @@ def test_descriptor_expand_matches_eigenvector():
     # member 2 of multiplet 2 at L = 8: +1/2 on sites 5..6, -1/2 on 7..8
     geom = TreeGeometry(3)
     expected = [0.0, 0.0, 0.0, 0.0, 0.5, 0.5, -0.5, -0.5]
-    assert np.array_equal(eigenvector(2, 2, geom).amplitudes, expected)
+    assert np.array_equal(eigenvector(2, 2, geom), expected)
 
 
 def test_eigenvector_validation():
@@ -168,7 +168,7 @@ def test_delta_decomposition():
     geom8 = TreeGeometry(3)
     rebuilt = np.zeros(8)
     for k, m, coeff in delta_decomposition(geom8):
-        rebuilt += coeff * eigenvector(k, m, geom8).amplitudes.real
+        rebuilt += coeff * eigenvector(k, m, geom8).real
     expected = np.zeros(8)
     expected[0] = 1.0
     assert np.max(np.abs(rebuilt - expected)) < 1e-14

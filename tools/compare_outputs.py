@@ -3,8 +3,9 @@
     python tools/compare_outputs.py PARENT_SRC CHANGE_SRC
 
 Each argument is a checkout (or its `src` directory).  Every command of
-`perfbench.workloads.CLI_RUNS` runs once per tree as `python -m hdyson.cli`
-in a fresh temporary directory.  For every file a run leaves, and for its
+`perfbench.workloads.CLI_RUNS`, and of `EXTRA_RUNS` (the table paths those
+miss), runs once per tree as `python -m hdyson.cli` in a fresh temporary
+directory.  For every file a run leaves, and for its
 stdout, the script prints `same bytes`, or for a table the largest |delta|
 of each numeric column that moved (in units of the parent value's ulp as
 well), for a JSON manifest that of each numeric field.  The exit status is
@@ -25,6 +26,21 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT))
 
 from perfbench.workloads import CLI_RUNS  # noqa: E402  (after the path entry)
+
+# Table paths the benchmark's commands do not take: the other evolve modes,
+# JSON tables, the single-particle comparison, a larger entropy table and
+# the one-time, one-shell and one-cut edges.
+EXTRA_RUNS = [
+    ("evolve_finite", ["evolve", "--mode", "finite", "--out", "evolve_finite.csv"]),
+    ("evolve_dense", ["evolve", "--mode", "dense", "--out", "evolve_dense.csv"]),
+    ("evolve_json", ["evolve", "--format", "json", "--out", "evolve.json"]),
+    ("manybody_compare", ["manybody", "--compare-single-particle", "--out", "manybody"]),
+    ("entropy_n12", ["entropy", "--mode", "single", "--N", "12", "--tmax", "20", "--dt", "1",
+                     "--out", "entropy_n12.csv"]),
+    ("evolve_tmax0", ["evolve", "--tmax", "0", "--out", "evolve_tmax0.csv"]),
+    ("evolve_rmax0", ["evolve", "--rmax", "0", "--out", "evolve_rmax0.csv"]),
+    ("entropy_n1", ["entropy", "--N", "1", "--out", "entropy_n1.csv"]),
+]
 
 
 def source_dir(tree: str) -> Path:
@@ -119,7 +135,7 @@ def main(argv: list[str]) -> int:
     trees = [source_dir(tree) for tree in argv]
     same = True
     with tempfile.TemporaryDirectory() as scratch:
-        for label, command in CLI_RUNS:
+        for label, command in CLI_RUNS + EXTRA_RUNS:
             outputs = []
             for side, src in zip(("parent", "change"), trees):
                 cwd = Path(scratch) / side / label
