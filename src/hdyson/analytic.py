@@ -460,10 +460,8 @@ def _pair_mean(amplitudes: np.ndarray, speeds: np.ndarray, step: float, n: int) 
     x -= np.pi * np.rint(x / np.pi)
     pair = np.full(x.size, 2.0)
     moving = x != 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        term = np.sin(2.0 * (n * x[moving])) / (n * np.tan(x[moving]))
-    # where n x overflows, the term is below 1 / (n |x|) < 1e-308
-    pair[moving] = np.where(np.isfinite(term), term, 0.0)
+    # 2 (n x) has the bits of (2 n) x, but 2 n overflows from n = 2^1023 on
+    pair[moving] = np.sin(2.0 * (n * x[moving])) / (n * np.tan(x[moving]))
     return math.fsum(amplitudes * amplitudes) + math.fsum(amplitudes[m] * amplitudes[l] * pair)
 
 

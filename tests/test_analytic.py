@@ -854,7 +854,7 @@ def test_truncation_policy_cap():
 
 
 def test_time_average_takes_any_finite_step_count():
-    # the mean is summed over mode pairs, so 2^27 or 1e308 steps cost what
+    # the mean is summed over mode pairs, so 1e10 or 1e308 steps cost what
     # ten do; only a step ratio beyond the double range is refused
     assert time_average(20, 100.0 * 2.0 ** 20, 1.0) == pytest.approx(2.0 ** -19 / 3.0, rel=0.02)
     for r in (0, 1, 30):
