@@ -20,6 +20,7 @@ from hdyson import (
     eigenvector,
     renormalized_coupling,
 )
+from hdyson.geometry import block_bounds
 
 
 def main():
@@ -33,17 +34,18 @@ def main():
           np.array2string(params.level_coupling_array(), precision=5))
     print("=" * 64)
 
-    spec = eigenvalues(params)
+    eps = eigenvalues(params)
+    degeneracy = np.diff(block_bounds(N)).astype(int)  # multiplet k is block k
     dense = np.sort(np.linalg.eigvalsh(build_hopping_matrix(params)))
     print("\n k   eps_k (closed form)   multiplicity   dense check")
     cursor = 0
     for k in range(N + 1):
-        deg = int(spec.degeneracy[k])
+        deg = int(degeneracy[k])
         block = dense[cursor : cursor + deg]
         cursor += deg
-        print(f"{k:2d}   {spec.eps[k]:+18.12f}   {deg:12d}   "
-              f"max dev {np.max(np.abs(block - spec.eps[k])):.2e}")
-    print(f"\nlevels sum to 2^N: {int(spec.degeneracy.sum())} = {geom.length}")
+        print(f"{k:2d}   {eps[k]:+18.12f}   {deg:12d}   "
+              f"max dev {np.max(np.abs(block - eps[k])):.2e}")
+    print(f"\nlevels sum to 2^N: {int(degeneracy.sum())} = {geom.length}")
     print(f"band ladder prefactor (2^(s+1)-1)/(2^s-1) * J = "
           f"{renormalized_coupling(sigma, J):.6f}")
 

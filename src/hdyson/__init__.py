@@ -16,15 +16,13 @@ from .errors import (
     ResourceLimitError,
     SingularLimitError,
 )
-from .geometry import TreeGeometry
-from .profiles import (
-    TruncationPolicy,
+from .geometry import (
+    TreeGeometry,
     collapse_sites_to_shells,
     expand_shells_to_sites,
 )
 from .spectral import (
     ModelParams,
-    SpectrumData,
     build_hopping_matrix,
     delta_decomposition,
     eigenvalues,
@@ -32,6 +30,7 @@ from .spectral import (
     renormalized_coupling,
 )
 from .analytic import (
+    TruncationPolicy,
     binary_entropy,
     closed_form_average,
     cumulative_probability,

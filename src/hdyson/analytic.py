@@ -22,17 +22,22 @@ last axis and the times on its leading axes; the cut probability and
 entropy take such arrays.
 
 Error model of the thermodynamic series: the terms k >= K are dropped, a
-remainder of modulus at most 2^-K (`TruncationPolicy.tail_bound`).  Of the
-kept terms, those whose phase is below about _TAIL_PHASE = 1/8 are summed
-from their Taylor moments through order _TAIL_ORDER = 13, which adds at
-most 6.1e-24 times their total weight (see `_return_series`); the other
-terms are summed one exponential at a time.
+remainder of modulus at most 2^-K (`TruncationPolicy`, the cutoff that
+every series evaluator takes, and its `tail_bound`).  Of the kept terms,
+those whose phase is below about _TAIL_PHASE = 1/8 are summed from their
+Taylor moments through order _TAIL_ORDER = 13, which adds at most 6.1e-24
+times their total weight (see `_return_series`); the other terms are
+summed one exponential at a time.
 
 Long-time averages (`time_average`) are the composite trapezoid of P(r, t)
 on the grid t_j = jT/n, summed in closed form over pairs of shell r's K + 1
 modes (or, for shells the excitation has not reached, from the Taylor
 moments of its amplitude), so they cost O(K^2) per shell, independent of
-T / dt.
+T / dt.  `time_steps` is the step count of those grids and of the CLI's
+output time grids.
+
+Shell indices go through `geometry.check_shell`: an integer 0..MAX_SHELL,
+else InputError (ResourceLimitError above the cap).
 
 Conventions: hbar = 1, times in units of 1/J, natural logarithms.  The
 thermodynamic-limit amplitudes drop a k-independent phase (the additive
@@ -47,22 +52,18 @@ import functools
 import math
 import sys
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import time_steps
 from .errors import InputError, ResourceLimitError, SingularLimitError
-from .geometry import block_bounds
-from .profiles import (
-    DEFAULT_POLICY,
-    MAX_SHELL,
-    TruncationPolicy,
-    shell_weights,
-)
+from .geometry import BLOCK_STARTS, check_shell, pair_level, shell_weights
 from .spectral import ModelParams, eigenvalues, renormalized_coupling
 
 __all__ = [
     "SIGMA_NEAR_ZERO",
+    "TruncationPolicy",
+    "time_steps",
     "psi_finite",
     "psi_thermo",
     "scaling_function",
@@ -84,6 +85,50 @@ __all__ = [
 # Below this the 1/(1 - 2^-sigma) prefactors overflow their useful range;
 # such runs are rerouted to the sigma = 0 closed forms.
 SIGMA_NEAR_ZERO = 1e-6
+
+# Term k of the series carries 2^(-k-1), exactly 0 for k >= 1074: a larger K
+# only adds zero terms.
+MAX_SERIES_TERMS = 1074
+
+
+@dataclass(frozen=True)
+class TruncationPolicy:
+    """Cutoff K of the thermodynamic-limit mode series.
+
+    The discarded tail is a geometric remainder, so its modulus is bounded
+    by 2^-K; the default K = 64 pushes it below double precision.
+    """
+
+    K: int = 64
+
+    def __post_init__(self):
+        if self.K < 1:
+            raise InputError(f"series cutoff K must be >= 1, got {self.K}")
+        if self.K > MAX_SERIES_TERMS:
+            raise ResourceLimitError(
+                f"series cutoff K = {self.K} exceeds {MAX_SERIES_TERMS}, "
+                "beyond which every term is zero"
+            )
+
+    @property
+    def tail_bound(self) -> float:
+        return 2.0 ** (-self.K)
+
+
+DEFAULT_POLICY = TruncationPolicy()
+
+
+def time_steps(span: float, dt: float) -> int:
+    """Number of steps of about dt across [0, span]: 0 if span = 0, else >= 1.
+
+    The count is not capped (callers cap what they build from it), but a
+    ratio span / dt beyond the double range raises ResourceLimitError.
+    """
+    if not (span >= 0 and dt > 0):
+        raise InputError(f"need span >= 0 and dt > 0, got span={span}, dt={dt}")
+    if not math.isfinite(span / dt):
+        raise ResourceLimitError(f"span {span} at step {dt} is not a finite number of steps")
+    return max(1, int(round(span / dt))) if span > 0 else 0
 
 
 def _as_time_array(t) -> tuple[np.ndarray, bool]:
@@ -119,10 +164,10 @@ def psi_finite(r: int, t, params: ModelParams):
     single sign-flipped term of the shell's own multiplet.  At t = 0 the
     profile reconstructs the site-1 delta exactly.
     """
-    n = params.geom.levels
-    if not 0 <= r <= n:
+    r, n = check_shell(r), params.geom.levels
+    if r > n:
         raise InputError(f"shell index {r} outside 0..{n}")
-    eps = eigenvalues(params).eps
+    eps = eigenvalues(params)
     L = params.geom.length
     tarr, scalar = _as_time_array(t)
     acc = np.full(tarr.shape, 1.0 / L, dtype=complex) * np.exp(-1j * eps[0] * tarr)
@@ -289,9 +334,11 @@ def _return_series(s, sigma: float, J: float, policy: TruncationPolicy,
             np.multiply(closing_rate, times[:m], out=t)
             np.exp(t, out=t)
             acc[:m] -= t
-        if shell:
-            np.multiply(2.0 ** (-shell), acc[:m], out=acc[:m])
-        flat_out[start:start + m][order] = acc[:m]
+        values = acc[:m]
+        if shell:  # into term, not in place: numpy's in-place loop for one
+            # element gives an underflowed imaginary part the other zero sign
+            values = np.multiply(2.0 ** (-shell), values, out=term[:m])
+        flat_out[start:start + m][order] = values
     return out
 
 
@@ -331,8 +378,7 @@ def psi_thermo(r: int, t, sigma: float, J: float = 1.0,
     falls through to the sigma = 0 closed form (with a warning): that form
     fixes amplitudes only up to a global phase, probabilities exactly.
     """
-    if r < 0:
-        raise InputError(f"shell index must be >= 0, got {r}")
+    r = check_shell(r)
     _check_sigma(sigma, J)
     if _near_zero(sigma):
         _warn_sigma_zero(sigma)
@@ -352,10 +398,7 @@ def wave_profile_thermo(t, sigma: float, J: float = 1.0,
     probability at most 2^(1-r_max).  r_max beyond MAX_SHELL = 1023 raises
     ResourceLimitError before any shell is evaluated.
     """
-    if r_max < 0:
-        raise InputError(f"r_max must be >= 0, got {r_max}")
-    if r_max > MAX_SHELL:
-        raise ResourceLimitError(f"r_max = {r_max} exceeds the shell cap {MAX_SHELL}")
+    r_max = check_shell(r_max, "r_max")
     return np.stack([psi_thermo(r, t, sigma, J, policy) for r in range(r_max + 1)], axis=-1)
 
 
@@ -392,22 +435,19 @@ def probability_thermo(r: int, t, sigma: float, J: float = 1.0,
 
 def closed_form_average(r: int) -> float:
     """Infinite-horizon average of P(r, t): 1/3 for r in {0, 1}, 2^(1-r)/3."""
-    if r < 0:
-        raise InputError(f"shell index must be >= 0, got {r}")
+    r = check_shell(r)
     return 1.0 / 3.0 if r == 0 else 2.0 ** (1 - r) / 3.0
 
 
 def tail_average(R: int) -> float:
     """Average probability of being at distance r > R: 2^(1-R)/3."""
-    if R < 0:
-        raise InputError(f"shell index must be >= 0, got {R}")
+    R = check_shell(R)
     return 2.0 ** (1 - R) / 3.0
 
 
 def tail_bound(R: int) -> float:
     """Bound valid at every time: sum_{r>R} P(r, t) <= 2^(1-R)."""
-    if R < 0:
-        raise InputError(f"shell index must be >= 0, got {R}")
+    R = check_shell(R)
     return 2.0 ** (1 - R)
 
 
@@ -508,7 +548,8 @@ def _moment_mean(amplitudes: np.ndarray, phases: np.ndarray, n: int) -> float | 
     remainder bound of order _AVERAGE_ORDER, sum_k a_k |p_k|^(order+1) /
     (order+1)!, exceeds _AVERAGE_REMAINDER of the first moment.
     """
-    remainder = np.sum(amplitudes * np.abs(phases) ** (_AVERAGE_ORDER + 1))
+    with np.errstate(over="ignore"):  # a bound past the double range fails the test
+        remainder = np.sum(amplitudes * np.abs(phases) ** (_AVERAGE_ORDER + 1))
     if remainder / math.factorial(_AVERAGE_ORDER + 1) > (
             _AVERAGE_REMAINDER * abs(np.sum(amplitudes * phases))):
         return None
@@ -529,8 +570,9 @@ def time_average(r: int, T: float, sigma: float, J: float = 1.0,
 
     The grid is t_j = jT/n, j = 0..n, with n = `time_steps(T, dt)`; the
     step defaults to 0.01/J, about two hundred points per period of the
-    fastest mode.  Any finite T / dt is taken; an infinite one raises
-    ResourceLimitError.
+    fastest mode.  Any finite T / dt is taken; an infinite one, or a
+    horizon whose mode phases (T times the spread of the mode speeds)
+    overflow the double range, raises ResourceLimitError.
     Convergence to `closed_form_average(r)` requires a horizon with
     2^(r sigma) << J T; the relative error then decays like 2^(r sigma) / (J T).
 
@@ -551,12 +593,11 @@ def time_average(r: int, T: float, sigma: float, J: float = 1.0,
     if dt is None:
         dt = 0.01 / J if J > 0 else 0.01
     n = time_steps(T, dt)
-    if r < 0:
-        raise InputError(f"shell index must be >= 0, got {r}")
+    r = check_shell(r)
     _check_sigma(sigma, J)
     if _near_zero(sigma):
         _warn_sigma_zero(sigma)
-    weight = occupation(r, 1.0)  # also checks r against MAX_SHELL
+    weight = occupation(r, 1.0)
     amplitudes, speeds, scale = _shell_modes(r, sigma, J, policy.K)
     horizon = T * scale
     if _near_zero(sigma) and J != 0:
@@ -564,6 +605,10 @@ def time_average(r: int, T: float, sigma: float, J: float = 1.0,
         # period matters; reducing it sends a grid whose times all sit near
         # multiples of the period, where P is small, to the moment branch
         horizon = n * abs(math.remainder(horizon / n, 2.0 * math.pi / J))
+    if not math.isfinite(float(np.ptp(speeds)) * float(horizon)):
+        raise ResourceLimitError(
+            f"horizon T = {T} puts the mode phases of shell {r} beyond the double range"
+        )
     # phases of the series modes against the closing mode, which comes first
     mean = _moment_mean(amplitudes[1:], (speeds[1:] - speeds[0]) * horizon, n) if r else None
     if mean is None:  # r = 0, or a shell the excitation has reached
@@ -583,8 +628,7 @@ def sigma_zero(r: int, t, J: float = 1.0):
     psi(r, t) = 2^(1-r) e^{iJrt} (1 - e^{-iJt}) / (2 - e^{iJt}) for r >= 1.
     Periodic in t with period 2 pi / J.
     """
-    if r < 0:
-        raise InputError(f"shell index must be >= 0, got {r}")
+    r = check_shell(r)
     if not math.isfinite(J):
         raise InputError(f"J must be finite, got {J}")
     tarr, scalar = _as_time_array(t)
@@ -619,9 +663,6 @@ def binary_entropy(p):
     return float(out) if out.ndim == 0 else out
 
 
-_SHELL_STARTS = np.array(block_bounds(62))  # first sites of shells 0..63: all int64 cuts
-
-
 def cumulative_probability(amplitudes, x):
     """Probability that the excitation lies in sites 1..x of a profile.
 
@@ -643,10 +684,10 @@ def cumulative_probability(amplitudes, x):
     cuts = cuts.astype(np.int64, copy=False)
     if n < 63:  # a cut past the profile covers all of it
         cuts = np.minimum(cuts, 1 << n)
-    shell = np.searchsorted(_SHELL_STARTS, cuts) - 1  # the shell of site x
+    shell = pair_level(0, cuts - 1) + 1  # the shell of site x
     below = np.cumsum(occupation(np.arange(n + 1), amplitudes), axis=-1)
     below = np.concatenate((np.zeros(below.shape[:-1] + (1,)), below), axis=-1)
-    inside = cuts - _SHELL_STARTS[shell]
+    inside = cuts - BLOCK_STARTS[shell]
     out = below[..., shell] + inside * occupation(0, amplitudes[..., shell])
     return float(out) if out.ndim == 0 else out
 
@@ -687,9 +728,11 @@ def estimate_dynamical_exponent(psi_fn, r_values, s_grid,
     most 2^18 time points (one row if the grid is longer), which bounds the
     memory; a row's cost does not depend on the block it is in.  If 2^r or
     2^(z_max r) overflows for the largest r, ResourceLimitError is raised
-    before any `psi_fn` call (overflowed scales would give NaN costs).
+    before any `psi_fn` call (overflowed scales would give NaN costs).  A
+    scan in which every trial exponent gives the same spread (as at J = 0,
+    where every amplitude is 0) has no exponent to find: InputError.
     """
-    r_values = sorted(set(int(r) for r in r_values))
+    r_values = sorted(set(check_shell(r) for r in r_values))
     if len(r_values) < 2:
         raise InputError("need at least two distinct r values to collapse")
     if scan < 2:
@@ -728,6 +771,11 @@ def estimate_dynamical_exponent(psi_fn, r_values, s_grid,
     costs = np.concatenate(
         [spreads(zs[i:i + block]) for i in range(0, scan, block)]
     )
+    if np.all(costs == costs[0]):
+        raise InputError(
+            "every trial exponent gives the same spread: the amplitudes do not "
+            "depend on the rescaled time, so there is no exponent to fit"
+        )
     best = int(np.argmin(costs))
     lo = zs[max(best - 1, 0)]
     hi = zs[min(best + 1, scan - 1)]

@@ -41,8 +41,8 @@ from typing import Annotated
 import numpy as np
 
 from . import __version__
-from ._util import fmt17, time_steps
 from .analytic import (
+    TruncationPolicy,
     closed_form_average,
     estimate_dynamical_exponent,
     occupation,
@@ -51,11 +51,18 @@ from .analytic import (
     tail_average,
     tail_bound,
     time_average,
+    time_steps,
     wave_profile_finite,
     wave_profile_thermo,
 )
 from .errors import ConvergenceError, InputError, ResourceLimitError
-from .geometry import TreeGeometry
+from .geometry import (
+    MAX_SHELL,
+    TreeGeometry,
+    block_bounds,
+    collapse_sites_to_shells,
+    expand_shells_to_sites,
+)
 from .manybody import (
     KRYLOV_DIM,
     LOCAL_TOL,
@@ -65,12 +72,6 @@ from .manybody import (
     quasi_conservation_report,
 )
 from .oracle import dense_evolve_series, fast_evolve_series
-from .profiles import (
-    MAX_SHELL,
-    TruncationPolicy,
-    collapse_sites_to_shells,
-    expand_shells_to_sites,
-)
 from .spectral import ModelParams, eigenvalues
 
 __all__ = [
@@ -217,6 +218,13 @@ def build_run_config(argv) -> RunConfig:
 # table and manifest writers
 # ---------------------------------------------------------------------------
 
+def fmt17(value) -> str:
+    """17-significant-digit decimal: round-trips any float64 exactly."""
+    if isinstance(value, (int, np.integer, np.bool_)):  # bool is an int
+        return str(int(value))
+    return format(float(value), ".17g")
+
+
 def write_table(path: str, header: list[str], rows, fmt: str) -> str:
     if fmt == "csv":
         lines = [",".join(header)]
@@ -315,8 +323,10 @@ def _check_rmax(rmax: int, sigma: float = 0.0) -> None:
 
 def cmd_spectrum(config: RunConfig) -> dict:
     params = ModelParams(TreeGeometry(config.N), J=config.J, sigma=config.sigma)
-    spec = eigenvalues(params)
-    rows = zip(range(spec.eps.size), spec.eps, spec.degeneracy)
+    eps = eigenvalues(params)
+    # block sizes as int64: np.diff of (0, 1, ..., 2^63) runs in float64
+    degeneracy = np.diff(block_bounds(config.N)).astype(np.int64)
+    rows = zip(range(eps.size), eps, degeneracy)
     out = write_table(config.out, ["k", "epsilon", "degeneracy"], rows, config.format)
     return {"outputs": [out]}
 
@@ -382,10 +392,10 @@ def cmd_collapse(config: RunConfig) -> dict:
 def cmd_timeavg(config: RunConfig) -> dict:
     if config.rmin < 0 or config.rmax < config.rmin:
         raise InputError(f"need 0 <= rmin <= rmax, got {config.rmin}..{config.rmax}")
-    _check_rmax(config.rmax, 0.0 if config.tmax else config.sigma)
+    _check_rmax(config.rmax, 0.0 if config.tmax is not None else config.sigma)
     policy = TruncationPolicy(config.K)
     shells = range(config.rmin, config.rmax + 1)
-    horizons = [config.tmax if config.tmax else 100.0 * 2.0 ** (r * config.sigma)
+    horizons = [config.tmax if config.tmax is not None else 100.0 * 2.0 ** (r * config.sigma)
                 for r in shells]
     averages = [time_average(r, horizon, config.sigma, config.J, policy, dt=config.dt)
                 for r, horizon in zip(shells, horizons)]

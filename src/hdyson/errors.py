@@ -21,7 +21,7 @@ class SingularLimitError(InputError):
 
 class ResourceLimitError(RuntimeError):
     """A requested size exceeds a safety cap: tree depth, dense or sparse
-    matrix, shell index (`profiles.MAX_SHELL`), series terms or time steps."""
+    matrix, shell index (`geometry.MAX_SHELL`), series terms or time steps."""
 
 
 class ConvergenceError(RuntimeError):

@@ -65,10 +65,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._util import popcount
 from .errors import ConvergenceError, InputError, ResourceLimitError
-from .geometry import pair_level
-from .profiles import shell_sums
+from .geometry import pair_level, shell_sums
 from .spectral import ModelParams
 
 if TYPE_CHECKING:  # scipy loads on first use, off the import path of hdyson
@@ -175,7 +173,8 @@ def build_spin_hamiltonian(params: ModelParams) -> SparseHamiltonian:
     value_of_flip[pair_flips] = -couplings[pair_level(first, second)]
     data = value_of_flip[flipped]
     if diagonal:
-        ups_minus_downs = L - 2 * popcount(np.arange(dim, dtype=np.int64))
+        ups = np.bitwise_count(np.arange(dim, dtype=np.int64)).astype(np.int64)
+        ups_minus_downs = L - 2 * ups
         data[flipped == 0] = -params.h * ups_minus_downs.astype(float)
 
     indptr = np.arange(0, indices.size + 1, len(flips), dtype=np.int32)
@@ -225,17 +224,17 @@ def _bit_masks(size: int) -> np.ndarray:
     """Read-only uint8 table of the bits of every index k < size, built once per size.
 
     Row x is bit x of k, for x < log2(size); the last two rows are the
-    parity of popcount(k) and its complement.  For the sector amplitudes
-    of L = log2(size) + 1 spins, indexed by the low L - 1 bits of their
-    basis states, those two rows are the top bit of the basis state in the
-    even and in the odd sector.
+    parity of the bit count of k and its complement.  For the sector
+    amplitudes of L = log2(size) + 1 spins, indexed by the low L - 1 bits
+    of their basis states, those two rows are the top bit of the basis
+    state in the even and in the odd sector.
     """
     bits = size.bit_length() - 1
     k = np.arange(size)
     masks = np.empty((bits + 2, size), dtype=np.uint8)
     for x in range(bits):
         masks[x] = (k >> x) & 1
-    masks[bits] = popcount(k) & 1
+    masks[bits] = np.bitwise_count(k) & 1
     masks[bits + 1] = 1 - masks[bits]
     masks.flags.writeable = False
     return masks

@@ -248,7 +248,7 @@ def fast_apply(params: ModelParams, v: np.ndarray,
     _check_length(params, v)
     dtype = np.result_type(v.dtype, float)
     out = _prepare_out(out, v.size, dtype, v)
-    factors = eigenvalues(params).eps * _multiplet_scale(params.geom.levels)
+    factors = eigenvalues(params) * _multiplet_scale(params.geom.levels)
     coeffs = _scratch("coefficients", v.size, dtype)[0]
     with np.errstate(invalid="ignore", over="ignore"):  # checked just below
         _forward(v, coeffs)
@@ -315,7 +315,7 @@ def _evolve_rows(params: ModelParams, times: np.ndarray, initial, rows) -> None:
     v = np.asarray(initial, dtype=complex)
     _check_length(params, v)
     _check_normalized(v, "initial state")
-    eps = eigenvalues(params).eps
+    eps = eigenvalues(params)
     scale = _multiplet_scale(params.geom.levels)
     coeffs = _scratch("coefficients", v.size, complex)[0]
     _forward(v, coeffs)

@@ -29,12 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ResourceLimitError, SingularLimitError
-from .geometry import TreeGeometry, block_bounds, block_range, pair_level
-from .profiles import shell_weights
+from .geometry import TreeGeometry, block_bounds, block_range, pair_level, shell_weights
 
 __all__ = [
     "ModelParams",
-    "SpectrumData",
     "eigenvalues",
     "eigenvector",
     "build_hopping_matrix",
@@ -94,22 +92,6 @@ class ModelParams:
         return np.array([self.level_coupling(p) for p in range(self.geom.levels)])
 
 
-@dataclass(frozen=True)
-class SpectrumData:
-    """Distinct eigenvalues eps[k], k = 0..N ascending, with multiplicities."""
-
-    eps: np.ndarray
-    degeneracy: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "eps", np.asarray(self.eps, dtype=float))
-        object.__setattr__(self, "degeneracy", np.asarray(self.degeneracy, dtype=int))
-
-    @property
-    def levels(self) -> int:
-        return int(self.eps.size - 1)
-
-
 def renormalized_coupling(sigma: float, J: float) -> float:
     """Prefactor of the geometric band ladder, J (2^(sigma+1)-1)/(2^sigma-1)."""
     if sigma <= 0:
@@ -136,12 +118,15 @@ def _eigenvalues_from_coupling_sums(params: ModelParams) -> np.ndarray:
     return eps
 
 
-def eigenvalues(params: ModelParams) -> SpectrumData:
-    """All distinct eigenvalues of the hopping matrix with multiplicities."""
+def eigenvalues(params: ModelParams) -> np.ndarray:
+    """The N+1 distinct eigenvalues eps[k] of the hopping matrix, k = 0..N.
+
+    Level k is the multiplet k of the tree layout, so its multiplicity is
+    the size of block k, `np.diff(geometry.block_bounds(N))[k]`.
+    """
     n = params.geom.levels
-    degeneracy = np.diff(block_bounds(n))
     if params.level_couplings is not None:
-        return SpectrumData(_eigenvalues_from_coupling_sums(params), degeneracy)
+        return _eigenvalues_from_coupling_sums(params)
     if params.sigma == 0:
         raise SingularLimitError(
             "closed-form spectrum diverges at sigma = 0; "
@@ -150,8 +135,7 @@ def eigenvalues(params: ModelParams) -> SpectrumData:
     sigma, J = params.sigma, params.J
     k = np.arange(n + 1)
     band = np.exp2(sigma * (k - n))  # 2^(k sigma) / L^sigma
-    eps = -J / (1.0 - 2.0 ** -sigma) * (1.0 - band) + J * band * (k != 0)
-    return SpectrumData(eps, degeneracy)
+    return -J / (1.0 - 2.0 ** -sigma) * (1.0 - band) + J * band * (k != 0)
 
 
 def eigenvector(k: int, m: int, geom: TreeGeometry) -> np.ndarray:

@@ -42,10 +42,13 @@ from hdyson import (
     probability_thermo,
     renormalized_coupling,
 )
-from hdyson._util import popcount, time_steps
-from hdyson.analytic import _return_series
-from hdyson.geometry import block_range
-from hdyson.profiles import DEFAULT_POLICY, shell_sums
+from hdyson.analytic import DEFAULT_POLICY, _return_series, time_steps
+from hdyson.geometry import block_range, shell_sums
+
+
+def popcount(values) -> np.ndarray:
+    """Number of set bits of each entry, as int64, counted afresh."""
+    return np.bitwise_count(np.asarray(values)).astype(np.int64)
 
 
 def partition_scan_distance(i: int, j: int, levels: int) -> int:
@@ -184,12 +187,12 @@ def eigenvalue_slots(params) -> np.ndarray:
     Slot 0 holds the uniform mode; multiplet k >= 1 fills slots
     2^(k-1) .. 2^k - 1.
     """
-    spec = eigenvalues(params)
+    eps = eigenvalues(params)
     n = params.geom.levels
     slots = np.empty(params.geom.length)
-    slots[0] = spec.eps[0]
+    slots[0] = eps[0]
     for k in range(1, n + 1):
-        slots[1 << (k - 1) : 1 << k] = spec.eps[k]
+        slots[1 << (k - 1) : 1 << k] = eps[k]
     return slots
 
 
@@ -279,6 +282,8 @@ def per_z_dynamical_exponent(psi_fn, r_values, s_grid,
 
     zs = np.geomspace(z_min, z_max, scan)
     costs = np.array([spread(z) for z in zs])
+    if np.all(costs == costs[0]):
+        raise InputError("every trial exponent gives the same spread")
     best = int(np.argmin(costs))
     lo = zs[max(best - 1, 0)]
     hi = zs[min(best + 1, scan - 1)]
@@ -332,7 +337,9 @@ def composed_scaling_function(s, sigma: float, J: float = 1.0, policy=DEFAULT_PO
     this is the composition it replaced, kept as its bitwise oracle.
     """
     sarr = np.asarray(s, dtype=float)
-    out = _scaling_array(sarr, sigma, J, policy)
+    # a 1-d view keeps a scalar s on numpy's array loops, as the library
+    # does: numpy's scalar complex arithmetic signs some zeros differently
+    out = _scaling_array(sarr.reshape(-1), sigma, J, policy).reshape(sarr.shape)
     return complex(out[()]) if sarr.ndim == 0 else out
 
 
@@ -343,10 +350,12 @@ def composed_psi_thermo(r: int, t, sigma: float, J: float = 1.0, policy=DEFAULT_
     the composition it replaced, kept as its bitwise oracle (sigma >= 1e-6).
     """
     tarr = np.asarray(t, dtype=float)
+    flat = tarr.reshape(-1)  # array loops for a scalar t too, as above
     if r == 0:
-        out = _return_series(tarr, sigma, J, policy)
+        out = _return_series(flat, sigma, J, policy)
     else:
-        out = 2.0 ** (-r) * _scaling_array(tarr * 2.0 ** (-sigma * r), sigma, J, policy)
+        out = 2.0 ** (-r) * _scaling_array(flat * 2.0 ** (-sigma * r), sigma, J, policy)
+    out = out.reshape(tarr.shape)
     return complex(out[()]) if tarr.ndim == 0 else out
 
 

@@ -34,7 +34,7 @@ from hdyson import (
     wave_profile_finite,
     wave_profile_thermo,
 )
-from hdyson.profiles import (
+from hdyson.geometry import (
     MAX_SHELL,
     collapse_sites_to_shells,
     expand_shells_to_sites,
@@ -231,7 +231,7 @@ def test_psi_thermo_is_elementwise_to_the_bit(sigma):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    r=st.integers(0, 40) | st.sampled_from([537, 1023, 1100]),
+    r=st.integers(0, 40) | st.sampled_from([537, 1023]),
     sigma=st.sampled_from([analytic.SIGMA_NEAR_ZERO, 0.05, 0.5, 1.0, 2.0, 4.0]),
     J=st.sampled_from([1.0, -0.5, 2.5]),
     K=st.sampled_from([1, 7, 64, 1074]),
@@ -244,6 +244,13 @@ def test_psi_thermo_is_elementwise_to_the_bit(sigma):
     layout=st.sampled_from(["contiguous", "strided", "transposed"]),
     seed=st.integers(0, 2**32 - 1),
 )
+# one time point whose 2^-r scaling underflows its imaginary part to -0:
+# the library's in-place scaling of a one-point block, and the reference's
+# scalar arithmetic on a 0-d t, gave +0
+@example(r=537, sigma=1.0, J=-0.5, K=64, special=[0.0], shape=(1,), layout="contiguous",
+         seed=0)
+@example(r=27, sigma=2.0, J=-0.5, K=64, special=[1e-300], shape=(), layout="contiguous",
+         seed=2)
 def test_shell_steps_keep_the_composed_bytes(r, sigma, J, K, special, shape, layout, seed):
     # the time scaling, closing term and 2^-r run per block inside the
     # series; each stays the same elementwise operation as the whole-array
@@ -463,6 +470,52 @@ def test_wave_profile_thermo_caps_r_max(monkeypatch):
     monkeypatch.undo()
     profile = wave_profile_thermo(1.0, 1.0, 1.0, r_max=MAX_SHELL)
     assert profile.shape == (MAX_SHELL + 1,)
+
+
+# one entry point per hand-written shell check that `geometry.check_shell`
+# replaced; each takes the shell index alone
+SHELL_ENTRY_POINTS = {
+    "psi_thermo": lambda r: psi_thermo(r, 1.0, 1.0),
+    "psi_finite": lambda r: psi_finite(r, 1.0, params_for(3)),
+    "sigma_zero": lambda r: sigma_zero(r, 1.0),
+    "closed_form_average": closed_form_average,
+    "tail_average": tail_average,
+    "tail_bound": tail_bound,
+    "time_average": lambda r: time_average(r, 10.0, 1.0, dt=1.0),
+    "wave_profile_thermo": lambda r: wave_profile_thermo(1.0, 1.0, 1.0, r_max=r),
+    "estimate_dynamical_exponent": lambda r: estimate_dynamical_exponent(
+        lambda shell, t: psi_thermo(shell, t, 1.0), [1, r], [0.5, 1.0], scan=3, refine=0),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    name=st.sampled_from(sorted(SHELL_ENTRY_POINTS)),
+    r=st.floats(allow_nan=True, allow_infinity=True)
+    | st.integers(max_value=-1)
+    | st.integers(min_value=MAX_SHELL + 1)
+    | st.sampled_from([np.int64(-1), np.int64(MAX_SHELL + 1), np.float64(2.0), 1024.0,
+                       np.nan, -np.inf, True, np.array(3), "3", None]),
+)
+def test_every_shell_entry_point_refuses_a_bad_shell(name, r):
+    # an integer above the cap is a resource limit, anything else not in
+    # 0..MAX_SHELL an input error: never a TypeError and never a value
+    too_big = isinstance(r, (int, np.integer)) and not isinstance(r, bool) and r > MAX_SHELL
+    with pytest.raises(ResourceLimitError if too_big else InputError):
+        SHELL_ENTRY_POINTS[name](r)
+
+
+@pytest.mark.parametrize("r", [0, 1, 3, 1023])
+def test_numpy_integer_shells_give_the_same_bytes(r):
+    t = np.linspace(0.0, 5.0, 7)
+    calls = [lambda r: psi_thermo(r, t, 1.0), lambda r: sigma_zero(r, t),
+             closed_form_average, tail_average, tail_bound,
+             lambda r: time_average(r, 50.0, 1.0),
+             lambda r: wave_profile_thermo(t, 1.0, r_max=min(r, 40))]
+    if r <= 3:
+        calls.append(lambda r: psi_finite(r, t, params_for(3)))
+    for call in calls:
+        assert np.asarray(call(r)).tobytes() == np.asarray(call(np.int64(r))).tobytes()
 
 
 def test_probability_profile_totals():
@@ -762,6 +815,14 @@ def _time_rows_by_shell(psi_fn, log):
     return recording
 
 
+def _fit_or_flat(estimate, psi_fn, shells, s_grid, scan, refine):
+    """The fitted exponent, or "flat" where every trial exponent costs the same."""
+    try:
+        return estimate(psi_fn, shells, s_grid, scan=scan, refine=refine)
+    except InputError:
+        return "flat"
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     sigma=st.floats(0.3, 2.5),
@@ -782,12 +843,10 @@ def test_batched_exponent_scan_matches_per_z_reference(
         fn = lambda r, t: psi_thermo(r, t, sigma)
     batched, per_z = {}, {}
     with mock.patch.object(analytic, "_SCAN_BLOCK_POINTS", block):
-        z = estimate_dynamical_exponent(
-            _time_rows_by_shell(fn, batched), shells, s_grid, scan=scan, refine=refine
-        )
-    assert z == per_z_dynamical_exponent(
-        _time_rows_by_shell(fn, per_z), shells, s_grid, scan=scan, refine=refine
-    )
+        z = _fit_or_flat(estimate_dynamical_exponent,
+                         _time_rows_by_shell(fn, batched), shells, s_grid, scan, refine)
+    assert z == _fit_or_flat(per_z_dynamical_exponent,
+                             _time_rows_by_shell(fn, per_z), shells, s_grid, scan, refine)
     # every trial time array, scan rows included, is the reference's to the bit
     assert batched.keys() == per_z.keys()
     for r in per_z:
@@ -846,6 +905,25 @@ def test_estimate_dynamical_exponent_validation(kwargs):
     assert calls == []
 
 
+def test_flat_exponent_scan_is_an_input_error():
+    # at J = 0 every rescaled amplitude is exactly 0: each trial z costs the
+    # same, and argmin used to return the first one, z = z_min
+    calls = []
+
+    def fn(r, t):
+        calls.append(r)
+        return psi_thermo(r, t, 1.0, 0.0)
+
+    s_grid = np.linspace(0.0, 6.0, 61)[1:]
+    assert not np.any(fn(3, s_grid))
+    calls.clear()
+    with pytest.raises(InputError):
+        estimate_dynamical_exponent(fn, range(1, 4), s_grid, scan=11)
+    assert calls == [1, 2, 3]  # the scan ran, the refinement did not
+    with pytest.raises(InputError):  # a grid of zero times, likewise
+        estimate_dynamical_exponent(lambda r, t: psi_thermo(r, t, 1.0), [1, 2], [0.0])
+
+
 def test_truncation_policy_cap():
     # 2^(-k-1) is exactly zero from k = 1074 on, so K = 1074 is the longest series
     assert TruncationPolicy(1074).tail_bound == 2.0 ** -1074
@@ -853,6 +931,7 @@ def test_truncation_policy_cap():
         TruncationPolicy(1075)
 
 
+@pytest.mark.filterwarnings("error")
 def test_time_average_takes_any_finite_step_count():
     # the mean is summed over mode pairs, so 1e10 or 1e308 steps cost what
     # ten do; only a step ratio beyond the double range is refused
@@ -865,3 +944,8 @@ def test_time_average_takes_any_finite_step_count():
                 assert value == pytest.approx(closed_form_average(r), rel=0.02)
     with pytest.raises(ResourceLimitError):
         time_average(0, 1e300, 1.0, dt=1e-300)
+    # finite steps, but T times the spread of the mode speeds overflows: the
+    # phases were inf and every average NaN
+    for r in (0, 1, 2):
+        with pytest.raises(ResourceLimitError):
+            time_average(r, 1.7e308, 1.0, dt=1.0)

@@ -63,10 +63,10 @@ def test_spectrum_output(tmp_path):
     assert run(tmp_path, "spectrum", "--N", 3, "--sigma", 1, "--out", out) == 0
     header, rows = read_csv(out)
     assert header == ["k", "epsilon", "degeneracy"]
-    spec = eigenvalues(ModelParams(TreeGeometry(3), J=1.0, sigma=1.0))
+    eps_k = eigenvalues(ModelParams(TreeGeometry(3), J=1.0, sigma=1.0))
     assert [row["k"] for row in rows] == [0.0, 1.0, 2.0, 3.0]
     assert sum(row["degeneracy"] for row in rows) == 8
-    for row, eps in zip(rows, spec.eps):
+    for row, eps in zip(rows, eps_k):
         assert row["epsilon"] == eps  # 17-digit round trip is exact
     manifest = json.loads((tmp_path / "spec.csv.manifest.json").read_text())
     assert manifest["config"]["N"] == 3
@@ -324,6 +324,22 @@ def test_json_format(tmp_path):
     records = json.loads(out.read_text())
     assert records[0] == {"k": 0, "epsilon": -1.5, "degeneracy": 1}
     assert records[2]["degeneracy"] == 2
+    # == also holds for 1.0: the multiplicities must be JSON integers
+    assert all(type(record["degeneracy"]) is int for record in records)
+
+
+def test_deepest_spectrum_writes_integer_multiplicities(tmp_path):
+    # the block sizes of N = 63 reach 2^62, past the float64 integers
+    for fmt in FORMATS:
+        out = tmp_path / f"spec63.{fmt}"
+        assert run(tmp_path, "spectrum", "--N", 63, "--format", fmt, "--out", out) == 0
+        text = out.read_text()
+        if fmt == "json":
+            counts = [record["degeneracy"] for record in json.loads(text)]
+        else:
+            counts = [int(line.rsplit(",", 1)[1]) for line in text.splitlines()[1:]]
+        assert counts == [1] + [1 << (k - 1) for k in range(1, 64)]
+        assert all(type(count) is int for count in counts)
 
 
 TABLE_RUNS = {
@@ -536,6 +552,33 @@ def test_shell_cap(tmp_path, capsys, argv):
     assert run(tmp_path, *argv, "--out", out) == 3
     assert not out.exists()
     assert capsys.readouterr().err.startswith("resource limit:")
+
+
+@pytest.mark.parametrize("tmax", [0, -1])
+def test_timeavg_rejects_non_positive_tmax(tmp_path, capsys, tmax):
+    # `--tmax 0` was read as unset and ran the default horizons (exit 0)
+    out = tmp_path / "ta.csv"
+    assert run(tmp_path, "timeavg", "--rmax", 2, "--tmax", tmax, "--out", out) == 2
+    assert not list(tmp_path.iterdir())
+    assert capsys.readouterr().err.startswith("input error: averaging horizon must be positive")
+
+
+@pytest.mark.filterwarnings("error")
+def test_timeavg_refuses_horizons_whose_phases_overflow(tmp_path, capsys):
+    # exited 0 with nan in every row and overflow warnings
+    out = tmp_path / "ta.csv"
+    assert run(tmp_path, "timeavg", "--rmin", 0, "--rmax", 2, "--tmax", 1.7e308, "--dt", 1,
+               "--out", out) == 3
+    assert not list(tmp_path.iterdir())
+    assert capsys.readouterr().err.startswith("resource limit:")
+
+
+def test_collapse_rejects_a_flat_exponent_scan(tmp_path, capsys):
+    # at J = 0 every trial exponent costs the same: z_estimate 0.100137 was stored
+    out = tmp_path / "col.csv"
+    assert run(tmp_path, "collapse", "--J", 0, "--rmax", 3, "--out", out) == 2
+    assert not list(tmp_path.iterdir())
+    assert capsys.readouterr().err.startswith("input error:")
 
 
 @pytest.mark.parametrize("tmax", [0, -2])

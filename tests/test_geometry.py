@@ -10,8 +10,7 @@ from hdyson import (
     collapse_sites_to_shells,
     expand_shells_to_sites,
 )
-from hdyson.geometry import block_bounds, block_range, pair_level
-from hdyson.profiles import shell_sums, shell_weights
+from hdyson.geometry import block_bounds, block_range, pair_level, shell_sums, shell_weights
 
 from reference import partition_scan_distance
 
@@ -174,3 +173,16 @@ def test_block_layout_properties(levels, data):
                           for row in sites])
     assert np.array_equal(shell_sums(sites, geom), per_block)
     assert np.array_equal(shell_sums(sites[0], geom), per_block[0])
+
+
+def test_pair_level_is_exact_for_every_int64():
+    # the block search is an integer one: frexp rounded 2^k - 1 up to 2^k
+    # from k = 54 on, past the float64 integers
+    for k in range(63):
+        labels = np.array([(1 << k) - 1, 1 << k])
+        assert pair_level(0, labels).tolist() == [k - 1, k]
+        assert pair_level(labels, 0).tolist() == [k - 1, k]
+        assert [pair_level(0, int(label)) for label in labels] == [k - 1, k]
+    top = np.array([np.iinfo(np.int64).max])
+    assert pair_level(top, 0).tolist() == [62]
+    assert pair_level(top, top).tolist() == [-1]

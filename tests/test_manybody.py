@@ -23,7 +23,7 @@ from hdyson import (
     wave_profile_finite,
 )
 from hdyson import manybody
-from hdyson.profiles import expand_shells_to_sites, shell_sums
+from hdyson.geometry import expand_shells_to_sites, shell_sums
 from hdyson.manybody import (
     LOCAL_TOL,
     LanczosStats,

@@ -28,8 +28,9 @@ sys.path.insert(0, str(ROOT))
 from perfbench.workloads import CLI_RUNS  # noqa: E402  (after the path entry)
 
 # Table paths the benchmark's commands do not take: the other evolve modes,
-# JSON tables, the single-particle comparison, a larger entropy table and
-# the one-time, one-shell and one-cut edges.
+# JSON tables, the single-particle comparison, a larger entropy table, the
+# one-time, one-shell and one-cut edges, and the deepest spectrum (block
+# sizes up to 2^62) as CSV and as JSON.
 EXTRA_RUNS = [
     ("evolve_finite", ["evolve", "--mode", "finite", "--out", "evolve_finite.csv"]),
     ("evolve_dense", ["evolve", "--mode", "dense", "--out", "evolve_dense.csv"]),
@@ -40,6 +41,9 @@ EXTRA_RUNS = [
     ("evolve_tmax0", ["evolve", "--tmax", "0", "--out", "evolve_tmax0.csv"]),
     ("evolve_rmax0", ["evolve", "--rmax", "0", "--out", "evolve_rmax0.csv"]),
     ("entropy_n1", ["entropy", "--N", "1", "--out", "entropy_n1.csv"]),
+    ("spectrum_n63", ["spectrum", "--N", "63", "--out", "spectrum_n63.csv"]),
+    ("spectrum_n63_json", ["spectrum", "--N", "63", "--format", "json",
+                           "--out", "spectrum_n63.json"]),
 ]
 
 
