@@ -86,6 +86,9 @@ __all__ = [
 # such runs are rerouted to the sigma = 0 closed forms.
 SIGMA_NEAR_ZERO = 1e-6
 
+# 2 pi - math.tau, the part of 2 pi below the last bit of math.tau
+_TAU_LOW = 2.4492935982947064e-16
+
 # Term k of the series carries 2^(-k-1), exactly 0 for k >= 1074: a larger K
 # only adds zero terms.
 MAX_SERIES_TERMS = 1074
@@ -146,6 +149,14 @@ def _check_sigma(sigma: float, J: float) -> None:
         )
     if sigma < 0:
         raise InputError(f"sigma must be >= 0, got {sigma}")
+    # the fastest rate of the ladder, c 2^sigma of F's closing mode, must be
+    # a finite double: from sigma = 1023 on (less for a large J) it is not
+    if not _near_zero(sigma) and not (
+            sigma < 1024.0 and math.isfinite(renormalized_coupling(sigma, J) * 2.0 ** sigma)):
+        raise InputError(
+            f"sigma = {sigma} with J = {J}: the ladder's fastest rate "
+            "J_sigma 2^sigma overflows the double range"
+        )
 
 
 def _near_zero(sigma: float) -> bool:
@@ -601,10 +612,15 @@ def time_average(r: int, T: float, sigma: float, J: float = 1.0,
     amplitudes, speeds, scale = _shell_modes(r, sigma, J, policy.K)
     horizon = T * scale
     if _near_zero(sigma) and J != 0:
-        # P(r, t) then has period 2 pi / J, so only the step modulo that
-        # period matters; reducing it sends a grid whose times all sit near
-        # multiples of the period, where P is small, to the moment branch
-        horizon = n * abs(math.remainder(horizon / n, 2.0 * math.pi / J))
+        # P(r, t) then has period 2 pi / J, so only the phase J step modulo
+        # 2 pi matters; reducing it sends a grid whose times all sit near
+        # multiples of the period, where P is small, to the moment branch.
+        # The remainder by math.tau is exact, and the turns it removed take
+        # the rest of 2 pi, _TAU_LOW, so no rounded period is multiplied up.
+        phase = J * (horizon / n)
+        wrapped = math.remainder(phase, math.tau)
+        turns = round((phase - wrapped) / math.tau)
+        horizon = n * abs(math.remainder(wrapped - turns * _TAU_LOW, math.tau) / J)
     if not math.isfinite(float(np.ptp(speeds)) * float(horizon)):
         raise ResourceLimitError(
             f"horizon T = {T} puts the mode phases of shell {r} beyond the double range"

@@ -478,6 +478,7 @@ def cmd_entropy(config: RunConfig) -> dict:
     else:
         _, grid, series = _spin_series(config, config.L - 1)
         entropy = series.entropy
+        extras["lanczos"] = dataclasses.asdict(series.lanczos)
         extras["sector"] = series.sector
     out = _write_entropies(config.out, grid, entropy, config.format)
     return {"outputs": [out], **extras}

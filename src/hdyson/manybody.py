@@ -49,10 +49,11 @@ a SparseHamiltonian).
 Time stepping uses an adaptive Lanczos (Krylov) approximation of the
 matrix exponential with local error target 1e-9 and step halving on
 rejection; the small tridiagonal exponential comes from numpy's `eigh`,
-so evolution loads no scipy.  The Krylov dimension is adaptive too: a
-step stops adding vectors once its error estimate is below 1e-11, at
-most 30.  At L = 16, h = 40 an output interval of 0.005 takes one step
-of 12 vectors.  Full
+so evolution loads no scipy.  Each step is judged by an a-posteriori
+bound on its error, computed from that same eigendecomposition, not by
+an estimate.  The Krylov dimension is adaptive too: a step stops adding
+vectors once its bound is below 1e-11, at most 30.  At L = 16, h = 40
+an output interval of 0.005 takes one step of 9 vectors.  Full
 diagonalization stays feasible up to L = 10 and is used as a
 cross-check in the test suite.
 """
@@ -92,7 +93,13 @@ __all__ = [
 
 SPARSE_CAP = 16
 KRYLOV_DIM = 30
+# local error target of a Lanczos substep: accepted when its error bound is
+# at most LOCAL_TOL; its Krylov space stops growing, and the step size
+# grows, below LOCAL_TOL / 100
 LOCAL_TOL = 1e-9
+# Gauss-Legendre nodes of the Krylov error bound per 32 rad of its phase span
+_QUADRATURE_NODES = 32
+_MAX_QUADRATURE_NODES = 1024
 # the sector product flips bits below this one by strided column updates
 # and the others by flipped views, whose innermost loops are 2^bit long
 _COLUMN_FLIP_BITS = 3
@@ -491,8 +498,9 @@ class LanczosStats:
     """Work and health counters of one adaptive Lanczos run.
 
     They depend only on the inputs, so they come out the same on every run.
-    The step sizes and the worst local-error estimate are those of the
-    accepted substeps; the Krylov dimensions span every step tried.
+    The step sizes, the worst local error bound and `error_bound`, the sum
+    of the local error bounds, are those of the accepted substeps; the
+    Krylov dimensions span every step tried.
     """
 
     accepted: int = 0
@@ -500,6 +508,7 @@ class LanczosStats:
     dt_min: float | None = None
     dt_max: float | None = None
     max_local_error: float = 0.0
+    error_bound: float = 0.0
     krylov_dim_min: int | None = None
     krylov_dim_max: int | None = None
 
@@ -515,32 +524,74 @@ class LanczosStats:
         self.dt_min = dt if self.dt_min is None else min(self.dt_min, dt)
         self.dt_max = dt if self.dt_max is None else max(self.dt_max, dt)
         self.max_local_error = max(self.max_local_error, error)
+        self.error_bound += error
 
 
-def _krylov_coefficients(alphas: np.ndarray, betas: np.ndarray, dt: float) -> np.ndarray:
-    """y = exp(-i dt T) e_1 for the tridiagonal T = tridiag(betas[1:], alphas, betas[1:])."""
+@functools.lru_cache(maxsize=_MAX_QUADRATURE_NODES // _QUADRATURE_NODES)
+def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes and weights of the Gauss-Legendre rule on [0, 1], built once per size.
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of
+    the Legendre polynomials and the weights the squared first components
+    of its eigenvectors.
+    """
+    k = np.arange(1.0, nodes)
+    off = k / np.sqrt(4.0 * k * k - 1.0)
+    roots, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    rule = (0.5 * (roots + 1.0), vectors[0] ** 2)
+    for array in rule:
+        array.flags.writeable = False
+    return rule
+
+
+def _krylov_coefficients(alphas: np.ndarray, betas: np.ndarray, dt: float,
+                         residual: float) -> tuple[np.ndarray, float]:
+    """y = exp(-i dt T) e_1 and the error bound residual int_0^dt |e_m^T exp(-i s T) e_1| ds.
+
+    T = tridiag(betas[1:], alphas, betas[1:]) has dimension m and
+    `residual` is beta_{m+1}.  From T = V diag(lam) V^T the integrand is
+    |sum_i V[m-1, i] V[0, i] exp(-i s lam_i)|: it vanishes like s^(m-1) at
+    s = 0 and its phases span theta = dt (lam_max - lam_min) radians over
+    the step.  The Gauss-Legendre rule takes the smallest multiple of
+    _QUADRATURE_NODES above theta, at most _MAX_QUADRATURE_NODES nodes:
+    exact for polynomials of degree 2 _QUADRATURE_NODES - 1 > 2 KRYLOV_DIM
+    and more than six nodes per turn of the fastest phase.  The cap only
+    binds from theta near 10^3, far beyond the theta of order m that m
+    vectors resolve, where the bound is far above any target.  A zero
+    residual (an invariant Krylov space) makes the step exact, bound 0.
+    """
     tridiagonal = np.diag(alphas) + np.diag(betas[1:], 1) + np.diag(betas[1:], -1)
     evals, evecs = np.linalg.eigh(tridiagonal)
-    return evecs @ (np.exp(-1j * dt * evals) * evecs[0, :])
+    y = evecs @ (np.exp(-1j * dt * evals) * evecs[0, :])
+    if residual == 0.0:
+        return y, 0.0
+    theta = int(dt * (evals[-1] - evals[0]))
+    nodes, weights = _gauss_legendre(
+        min(_MAX_QUADRATURE_NODES, _QUADRATURE_NODES * (1 + theta // _QUADRATURE_NODES)))
+    corner = evecs[-1, :] * evecs[0, :]
+    integrand = np.abs(np.exp(np.multiply.outer(-1j * dt * nodes, evals)) @ corner)
+    return y, residual * dt * float(weights @ integrand)
 
 
-def _lanczos_step(product, psi: np.ndarray, dt: float, m_max: int,
-                  tol: float) -> tuple[np.ndarray, float, int]:
-    """One exp(-i dt H) psi approximation, its local error estimate, its dimension.
+def _lanczos_step(product, psi: np.ndarray, dt: float, m_max: int, tol: float,
+                  applied: np.ndarray | None = None) -> tuple[np.ndarray, float, int]:
+    """One exp(-i dt H) psi approximation, its local error bound, its dimension.
 
     Lanczos with full reorthogonalization; the small tridiagonal
-    exponential comes from its own eigendecomposition.  The error estimate
-    of dimension m is the classical residual term beta_{m+1} |y_m|.  The
-    recursion stops at the first m >= 2 whose estimate is at most
-    0.01 tol, the accuracy at which `_advance` grows the step, and at m_max
-    otherwise.  The estimate is only evaluated once its leading Taylor term
-    dt^(m-1) beta_1 ... beta_m / (m-1)! is at most tol, 100 times the
-    stopping target: that term can overestimate the estimate about 100-fold
-    when dt times the spectral spread is large, and gating it at tol still
-    spares short steps most small eigensolves.  `product(v, out)` writes
-    H v into `out`.  The residual `w` is updated in place, and the overlaps
-    with the basis are conj(basis @ conj(w)), so no conjugated copy of the
-    basis is kept.
+    exponential comes from its own eigendecomposition.  The error of
+    dimension m is bounded by beta_{m+1} int_0^dt |e_m^T exp(-i s T_m) e_1| ds
+    (variation of constants for Hermitian H: Saad 1992; Jawecki, Auzinger
+    and Koch 2020), evaluated by `_krylov_coefficients` from the same
+    eigendecomposition as the step.  The recursion stops at the first
+    m >= 2 whose bound is at most 0.01 tol, the accuracy at which
+    `_advance` grows the step, and at m_max otherwise.  The bound is only
+    evaluated once its leading Taylor term beta_2 ... beta_{m+1} dt^m / m!
+    is at most tol, 100 times the stopping target, so short steps skip
+    most small eigensolves.  `product(v, out)` writes H v into `out`;
+    `applied`, when given, is H psi already computed and stands for the
+    first product (it is copied, not changed).  The residual `w` is updated
+    in place, and the overlaps with the basis are conj(basis @ conj(w)), so
+    no conjugated copy of the basis is kept.
     """
     dim = psi.size
     m = min(m_max, dim)
@@ -553,7 +604,10 @@ def _lanczos_step(product, psi: np.ndarray, dt: float, m_max: int,
     basis[0] = psi
     y = None
     for j in range(m):
-        product(basis[j], w)
+        if j == 0 and applied is not None:
+            np.copyto(w, applied)
+        else:
+            product(basis[j], w)
         if j > 0:
             w -= np.multiply(basis[j - 1], betas[j], out=scratch)
         alphas[j] = np.real(np.vdot(basis[j], w))
@@ -568,10 +622,10 @@ def _lanczos_step(product, psi: np.ndarray, dt: float, m_max: int,
             break
         if used == m:
             break
-        leading = beta_next if j == 0 else leading * beta_next * dt / j
+        leading = beta_next * dt if j == 0 else leading * beta_next * dt / used
         if used >= 2 and leading <= tol:
-            y = _krylov_coefficients(alphas[:used], betas[:used], dt)
-            if beta_next * abs(y[-1]) <= target:
+            y, error = _krylov_coefficients(alphas[:used], betas[:used], dt, beta_next)
+            if error <= target:
                 break
         betas[used] = beta_next
         # numpy divides by beta_next + 0j as a multiply by 1 / beta_next too,
@@ -579,27 +633,29 @@ def _lanczos_step(product, psi: np.ndarray, dt: float, m_max: int,
         # zero part, at six times the cost of this real multiply
         np.multiply(w.view(float), 1.0 / beta_next, out=basis[used].view(float))
     if y is None or y.size != used:  # no check ran at the final dimension
-        y = _krylov_coefficients(alphas[:used], betas[:used], dt)
-    psi_new = basis[:used].T @ y
-    error = abs(beta_next * y[-1])
-    return psi_new, error, used
+        y, error = _krylov_coefficients(alphas[:used], betas[:used], dt, beta_next)
+    return basis[:used].T @ y, error, used
 
 
-def _advance(product, psi: np.ndarray, span: float, dt: float,
-             m_max: int, tol: float, stats: LanczosStats) -> tuple[np.ndarray, float]:
+def _advance(product, psi: np.ndarray, span: float, dt: float, m_max: int, tol: float,
+             stats: LanczosStats, applied: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """Adaptively substep across one output interval; returns the next step size.
 
-    A substep is clipped to what remains of the interval.  Only an
-    unclipped substep changes the step size, so the size carried to the
-    next interval is the last one tried in full, not the clipped remainder.
+    A substep is accepted when its error bound is at most tol, and the
+    step grows 1.5x when the bound is below 0.01 tol; a rejected substep
+    halves the step.  A substep is clipped to what remains of the
+    interval.  Only an unclipped substep changes the step size, so the
+    size carried to the next interval is the last one tried in full, not
+    the clipped remainder.  `applied`, when given, is H psi: every substep
+    tried from the interval's first state takes it as its first product.
     """
     remaining = span
     while remaining > 1e-14 * max(1.0, span):
         step = min(dt, remaining)
-        psi_try, error, used = _lanczos_step(product, psi, step, m_max, tol)
+        psi_try, error, used = _lanczos_step(product, psi, step, m_max, tol, applied)
         stats.record(step, error, used, error <= tol)
         if error <= tol:
-            psi = psi_try
+            psi, applied = psi_try, None
             remaining -= step
             if error < 0.01 * tol and step == dt:
                 dt *= 1.5
@@ -608,7 +664,7 @@ def _advance(product, psi: np.ndarray, span: float, dt: float,
             if dt < 1e-12 * max(1.0, span):
                 raise ConvergenceError(
                     f"step size underflow: dt = {dt:.3e}, "
-                    f"local error {error:.3e} > target {tol:.3e}"
+                    f"local error bound {error:.3e} > target {tol:.3e}"
                 )
     return psi, dt
 
@@ -619,10 +675,13 @@ def evolve_spin(model: ModelParams | SparseHamiltonian, psi0: SpinState, times,
     """Evolve |psi0> (given at t = 0) and sample observables on `times`.
 
     The grid must be finite, ascending and nonnegative; each interval is
-    crossed with adaptive Lanczos substeps at the local error target
+    crossed with adaptive Lanczos substeps whose error bounds are at most
     LOCAL_TOL, each of at most KRYLOV_DIM vectors (module constants, read
-    at every call).  `model` is the ModelParams, or a SparseHamiltonian of
-    which only the params are read.  `psi0` must have a definite spin
+    at every call); `lanczos.error_bound`, the sum of the accepted bounds,
+    bounds the error of the final state in exact arithmetic.  The product
+    H chi that gives each output's energy is also the first Krylov product
+    of the next interval.  `model` is the ModelParams, or a
+    SparseHamiltonian of which only the params are read.  `psi0` must have a definite spin
     parity (its smaller parity component at most 1e-8 in norm); the run
     stays in that 2^(L-1)-dimensional sector, with products matrix-free in
     the sx basis (`SigmaXOperator`).  Sampled states are full 2^L vectors,
@@ -649,6 +708,7 @@ def evolve_spin(model: ModelParams | SparseHamiltonian, psi0: SpinState, times,
     parity, z = _sector_amplitudes(psi0.amplitudes)
     operator = SigmaXOperator.from_params(params, parity)
     applied = np.empty(z.size, dtype=complex)
+    h_chi = None  # H chi of the last output, the first product of the next interval
     stats = LanczosStats()
     # bits 0..L-2 of the sector index, then the top bit of its basis state
     masks = _bit_masks(z.size)
@@ -668,14 +728,15 @@ def evolve_spin(model: ModelParams | SparseHamiltonian, psi0: SpinState, times,
         span = target - t_now
         if span > 0:
             chi, dt = _advance(operator.product, chi, span, dt,
-                               KRYLOV_DIM, LOCAL_TOL, stats)
+                               KRYLOV_DIM, LOCAL_TOL, stats, h_chi)
             z = hadamard_all(chi)
             t_now = target
         n = _occupations(np.abs(z) ** 2, occupation_masks)
         n_rows.append(n)
         totals.append(float(n.sum()))
         norms.append(float(np.linalg.norm(chi)))
-        energies.append(float(np.real(np.vdot(chi, operator.product(chi, applied)))))
+        h_chi = operator.product(chi, applied)
+        energies.append(float(np.real(np.vdot(chi, h_chi))))
         if compute_entropy:
             entropies.append(_cut_entropies(z))
         if keep_states:

@@ -93,12 +93,18 @@ class ModelParams:
 
 
 def renormalized_coupling(sigma: float, J: float) -> float:
-    """Prefactor of the geometric band ladder, J (2^(sigma+1)-1)/(2^sigma-1)."""
+    """Prefactor of the geometric band ladder, J (2^(sigma+1)-1)/(2^sigma-1).
+
+    From sigma = 1023 on, where 2^(sigma+1) overflows, the same ratio is
+    taken as (2 - 2^-sigma)/(1 - 2^-sigma), which is 2 in double precision.
+    """
     if sigma <= 0:
         raise SingularLimitError(
             "the band-ladder prefactor diverges at sigma = 0; "
             "use the sigma-zero closed forms"
         )
+    if sigma >= 1023.0:
+        return J * (2.0 - 2.0 ** -sigma) / (1.0 - 2.0 ** -sigma)
     return J * (2.0 ** (sigma + 1.0) - 1.0) / (2.0 ** sigma - 1.0)
 
 

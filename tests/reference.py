@@ -18,7 +18,8 @@ between finite-L and thermodynamic amplitudes from the spectrum's dropped
 constant,
 many-body evolution from CSR products in the sz basis over the full 2^L
 space at the full Krylov dimension, the Krylov exponential from scipy's
-tridiagonal eigensolver, entanglement entropies from one Schmidt SVD per
+tridiagonal eigensolver and its error bound from scipy's adaptive
+quadrature, entanglement entropies from one Schmidt SVD per
 cut, the Hadamard on every spin from the in-place butterfly, the sector
 product from one flipped tensor view per bit, the sector layout from an
 explicit index, index parities from a fresh popcount.  Tests freeze values
@@ -31,6 +32,7 @@ import math
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal
 
 from hdyson import (
@@ -44,6 +46,7 @@ from hdyson import (
 )
 from hdyson.analytic import DEFAULT_POLICY, _return_series, time_steps
 from hdyson.geometry import block_range, shell_sums
+from hdyson.manybody import _krylov_coefficients
 
 
 def popcount(values) -> np.ndarray:
@@ -470,12 +473,13 @@ def csr_lanczos_step(matvec, psi: np.ndarray, dt: float,
                      m_max: int) -> tuple[np.ndarray, float]:
     """One Lanczos exp(-i dt H) psi step with fresh temporaries per update.
 
-    Same recurrence, reorthogonalization and error estimate as the library's
-    in-place loop, written with out-of-place arithmetic and a conjugated copy
-    of the basis; the two agree to the bit for the same products.  The small
-    exponential takes the same dense `eigh` of the tridiagonal as the
-    library, so the comparison covers the vector loop; the tridiagonal
-    solve is checked on its own against `eigh_tridiagonal_coefficients`.
+    Same recurrence and reorthogonalization as the library's in-place loop,
+    written with out-of-place arithmetic and a conjugated copy of the
+    basis; the two agree to the bit for the same products.  The small
+    exponential and the error bound come from the library's
+    `_krylov_coefficients`, so the comparison covers the vector loop; that
+    function is checked on its own against `eigh_tridiagonal_coefficients`
+    and `quad_error_bound`.
     """
     dim = psi.size
     m = min(m_max, dim)
@@ -503,11 +507,8 @@ def csr_lanczos_step(matvec, psi: np.ndarray, dt: float,
             betas[j + 1] = beta_next
             basis[j + 1] = w / beta_next
             np.conjugate(basis[j + 1], out=conj[j + 1])
-    tridiagonal = (np.diag(alphas[:used]) + np.diag(betas[1:used], 1)
-                   + np.diag(betas[1:used], -1))
-    evals, evecs = np.linalg.eigh(tridiagonal)
-    y = evecs @ (np.exp(-1j * dt * evals) * evecs[0, :])
-    return basis[:used].T @ y, abs(beta_next * y[-1])
+    y, error = _krylov_coefficients(alphas[:used], betas[:used], dt, beta_next)
+    return basis[:used].T @ y, error
 
 
 def eigh_tridiagonal_coefficients(alphas: np.ndarray, betas: np.ndarray,
@@ -516,6 +517,23 @@ def eigh_tridiagonal_coefficients(alphas: np.ndarray, betas: np.ndarray,
     tridiagonal eigensolver instead of a dense `eigh`."""
     evals, evecs = eigh_tridiagonal(alphas, betas[1:])
     return evecs @ (np.exp(-1j * dt * evals) * evecs[0, :])
+
+
+def quad_error_bound(alphas: np.ndarray, betas: np.ndarray, dt: float,
+                     residual: float) -> float:
+    """residual int_0^dt |e_m^T exp(-i s T) e_1| ds by scipy's adaptive quadrature.
+
+    The integrand comes from scipy's tridiagonal eigensolver and the
+    integral from QUADPACK instead of the library's fixed Gauss-Legendre
+    rule.  The integrand is a sum of terms up to |corner| in size, so its
+    rounding sets the absolute tolerance.
+    """
+    evals, evecs = eigh_tridiagonal(alphas, betas[1:])
+    corner = evecs[-1, :] * evecs[0, :]
+    floor = 1e-15 * dt * float(np.sum(np.abs(corner)))
+    integral, _ = quad(lambda s: abs(np.exp(-1j * s * evals) @ corner), 0.0, dt,
+                       epsabs=floor, epsrel=1e-10, limit=500)
+    return residual * integral
 
 
 def csr_evolve_spin(hamiltonian, psi0, times, krylov_dim: int = 30,

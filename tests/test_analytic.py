@@ -301,6 +301,9 @@ AVERAGE_AGREEMENT = 1e-12
 @example(r=1, sigma=4.0, J=2.5, K=64, reach=100.0, steps=1)
 # dt = 4 pi / c: the pairs of the modes c 2^(1-k), k <= 1, alias to x near 2 pi
 @example(r=1, sigma=1.0, J=1.0, K=64, reach=20.0 * math.pi / 3.0, steps=10)
+# one step 8.2e-4 past ten sigma = 0 periods: reduced by a rounded period
+# 2 pi / J, the step was off by 6e-12
+@example(r=1, sigma=1e-7, J=0.5, K=1, reach=62.832671802171525, steps=1)
 def test_time_average_matches_trapezoid_sampling(r, sigma, J, K, reach, steps):
     T = reach * 2.0 ** (sigma * r) / J
     dt = None if steps is None else T / steps

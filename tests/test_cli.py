@@ -200,7 +200,7 @@ def test_manybody_manifest_lanczos_counters(tmp_path):
     manifest = json.loads((tmp_path / "two.manifest.json").read_text())
     assert manifest["lanczos"] == {
         "accepted": 2, "rejected": 0, "dt_min": 0.05, "dt_max": 0.05,
-        "max_local_error": 0.0, "krylov_dim_min": 2, "krylov_dim_max": 2,
+        "max_local_error": 0.0, "error_bound": 0.0, "krylov_dim_min": 2, "krylov_dim_max": 2,
     }
     for stem in ("a", "b"):
         assert run(tmp_path, "manybody", "--L", 4, "--h", 2, "--tmax", 1,
@@ -219,12 +219,17 @@ def test_manybody_manifest_lanczos_counters(tmp_path):
     (("entropy", "--mode", "manybody", "--out", "ent.csv"), "ent.csv.manifest.json"),
 ])
 def test_manybody_manifests_record_sector(tmp_path, length, argv, manifest):
-    # the single flip is odd: the run stays in the 2^(L-1) odd sector
+    # the single flip is odd: the run stays in the 2^(L-1) odd sector; the
+    # summed local error bounds lie between the worst one and one target
+    # per accepted substep
     command, *rest = argv
     rest[-1] = tmp_path / rest[-1]
     assert run(tmp_path, command, "--L", length, "--tmax", 0.5, "--dt", 0.25, *rest) == 0
     record = json.loads((tmp_path / manifest).read_text())
     assert record["sector"] == {"parity": "odd", "dimension": 1 << (length - 1)}
+    lanczos = record["lanczos"]
+    assert lanczos["accepted"] > 0
+    assert lanczos["max_local_error"] <= lanczos["error_bound"] <= lanczos["accepted"] * 1e-9
 
 
 def test_manybody_resource_and_input_errors(tmp_path):
@@ -571,6 +576,21 @@ def test_timeavg_refuses_horizons_whose_phases_overflow(tmp_path, capsys):
                "--out", out) == 3
     assert not list(tmp_path.iterdir())
     assert capsys.readouterr().err.startswith("resource limit:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["timeavg", "--sigma", 2000, "--rmax", 2, "--tmax", 10, "--out", "ta.csv"],
+    ["evolve", "--sigma", 2000, "--rmax", 2, "--tmax", 1, "--out", "ev.csv"],
+    ["entropy", "--sigma", 1100, "--N", 3, "--tmax", 1, "--out", "ent.csv"],
+    # the same overflow from a large J: nan in every row, exit 0
+    ["evolve", "--J", 1e308, "--rmax", 2, "--tmax", 1, "--out", "ev.csv"],
+], ids=["timeavg", "evolve", "entropy", "evolve-J"])
+def test_ladder_rate_overflow_is_an_input_error(tmp_path, capsys, argv):
+    # 2^(sigma + 1) raised OverflowError from sigma = 1023: exit 1 and a traceback
+    argv[-1] = tmp_path / argv[-1]
+    assert run(tmp_path, *argv) == 2
+    assert not list(tmp_path.iterdir())
+    assert capsys.readouterr().err.startswith("input error:")
 
 
 def test_collapse_rejects_a_flat_exponent_scan(tmp_path, capsys):

@@ -46,6 +46,7 @@ from reference import (
     flipped_view_product,
     popcount_parity_columns,
     popcount_parity_signs,
+    quad_error_bound,
     second_order_level_couplings,
     sector_index,
     svd_entanglement_entropy,
@@ -147,15 +148,81 @@ def test_sector_operator_rejects_bad_parity():
         SigmaXOperator.from_params(params_for(4, h=1.0), 0)
 
 
+# Largest |bound / quad_error_bound - 1| measured on the 38 steps of the
+# test below whose bound is in [1e-14, 1e-6]: 7.5e-5, at a phase span of
+# 145 rad (dt = 0.3, h = 40, 160 nodes), where |integrand| dips near zero;
+# the others were below 6e-6, mostly the rounding of an integrand that
+# cancels to 1e-14 of its terms.
+QUADRATURE_AGREEMENT = 2e-4
+
+
 def test_krylov_coefficients_match_eigh_tridiagonal():
     rng = np.random.default_rng(30)
     for m in range(2, 31):
         alphas = rng.normal(scale=10.0, size=m)
         betas = np.concatenate([[0.0], rng.uniform(0.1, 10.0, size=m - 1)])
         for dt in (0.001, 0.05, 0.3):
-            got = _krylov_coefficients(alphas, betas, dt)
+            got, bound = _krylov_coefficients(alphas, betas, dt, 1.0)
             expected = eigh_tridiagonal_coefficients(alphas, betas, dt)
             assert np.max(np.abs(got - expected)) <= 1e-13
+            exact, zero = _krylov_coefficients(alphas, betas, dt, 0.0)
+            assert exact.tobytes() == got.tobytes() and zero == 0.0
+
+
+@pytest.mark.parametrize("sigma, h", [(0.5, 3.0), (1.0, 10.0), (2.0, 40.0)])
+def test_quadrature_matches_adaptive_integral(sigma, h):
+    # the Gauss-Legendre rule against QUADPACK on the tridiagonals of real
+    # steps, wherever the bound is between rounding and 1e-6
+    matrix = build_spin_hamiltonian(params_for(8, sigma=sigma, h=h)).matrix
+    rng = np.random.default_rng(8)
+    amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+    psi = one_defect_state(amps / np.linalg.norm(amps)).amplitudes
+    steps = []
+    spy = lambda *args: steps.append(args) or _krylov_coefficients(*args)
+    with mock.patch.object(manybody, "_krylov_coefficients", spy):
+        for dt in (0.002, 0.02, 0.1, 0.3):
+            for m in range(4, 31, 2):
+                _lanczos_step(lambda v, out: np.copyto(out, matrix.dot(v)), psi, dt, m, 0.0)
+    checked = 0
+    for alphas, betas, dt, residual in steps:
+        expected = quad_error_bound(alphas, betas, dt, residual)
+        if 1e-14 <= expected <= 1e-6:
+            _, bound = _krylov_coefficients(alphas, betas, dt, residual)
+            assert abs(bound - expected) <= QUADRATURE_AGREEMENT * expected
+            checked += 1
+    assert checked >= 10
+
+
+# Largest dense error minus bound measured over 9000 draws of the test
+# below: 2.6e-14, at an error of 2.6e-14 (L = 8, m = 24, h = 40), the
+# rounding of the dense eigh reference; the allowance leaves a factor of 2.
+BOUND_ROUNDING = 5e-14
+# Largest bound / error over the same draws where 1e-13 < error <= 1e-3:
+# 6.3.  Above 1e-3, a million times the local target and never accepted,
+# the triangle inequality inside the integral is looser: up to 10.6 at
+# dt near 0.1 and h = 40.
+BOUND_TIGHTNESS = 10.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(length=st.sampled_from([2, 4, 8]), sigma=st.floats(0.3, 3.0), h=st.floats(0.0, 40.0),
+       dt=st.floats(-3.0, -1.0).map(lambda u: 10.0 ** u), m=st.integers(2, 24),
+       one_defect=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_lanczos_bound_brackets_the_dense_error(length, sigma, h, dt, m, one_defect, seed):
+    # the step's bound against the error of the same step from a dense eigh
+    matrix = build_spin_hamiltonian(params_for(length, sigma=sigma, h=h)).matrix
+    if one_defect:
+        psi = one_defect_state(random_complex(seed, length)).amplitudes
+    else:
+        psi = random_complex(seed, 1 << length)
+    psi /= np.linalg.norm(psi)
+    got, bound, used = _lanczos_step(
+        lambda v, out: np.copyto(out, matrix.dot(v)), psi, dt, m, 0.0)
+    error = float(np.linalg.norm(got - dense_expm_evolve(matrix.toarray(), psi, dt)))
+    assert used <= m
+    assert bound >= error - BOUND_ROUNDING
+    if 1e-13 < error <= 1e-3:
+        assert bound <= BOUND_TIGHTNESS * error
 
 
 @pytest.mark.parametrize("sites", [1, 2, 3, 4, 8])
@@ -385,15 +452,16 @@ def test_lanczos_stats_of_two_site_defect():
 
 
 def test_l16_interval_stops_early():
-    # the error estimate falls below tol/100 well before the 30-vector limit
+    # the error bound falls below tol/100 at 9 vectors, well before the
+    # 30-vector limit; the residual estimate beta_{m+1} |y_m| needed 12
     rng = np.random.default_rng(16)
     amps = rng.normal(size=16) + 1j * rng.normal(size=16)
     series = evolve_spin(params_for(16, h=40.0), one_defect_state(amps / np.linalg.norm(amps)),
                          [0.0, 0.005])
     stats = series.lanczos
     assert (stats.accepted, stats.rejected) == (1, 0)
-    assert stats.krylov_dim_max <= 16
-    assert 0.0 < stats.max_local_error <= 0.01 * LOCAL_TOL
+    assert stats.krylov_dim_max <= 10
+    assert 0.0 < stats.max_local_error == stats.error_bound <= 0.01 * LOCAL_TOL
 
 
 def test_step_size_survives_output_times():
@@ -419,16 +487,47 @@ def test_evolve_accepts_params_or_csr():
 
 
 def test_lanczos_stats_count_rejections():
-    # 8 Krylov vectors miss the 1e-9 target at dt = 0.05 and 0.025, then
-    # dt = 0.0125 holds it (errors ~4e-11) across the 16 steps to t = 0.2
-    with mock.patch.object(manybody, "KRYLOV_DIM", 8):
+    # 6 Krylov vectors miss the 1e-9 target at dt = 0.05 and 0.025, then
+    # dt = 0.0125 holds it (bounds up to 4.4e-10, too large to grow the
+    # step) across the 16 steps to t = 0.2
+    with mock.patch.object(manybody, "KRYLOV_DIM", 6):
         series = evolve_spin(build_spin_hamiltonian(params_for(8, h=3.0)),
                              SpinState.single_flip(8), [0.0, 0.2])
     stats = series.lanczos
     assert (stats.accepted, stats.rejected) == (16, 2)
-    assert stats.krylov_dim_min == stats.krylov_dim_max == 8
+    assert stats.krylov_dim_min == stats.krylov_dim_max == 6
     assert stats.dt_min == pytest.approx(0.0125) and stats.dt_max == 0.0125
     assert 0.0 < stats.max_local_error <= 1e-9
+
+
+@pytest.mark.parametrize("krylov_dim, h, times, saved", [
+    (30, 40.0, np.linspace(0.0, 1.0, 11), 10),
+    # dt = 0.05 and 0.025 are rejected, so three substeps start at t = 0
+    (6, 3.0, np.array([0.0, 0.2]), 3),
+], ids=["steps", "rejections"])
+def test_energy_product_starts_the_next_interval(krylov_dim, h, times, saved):
+    # the H chi of each output's energy is the first Krylov product of every
+    # substep tried from that state: one product fewer per such substep,
+    # and the same bits as a run that computes it again
+    params = params_for(8, h=h)
+    product = SigmaXOperator.product
+    advance = manybody._advance
+
+    def run(stepper):
+        calls = []
+        counting = lambda self, chi, out: calls.append(1) or product(self, chi, out)
+        with mock.patch.object(manybody, "KRYLOV_DIM", krylov_dim), \
+                mock.patch.object(SigmaXOperator, "product", counting), \
+                mock.patch.object(manybody, "_advance", stepper):
+            series = evolve_spin(params, SpinState.single_flip(8), times, keep_states=True)
+        return series, len(calls)
+
+    series, products = run(advance)
+    fresh, fresh_products = run(lambda *args: advance(*args[:7]))
+    assert fresh_products - products == saved
+    for field in ("states", "norms", "energies"):
+        assert getattr(series, field).tobytes() == getattr(fresh, field).tobytes(), field
+    assert series.lanczos == fresh.lanczos
 
 
 def test_sparse_cap():

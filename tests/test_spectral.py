@@ -184,6 +184,9 @@ def test_renormalized_coupling_values():
     assert renormalized_coupling(1.0, 1.0) == pytest.approx(3.0, abs=1e-15)
     assert renormalized_coupling(2.0, 1.0) == pytest.approx(7.0 / 3.0, abs=1e-15)
     assert renormalized_coupling(30.0, 1.0) == pytest.approx(2.0, abs=1e-8)
+    # past sigma = 1023, where 2^(sigma + 1) overflows, the ratio is exactly 2
+    assert renormalized_coupling(1022.0, 1.5) == 3.0
+    assert renormalized_coupling(1023.0, 1.5) == renormalized_coupling(2000.0, 1.5) == 3.0
     with pytest.raises(SingularLimitError):
         renormalized_coupling(0.0, 1.0)
 

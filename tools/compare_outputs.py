@@ -29,8 +29,9 @@ from perfbench.workloads import CLI_RUNS  # noqa: E402  (after the path entry)
 
 # Table paths the benchmark's commands do not take: the other evolve modes,
 # JSON tables, the single-particle comparison, a larger entropy table, the
-# one-time, one-shell and one-cut edges, and the deepest spectrum (block
-# sizes up to 2^62) as CSV and as JSON.
+# many-body entropy table, sigma -> 0 time averages, the one-time,
+# one-shell and one-cut edges, and the deepest spectrum (block sizes up to
+# 2^62) as CSV and as JSON.
 EXTRA_RUNS = [
     ("evolve_finite", ["evolve", "--mode", "finite", "--out", "evolve_finite.csv"]),
     ("evolve_dense", ["evolve", "--mode", "dense", "--out", "evolve_dense.csv"]),
@@ -38,6 +39,9 @@ EXTRA_RUNS = [
     ("manybody_compare", ["manybody", "--compare-single-particle", "--out", "manybody"]),
     ("entropy_n12", ["entropy", "--mode", "single", "--N", "12", "--tmax", "20", "--dt", "1",
                      "--out", "entropy_n12.csv"]),
+    ("entropy_manybody", ["entropy", "--mode", "manybody", "--L", "8",
+                          "--out", "entropy_manybody.csv"]),
+    ("timeavg_sigma0", ["timeavg", "--sigma", "1e-7", "--out", "timeavg_sigma0.csv"]),
     ("evolve_tmax0", ["evolve", "--tmax", "0", "--out", "evolve_tmax0.csv"]),
     ("evolve_rmax0", ["evolve", "--rmax", "0", "--out", "evolve_rmax0.csv"]),
     ("entropy_n1", ["entropy", "--N", "1", "--out", "entropy_n1.csv"]),
