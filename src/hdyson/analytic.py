@@ -496,6 +496,24 @@ def _shell_modes(r: int, sigma: float, J: float, K: int):
             scale)
 
 
+def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """hi, lo with hi = fl(a b) and hi + lo = a b exactly, for a finite product.
+
+    Dekker's product on the mantissas in [0.5, 1), whose 27-bit splits cannot
+    overflow whatever the exponents; the exponents are put back after.
+    """
+    am, ae = np.frexp(a)
+    bm, be = np.frexp(b)
+    hi = am * bm
+    c = 134217729.0 * am  # 2^27 + 1
+    a1 = c - (c - am)
+    c = 134217729.0 * bm
+    b1 = c - (c - bm)
+    a2, b2 = am - a1, bm - b1
+    lo = ((a1 * b1 - hi) + a1 * b2 + a2 * b1) + a2 * b2
+    return np.ldexp(hi, ae + be), np.ldexp(lo, ae + be)
+
+
 def _pair_mean(amplitudes: np.ndarray, speeds: np.ndarray, step: float, n: int) -> float:
     """Trapezoid mean of |sum_m a_m exp(-i f_m s)|^2 over s = j step, j = 0..n.
 
@@ -503,12 +521,24 @@ def _pair_mean(amplitudes: np.ndarray, speeds: np.ndarray, step: float, n: int) 
     the Dirichlet sum cos(nx) sin((n+1)x) / sin x less the trapezoid's half
     end points (1 + cos 2nx) / 2, times 2/n.  It has period pi in x and is 2
     at x = 0; x is reduced mod pi first, since near an aliased x = k pi the
-    rounding of x and of 2nx would not cancel.
+    rounding of x and of 2nx would not cancel.  The difference, the product
+    and the reduction are carried in two parts, so the reduced x is within
+    an ulp or two of the exact one: with one rounded x of phase 3e3 rad the
+    mean was off by 7e-13.
     """
     n = float(n)  # a step count beyond 2^63 is no int64
     m, l = np.triu_indices(amplitudes.size, 1)
-    x = (speeds[m] - speeds[l]) * (step / 2.0)
-    x -= np.pi * np.rint(x / np.pi)
+    half = step / 2.0
+    # f_m - f_l = diff + diff_low exactly (Knuth's two-sum)
+    diff = speeds[m] - speeds[l]
+    back = diff - speeds[m]
+    diff_low = (speeds[m] - (diff - back)) - (speeds[l] + back)
+    x, x_low = _two_product(diff, half)
+    x_low += diff_low * half
+    # x - k pi with pi = np.pi + _TAU_LOW / 2; x - k np.pi is exact near k np.pi
+    turns = np.rint(x / np.pi)
+    whole, whole_low = _two_product(turns, np.full(turns.size, np.pi))
+    x = (x - whole) + (x_low - whole_low - turns * (_TAU_LOW / 2.0))
     pair = np.full(x.size, 2.0)
     moving = x != 0.0
     # 2 (n x) has the bits of (2 n) x, but 2 n overflows from n = 2^1023 on
