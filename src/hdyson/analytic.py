@@ -772,7 +772,15 @@ def estimate_dynamical_exponent(psi_fn, r_values, s_grid,
     `psi_fn` must act elementwise and return an array of the shape it was
     given (`psi_thermo` and `psi_finite` do).  Rows go out in blocks of at
     most 2^18 time points (one row if the grid is longer), which bounds the
-    memory; a row's cost does not depend on the block it is in.  If 2^r or
+    memory; a row's cost does not depend on the block it is in.  Not every
+    trial z reaches every shell, by branch and bound: a spread sums one
+    term >= 0 per shell, so a z whose partial spread already exceeds the
+    best finished one cannot be the minimum and takes no more shells.  The
+    reference shell and the next go to every trial z, and the refinement
+    stops costing a point once it loses to its partner.  The z found is the
+    full scan's to the bit unless `psi_fn` returns NaN only on rows it is
+    not handed: a NaN spread is never dropped, and the full scan picks the
+    first one, so a NaN the fit does not see changes its answer.  If 2^r or
     2^(z_max r) overflows for the largest r, ResourceLimitError is raised
     before any `psi_fn` call (overflowed scales would give NaN costs).  A
     scan in which every trial exponent gives the same spread (as at J = 0,
@@ -796,7 +804,7 @@ def estimate_dynamical_exponent(psi_fn, r_values, s_grid,
     exponent = max(r_values[-1], z_max * r_values[-1])
     if exponent >= sys.float_info.max_exp:
         raise ResourceLimitError(f"r = {r_values[-1]} needs 2^{exponent:g} in the z scan")
-    r0 = r_values[0]
+    r0, n = r_values[0], len(r_values) - 1
 
     def scaled_rows(r: int, zs: np.ndarray) -> np.ndarray:
         # scalar powers: np.power over an array rounds some of them
@@ -804,19 +812,40 @@ def estimate_dynamical_exponent(psi_fn, r_values, s_grid,
         scales = np.array([2.0 ** (z * r) for z in zs])
         return 2.0 ** r * psi_fn(r, s_grid[None, :] * scales[:, None])
 
-    def spreads(zs: np.ndarray) -> np.ndarray:
-        """Mean pairwise spread for each z, from one psi_fn call per shell."""
+    def spreads(zs: np.ndarray, bound: float = math.inf) -> np.ndarray:
+        """Mean pairwise spread for each z, from one psi_fn call per shell.
+
+        The shells' terms are >= 0 and added in r order, so a partial sum
+        never exceeds the whole: a z whose partial mean is already above
+        `bound` takes no more shells and costs inf.  A NaN partial mean is
+        never dropped, and a NaN bound drops nothing.  Before the later
+        shells, the z with the smallest first-shell term is finished on
+        its own, and its spread tightens the bound.
+        """
         ref = scaled_rows(r0, zs)
         acc = np.zeros(zs.size)
-        for r in r_values[1:]:
-            acc += np.mean(np.abs(scaled_rows(r, zs) - ref) ** 2, axis=-1)
-        return acc / (len(r_values) - 1)
+        costs = np.full(zs.size, math.inf)
+        live = np.arange(zs.size)
+        for k, r in enumerate(r_values[1:]):
+            if k == 1 and zs.size > 1:
+                seed = int(np.argmin(acc))  # a NaN comes first and is no bound
+                if acc[seed] / n < bound:
+                    costs[seed] = spreads(zs[seed:seed + 1])[0]
+                    bound = np.fmin(bound, costs[seed])
+                    live = live[live != seed]
+            live = live[~(acc[live] / n > bound)]
+            if live.size == 0:
+                break
+            acc[live] += np.mean(np.abs(scaled_rows(r, zs[live]) - ref[live]) ** 2, axis=-1)
+        costs[live] = acc[live] / n
+        return costs
 
     zs = np.geomspace(z_min, z_max, scan)
     block = max(1, _SCAN_BLOCK_POINTS // s_grid.size)
-    costs = np.concatenate(
-        [spreads(zs[i:i + block]) for i in range(0, scan, block)]
-    )
+    costs, bound = np.empty(scan), math.inf
+    for i in range(0, scan, block):
+        costs[i:i + block] = spreads(zs[i:i + block], bound)
+        bound = np.fmin.reduce(costs[i:i + block], initial=bound)
     if np.all(costs == costs[0]):
         raise InputError(
             "every trial exponent gives the same spread: the amplitudes do not "
@@ -826,18 +855,25 @@ def estimate_dynamical_exponent(psi_fn, r_values, s_grid,
     lo = zs[max(best - 1, 0)]
     hi = zs[min(best + 1, scan - 1)]
 
+    # golden section keeps the smaller of fc and fd, so a new point only has
+    # to be costed until it loses to its partner (inf then takes the same
+    # branch); each is costed when first compared, and the last never is
     ratio = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - ratio * (b - a)
     d = a + ratio * (b - a)
-    fc, fd = spreads(np.array([c]))[0], spreads(np.array([d]))[0]
+    fc = fd = None
     for _ in range(refine):
+        if fc is None:
+            fc = spreads(np.array([c]), math.inf if fd is None else fd)[0]
+        if fd is None:
+            fd = spreads(np.array([d]), fc)[0]
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - ratio * (b - a)
-            fc = spreads(np.array([c]))[0]
+            fc = None
         else:
             a, c, fc = c, d, fd
             d = a + ratio * (b - a)
-            fd = spreads(np.array([d]))[0]
+            fd = None
     return 0.5 * (a + b)

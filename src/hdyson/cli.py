@@ -417,13 +417,14 @@ def cmd_timeavg(config: RunConfig) -> dict:
 def _spin_series(config: RunConfig, width: int):
     """Parameters, time grid and evolution of one flip at site 1, with entropies.
 
-    L is capped before any 2^L state is built, and the grid as a table
-    width keys wide.
+    L and the model's energy scale are checked before any 2^L state is
+    built, and the grid is capped as a table width keys wide.
     """
     geom = TreeGeometry.from_length(config.L)
     if geom.length > SPARSE_CAP:
         raise ResourceLimitError(f"L = {geom.length} exceeds the sparse cap {SPARSE_CAP}")
     params = ModelParams(geom, J=config.J, sigma=config.sigma, h=config.h)
+    params.spectral_bound(many_body=True)
     grid = _time_grid(config.tmax, config.dt, width)
     series = evolve_spin(params, SpinState.single_flip(config.L), grid, compute_entropy=True)
     return params, grid, series

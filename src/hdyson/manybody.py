@@ -685,7 +685,9 @@ def evolve_spin(model: ModelParams | SparseHamiltonian, psi0: SpinState, times,
     parity (its smaller parity component at most 1e-8 in norm); the run
     stays in that 2^(L-1)-dimensional sector, with products matrix-free in
     the sx basis (`SigmaXOperator`).  Sampled states are full 2^L vectors,
-    exactly zero outside the sector.
+    exactly zero outside the sector.  A model whose energies, squared,
+    leave the double range (`ModelParams.spectral_bound`) is refused with
+    ResourceLimitError before any work.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -703,6 +705,7 @@ def evolve_spin(model: ModelParams | SparseHamiltonian, psi0: SpinState, times,
         raise InputError(f"model must be ModelParams or SparseHamiltonian, got {model!r}")
     if psi0.amplitudes.size != 1 << params.geom.length:
         raise InputError("state dimension does not match the Hamiltonian")
+    params.spectral_bound(many_body=True)
 
     sites = params.geom.length
     parity, z = _sector_amplitudes(psi0.amplitudes)

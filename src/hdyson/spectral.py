@@ -91,6 +91,38 @@ class ModelParams:
     def level_coupling_array(self) -> np.ndarray:
         return np.array([self.level_coupling(p) for p in range(self.geom.levels)])
 
+    def spectral_bound(self, many_body: bool = False) -> float:
+        """A bound on |E| for every energy E of the model, checked before any work.
+
+        One defect: the closed form forms J/(1 - 2^-sigma) >= max_k |eps_k|,
+        and a coupling profile (or sigma = 0) has the largest row sum of
+        the hopping matrix, sum_p 2^p |J_p|.  Many body: h L plus
+        sum_{i<j} |J_ij| = (L/2) sum_p 2^p |J_p| bounds the norm of H, and
+        the Krylov step squares energies, so the bound's square must be
+        finite too.  ResourceLimitError where it is not; the sums are of
+        Python floats, which overflow to inf without a warning.
+        """
+        row_sum = sum(2.0 ** p * abs(self.level_coupling(p)) for p in range(self.geom.levels))
+        L = self.geom.length
+        if many_body:
+            bound = self.h * L + L / 2 * row_sum
+            finite = math.isfinite(bound * bound)
+        else:
+            if self.level_couplings is None and self.sigma > 0:
+                gap = 1.0 - 2.0 ** -self.sigma
+                bound = self.J / gap if gap > 0 else math.inf
+            else:
+                bound = row_sum
+            finite = math.isfinite(bound)
+        if not finite:
+            model = "many-body Hamiltonian" if many_body else "one-defect spectrum"
+            raise ResourceLimitError(
+                f"the {model} of J = {self.J:g}, sigma = {self.sigma:g}, h = {self.h:g} "
+                f"at L = {L}: the bound on its energies{' squared' if many_body else ''} "
+                "overflows double precision"
+            )
+        return bound
+
 
 def renormalized_coupling(sigma: float, J: float) -> float:
     """Prefactor of the geometric band ladder, J (2^(sigma+1)-1)/(2^sigma-1).
@@ -128,8 +160,11 @@ def eigenvalues(params: ModelParams) -> np.ndarray:
     """The N+1 distinct eigenvalues eps[k] of the hopping matrix, k = 0..N.
 
     Level k is the multiplet k of the tree layout, so its multiplicity is
-    the size of block k, `np.diff(geometry.block_bounds(N))[k]`.
+    the size of block k, `np.diff(geometry.block_bounds(N))[k]`.  A model
+    whose levels leave the double range (`ModelParams.spectral_bound`) is
+    a ResourceLimitError.
     """
+    params.spectral_bound()
     n = params.geom.levels
     if params.level_couplings is not None:
         return _eigenvalues_from_coupling_sums(params)

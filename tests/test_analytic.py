@@ -831,6 +831,38 @@ def _fit_or_flat(estimate, psi_fn, shells, s_grid, scan, refine):
         return "flat"
 
 
+# 2^r psi at trial z_j = geomspace(0.1, 6, 3)[j] on shells 1..3 (0 on shell 0);
+# with s = 1 the spreads are (1 + q^2 + 0)/3, (1/4 + 1/4 + 1.12^2)/3 and 48/3
+# for q = 0.8685620300243387: the first two sums differ by one ulp and
+# their quotients by 3 are equal
+_TIED_TERMS = np.array([[1.0, 0.8685620300243387, 0.0], [0.5, 0.5, 1.12], [4.0, 4.0, 4.0]])
+
+
+def _tied_psi(r, t):
+    """Amplitudes whose first two trial exponents tie only after the division by n."""
+    if r == 0:
+        return np.zeros(np.shape(t))
+    nearest = np.abs(np.log2(t)[..., None] / r - np.geomspace(0.1, 6.0, 3)).argmin(axis=-1)
+    return _TIED_TERMS[nearest, r - 1] / 2.0 ** r
+
+
+def _psi_for(kind, sigma, shells):
+    if kind == "finite":
+        params = params_for(10, sigma=sigma)
+        return lambda r, t: psi_finite(r, t, params)
+    if kind == "ties":
+        return _tied_psi
+    if kind == "nan":
+        # NaN on the first two shells past t = 50: every trial z is costed on
+        # them, so each z they reach has a NaN spread, which the full scan's
+        # argmin picks first and the pruned scan never drops (a NaN only on
+        # shells the pruned scan skips would go unseen, as its docstring says)
+        first_two = sorted(shells)[:2]
+        return lambda r, t: np.where((r in first_two) & (np.asarray(t) > 50.0), np.nan,
+                                     psi_thermo(r, t, sigma))
+    return lambda r, t: psi_thermo(r, t, sigma)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     sigma=st.floats(0.3, 2.5),
@@ -838,42 +870,58 @@ def _fit_or_flat(estimate, psi_fn, shells, s_grid, scan, refine):
     s_grid=st.lists(st.floats(0.0, 8.0), min_size=1, max_size=80),
     scan=st.integers(2, 400),
     refine=st.integers(0, 12),
-    finite=st.booleans(),
+    kind=st.sampled_from(["thermo", "finite"]),
     block=st.sampled_from([analytic._SCAN_BLOCK_POINTS, 1, 97]),
 )
+@example(sigma=1.0, shells={0, 1, 2, 3}, s_grid=[1.0], scan=3, refine=6, kind="ties",
+         block=analytic._SCAN_BLOCK_POINTS)
+@example(sigma=1.0, shells={1, 2, 3, 4, 6}, s_grid=[0.5, 1.5, 3.0, 6.0], scan=120, refine=10,
+         kind="nan", block=1)
+@example(sigma=1.0, shells={1, 2, 3, 4, 6}, s_grid=[0.5, 1.5, 3.0, 6.0], scan=120, refine=10,
+         kind="nan", block=analytic._SCAN_BLOCK_POINTS)
 def test_batched_exponent_scan_matches_per_z_reference(
-    sigma, shells, s_grid, scan, refine, finite, block
+    sigma, shells, s_grid, scan, refine, kind, block
 ):
-    if finite:
-        params = params_for(10, sigma=sigma)
-        fn = lambda r, t: psi_finite(r, t, params)
-    else:
-        fn = lambda r, t: psi_thermo(r, t, sigma)
+    fn = _psi_for(kind, sigma, shells)
     batched, per_z = {}, {}
     with mock.patch.object(analytic, "_SCAN_BLOCK_POINTS", block):
         z = _fit_or_flat(estimate_dynamical_exponent,
                          _time_rows_by_shell(fn, batched), shells, s_grid, scan, refine)
     assert z == _fit_or_flat(per_z_dynamical_exponent,
                              _time_rows_by_shell(fn, per_z), shells, s_grid, scan, refine)
-    # every trial time array, scan rows included, is the reference's to the bit
-    assert batched.keys() == per_z.keys()
-    for r in per_z:
-        assert np.array_equal(np.array(batched[r]), np.array(per_z[r]))
+    # the pruned fit skips rows, but each row it hands out, scan rows
+    # included, is one the reference hands out for that shell, to the bit
+    for r, rows in batched.items():
+        reference = {row.tobytes() for row in per_z[r]}
+        assert all(row.tobytes() in reference for row in rows)
 
 
 def test_exponent_scan_makes_one_call_per_shell():
-    shapes = []
+    calls = []
 
     def fn(r, t):
-        shapes.append(np.shape(t))
+        calls.append((r, np.shape(t)))
         return psi_thermo(r, t, 1.0)
 
     s_grid = np.linspace(0.0, 6.0, 61)[1:]
     estimate_dynamical_exponent(fn, range(1, 5), s_grid, scan=301, refine=7)
-    # one scan call and 2 + refine golden-section spreads, each over 4 shells
-    assert len(shapes) == 4 * (3 + 7)
-    assert shapes[:4] == [(301, 60)] * 4
-    assert shapes[4:] == [(1, 60)] * (4 * 9)
+    # every trial z on the first two shells, then the z with the smallest
+    # first-shell spread on its own, then the rest of the scan on the later
+    # shells, no more rows on each than on the one before
+    assert calls[:6] == [(1, (301, 60)), (2, (301, 60))] + [(r, (1, 60)) for r in range(1, 5)]
+    rest = next(i for i in range(6, len(calls)) if calls[i][0] == 1)
+    assert [r for r, _ in calls[6:rest]] == list(range(3, rest - 3))
+    rows = [300] + [shape[0] for _, shape in calls[6:rest]]
+    assert rows == sorted(rows, reverse=True) and rows[-1] >= 1
+    # the refinement costs refine + 1 points, one row per call, shells in
+    # order from the first until the point loses to its partner
+    refinement = calls[rest:]
+    assert all(shape == (1, 60) for _, shape in refinement)
+    points = [i for i, (r, _) in enumerate(refinement) if r == 1] + [len(refinement)]
+    assert len(points) - 1 == 7 + 1
+    for start, stop in zip(points, points[1:]):
+        assert [r for r, _ in refinement[start:stop]] == list(range(1, 1 + stop - start))
+        assert stop - start >= 2
 
 
 def test_exponent_scan_rejects_overflowing_scales():
@@ -919,7 +967,7 @@ def test_flat_exponent_scan_is_an_input_error():
     calls = []
 
     def fn(r, t):
-        calls.append(r)
+        calls.append((r, np.shape(t)))
         return psi_thermo(r, t, 1.0, 0.0)
 
     s_grid = np.linspace(0.0, 6.0, 61)[1:]
@@ -927,7 +975,9 @@ def test_flat_exponent_scan_is_an_input_error():
     calls.clear()
     with pytest.raises(InputError):
         estimate_dynamical_exponent(fn, range(1, 4), s_grid, scan=11)
-    assert calls == [1, 2, 3]  # the scan ran, the refinement did not
+    # the scan ran, with no trial z dropped (all tie), and the refinement did not
+    assert calls == [(1, (11, 60)), (2, (11, 60)), (1, (1, 60)), (2, (1, 60)), (3, (1, 60)),
+                     (3, (10, 60))]
     with pytest.raises(InputError):  # a grid of zero times, likewise
         estimate_dynamical_exponent(lambda r, t: psi_thermo(r, t, 1.0), [1, 2], [0.0])
 

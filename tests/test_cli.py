@@ -593,6 +593,33 @@ def test_ladder_rate_overflow_is_an_input_error(tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith("input error:")
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    # exited 0 with -inf and nan levels and a RuntimeWarning
+    ["spectrum", "--N", 4, "--J", 1e308, "--sigma", 0.01, "--out", "sp.csv"],
+    # exited 1 with a ZeroDivisionError: 1 - 2^-sigma rounds to 0
+    ["spectrum", "--N", 4, "--sigma", 1e-300, "--out", "sp.csv"],
+    # exited 1 with a LinAlgError from the Krylov step's eigh
+    ["manybody", "--L", 4, "--tmax", 0.1, "--h", 1e200, "--out", "mb"],
+    ["manybody", "--L", 4, "--tmax", 0.1, "--J", 1e300, "--out", "mb"],
+    ["entropy", "--mode", "manybody", "--L", 4, "--tmax", 0.1, "--h", 1e300,
+     "--out", "ent.csv"],
+], ids=["spectrum-J", "spectrum-sigma", "manybody-h", "manybody-J", "entropy-h"])
+def test_models_whose_energies_overflow_are_refused(tmp_path, capsys, argv):
+    argv[-1] = tmp_path / argv[-1]
+    assert run(tmp_path, *argv) == 3
+    assert not list(tmp_path.iterdir())
+    assert capsys.readouterr().err.startswith("resource limit:")
+
+
+def test_many_body_field_below_the_energy_cap_runs(tmp_path):
+    # h L = 4e153 squares to a finite double, so the model is admitted
+    stem = tmp_path / "mb"
+    assert run(tmp_path, "manybody", "--L", 4, "--tmax", 0.1, "--h", 1e153, "--out", stem) == 0
+    _, rows = read_csv(tmp_path / "mb_n.csv")
+    assert all(math.isfinite(row["n"]) for row in rows)
+
+
 def test_collapse_rejects_a_flat_exponent_scan(tmp_path, capsys):
     # at J = 0 every trial exponent costs the same: z_estimate 0.100137 was stored
     out = tmp_path / "col.csv"

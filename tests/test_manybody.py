@@ -821,3 +821,10 @@ def test_evolve_input_validation():
         SpinState.single_flip(4, site=5)
     with pytest.raises(InputError):
         SpinState(np.zeros(3, dtype=complex))
+
+
+def test_evolution_refuses_overflowing_energies():
+    # exited through a LinAlgError from the Krylov step's eigh
+    for params in (ModelParams(TreeGeometry(2), h=1e200), ModelParams(TreeGeometry(2), J=1e300)):
+        with pytest.raises(ResourceLimitError):
+            evolve_spin(params, SpinState.single_flip(4), [0.0, 0.1])

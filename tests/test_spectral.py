@@ -10,6 +10,7 @@ from hdyson import (
     SingularLimitError,
     TreeGeometry,
     build_hopping_matrix,
+    build_spin_hamiltonian,
     delta_decomposition,
     eigenvalues,
     eigenvector,
@@ -269,3 +270,50 @@ def test_model_params_reject_non_finite(key, value):
     kwargs = {key: (1.0, value) if key == "level_couplings" else value}
     with pytest.raises(InputError):
         ModelParams(TreeGeometry(2), **kwargs)
+
+
+@pytest.mark.parametrize("params", [
+    params_for(5, sigma=0.7, J=1.3),
+    params_for(4, sigma=0.0, J=2.0),
+    params_for(3, sigma=40.0),
+    ModelParams(TreeGeometry(4), level_couplings=(1.0, -2.0, 0.5, 3.0), h=0.3),
+], ids=["geometric", "sigma0", "steep", "profile"])
+def test_spectral_bound_covers_every_energy(params):
+    # the bounds are attained (the uniform mode, the all-up state), so a
+    # dense eigensolver may exceed them by its rounding
+    slack = 1.0 + 1e-12
+    hopping = build_hopping_matrix(params)
+    assert np.max(np.abs(np.linalg.eigvalsh(hopping))) <= params.spectral_bound() * slack
+    if params.sigma > 0:
+        assert np.max(np.abs(eigenvalues(params))) <= params.spectral_bound()
+    # many body: h L plus the pair couplings, each pair once
+    L = params.geom.length
+    bound = params.spectral_bound(many_body=True)
+    assert bound == pytest.approx(params.h * L + np.abs(hopping).sum() / 2, rel=1e-14)
+    if L <= 8:
+        spin = build_spin_hamiltonian(params).matrix.toarray()
+        assert np.max(np.abs(np.linalg.eigvalsh(spin))) <= bound * slack
+
+
+@pytest.mark.filterwarnings("error")
+def test_spectral_bound_refuses_overflowing_energies():
+    cases = [
+        # the closed form's J / (1 - 2^-sigma) overflows, or divides by 0
+        (params_for(4, sigma=0.01, J=1e308), False),
+        (params_for(4, sigma=0.01, J=1e307), False),
+        (params_for(4, sigma=1e-300), False),
+        (ModelParams(TreeGeometry(3), level_couplings=(1e308, 1e308, 1e308)), False),
+        # the Krylov step squares energies of 4e200 and 3e300
+        (params_for(2, h=1e200), True),
+        (params_for(2, J=1e300), True),
+    ]
+    for params, many_body in cases:
+        with pytest.raises(ResourceLimitError):
+            params.spectral_bound(many_body=many_body)
+        if not many_body:
+            with pytest.raises(ResourceLimitError):
+                eigenvalues(params)
+    # the same models at sizes whose bounds stay finite
+    assert params_for(4, sigma=0.01, J=1e300).spectral_bound() < 1.5e302
+    assert params_for(2, h=1e150).spectral_bound(many_body=True) == pytest.approx(4e150)
+    assert params_for(2, h=1e200).spectral_bound() == pytest.approx(2.0)
