@@ -23,7 +23,10 @@ modes, `fast` and `dense`, a block of more than MAX_SITE_BLOCK amplitudes
 (times x sites), before anything is built.
 
 Exit codes: 0 success, 2 input error, 3 resource cap, 4 convergence
-failure.
+failure.  `main` runs a subcommand with numpy's overflow, invalid and
+divide errors raised, so a run whose floats leave the double range
+(FloatingPointError, or Python's OverflowError) also exits 3, before any
+table or manifest is written.
 """
 
 from __future__ import annotations
@@ -57,9 +60,9 @@ from .analytic import (
 )
 from .errors import ConvergenceError, InputError, ResourceLimitError
 from .geometry import (
-    MAX_SHELL,
     TreeGeometry,
     block_bounds,
+    check_shell,
     collapse_sites_to_shells,
     expand_shells_to_sites,
 )
@@ -308,15 +311,6 @@ def _sided_path(out: str, tag: str) -> str:
     return str(path.with_name(path.stem + tag + path.suffix))
 
 
-def _check_rmax(rmax: int, sigma: float = 0.0) -> None:
-    """Cap rmax, and sigma * rmax for commands that rescale time by 2^(sigma r)."""
-    exponent = max(rmax, sigma * rmax)
-    if exponent > MAX_SHELL:
-        raise ResourceLimitError(
-            f"rmax = {rmax} needs 2^{exponent:g}, beyond the shell cap 2^{MAX_SHELL}"
-        )
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -334,11 +328,8 @@ def cmd_spectrum(config: RunConfig) -> dict:
 def cmd_evolve(config: RunConfig) -> dict:
     if config.mode not in EVOLVE_MODES:
         raise InputError(f"evolve mode must be one of {EVOLVE_MODES}, got {config.mode!r}")
-    if config.rmax < 0:
-        raise InputError(f"rmax must be >= 0, got {config.rmax}")
-    _check_rmax(config.rmax)
     geom = None if config.mode == "thermo" else TreeGeometry(config.N)
-    shells = range(config.rmax + 1 if geom is None else geom.levels + 1)
+    shells = range((check_shell(config.rmax, "rmax") if geom is None else geom.levels) + 1)
     sites = geom.length if config.mode in ("fast", "dense") else 0
     grid = _time_grid(config.tmax, config.dt, len(shells), sites=sites)
     policy = TruncationPolicy(config.K)
@@ -366,10 +357,11 @@ def cmd_collapse(config: RunConfig) -> dict:
         raise InputError(f"tmax must be positive, got {config.tmax}")
     if config.rmin < 1 or config.rmax < config.rmin:
         raise InputError(f"need 1 <= rmin <= rmax, got {config.rmin}..{config.rmax}")
-    _check_rmax(config.rmax, config.sigma)
     if config.points < 1:
         raise InputError(f"points must be >= 1, got {config.points}")
-    shells = range(config.rmin, config.rmax + 1)
+    shells = range(config.rmin, check_shell(config.rmax, "rmax") + 1)
+    # formed before the fit: a time scale past the double range stops the run here
+    scales = [2.0 ** (config.sigma * r) for r in shells]
     s_grid = _time_grid(config.tmax, None, len(shells), points=config.points)
     policy = TruncationPolicy(config.K)
     fit_grid = np.linspace(0.0, min(config.tmax, 6.0), 61)[1:]
@@ -378,9 +370,8 @@ def cmd_collapse(config: RunConfig) -> dict:
     )
 
     curves = np.array([
-        2.0 ** r * psi_thermo(r, s_grid * 2.0 ** (config.sigma * r), config.sigma,
-                              config.J, policy)
-        for r in shells
+        2.0 ** r * psi_thermo(r, s_grid * scale, config.sigma, config.J, policy)
+        for r, scale in zip(shells, scales)
     ])
     r_source, s = _keys(shells, s_grid)
     out = write_table(config.out, ["s", "F_re", "F_im", "r_source"],
@@ -392,9 +383,8 @@ def cmd_collapse(config: RunConfig) -> dict:
 def cmd_timeavg(config: RunConfig) -> dict:
     if config.rmin < 0 or config.rmax < config.rmin:
         raise InputError(f"need 0 <= rmin <= rmax, got {config.rmin}..{config.rmax}")
-    _check_rmax(config.rmax, 0.0 if config.tmax is not None else config.sigma)
     policy = TruncationPolicy(config.K)
-    shells = range(config.rmin, config.rmax + 1)
+    shells = range(config.rmin, check_shell(config.rmax, "rmax") + 1)
     horizons = [config.tmax if config.tmax is not None else 100.0 * 2.0 ** (r * config.sigma)
                 for r in shells]
     averages = [time_average(r, horizon, config.sigma, config.J, policy, dt=config.dt)
@@ -417,14 +407,13 @@ def cmd_timeavg(config: RunConfig) -> dict:
 def _spin_series(config: RunConfig, width: int):
     """Parameters, time grid and evolution of one flip at site 1, with entropies.
 
-    L and the model's energy scale are checked before any 2^L state is
-    built, and the grid is capped as a table width keys wide.
+    L is checked before any 2^L state is built, and the grid is capped as
+    a table width keys wide; `evolve_spin` checks the model's energy scale.
     """
     geom = TreeGeometry.from_length(config.L)
     if geom.length > SPARSE_CAP:
         raise ResourceLimitError(f"L = {geom.length} exceeds the sparse cap {SPARSE_CAP}")
     params = ModelParams(geom, J=config.J, sigma=config.sigma, h=config.h)
-    params.spectral_bound(many_body=True)
     grid = _time_grid(config.tmax, config.dt, width)
     series = evolve_spin(params, SpinState.single_flip(config.L), grid, compute_entropy=True)
     return params, grid, series
@@ -435,14 +424,6 @@ def cmd_manybody(config: RunConfig) -> dict:
         raise InputError("single-particle comparison needs h > 0 (paramagnetic phase)")
     params, grid, series = _spin_series(config, config.L)
 
-    ext = ".csv" if config.format == "csv" else ".json"
-    outputs = [
-        _write_series(f"{config.out}_n{ext}", ["t", "x", "n"], grid,
-                      range(1, config.L + 1), [series.n], config.format),
-        _write_series(f"{config.out}_P{ext}", ["t", "r", "P"], grid,
-                      range(params.geom.levels + 1), [series.shell_p], config.format),
-        _write_entropies(f"{config.out}_S{ext}", grid, series.entropy, config.format),
-    ]
     extras = {
         "scheme": "adaptive-lanczos-expm",
         "tolerances": {"local_error": LOCAL_TOL, "krylov_dim": KRYLOV_DIM},
@@ -461,6 +442,15 @@ def cmd_manybody(config: RunConfig) -> dict:
         block = wave_profile_finite(grid, params)
         predicted = occupation(0, expand_shells_to_sites(block, params.geom))
         extras["single_particle_max_deviation"] = float(np.max(np.abs(series.n - predicted)))
+    # written once every number is formed: a run stopped by the float trap leaves no table
+    ext = ".csv" if config.format == "csv" else ".json"
+    outputs = [
+        _write_series(f"{config.out}_n{ext}", ["t", "x", "n"], grid,
+                      range(1, config.L + 1), [series.n], config.format),
+        _write_series(f"{config.out}_P{ext}", ["t", "r", "P"], grid,
+                      range(params.geom.levels + 1), [series.shell_p], config.format),
+        _write_entropies(f"{config.out}_S{ext}", grid, series.entropy, config.format),
+    ]
     return {"outputs": outputs, **extras}
 
 
@@ -529,10 +519,11 @@ SUBCOMMANDS = {
 
 def main(argv=None) -> int:
     try:
-        config = build_run_config(argv)
-        payload = SUBCOMMANDS[config.command].run(config)
-        outputs = payload.pop("outputs")
-        manifest = _write_manifest(config, outputs, payload)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            config = build_run_config(argv)
+            payload = SUBCOMMANDS[config.command].run(config)
+            outputs = payload.pop("outputs")
+            manifest = _write_manifest(config, outputs, payload)
         for path in outputs:
             print(f"wrote {path}")
         print(f"wrote {manifest}")
@@ -542,6 +533,9 @@ def main(argv=None) -> int:
         return 2
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
+        return 3
+    except (FloatingPointError, OverflowError) as exc:
+        print(f"resource limit: floating-point overflow: {exc}", file=sys.stderr)
         return 3
     except ConvergenceError as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)

@@ -727,7 +727,8 @@ def evolve_spin(model: ModelParams | SparseHamiltonian, psi0: SpinState, times,
     entropies = [] if compute_entropy else None
     states = np.empty((times.size, 1 << sites), dtype=complex) if keep_states else None
 
-    for i, target in enumerate(times):
+    # Python floats: a span, step or gate product past the double range is inf, not an error
+    for i, target in enumerate(times.tolist()):
         span = target - t_now
         if span > 0:
             chi, dt = _advance(operator.product, chi, span, dt,

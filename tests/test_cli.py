@@ -12,8 +12,10 @@ import subprocess
 import sys
 import tempfile
 import typing
+import warnings
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -620,6 +622,75 @@ def test_many_body_field_below_the_energy_cap_runs(tmp_path):
     assert all(math.isfinite(row["n"]) for row in rows)
 
 
+FLOAT_TRAP_PROBES = [
+    # each exited 0 with nan rows and overflow warnings
+    *(["evolve", "--mode", mode, "--N", 6, "--J", 1e300, "--tmax", 1e300, "--dt", 1e299]
+      for mode in ("fast", "finite")),
+    ["evolve", "--mode", "dense", "--N", 4, "--J", 1e300, "--tmax", 1e300, "--dt", 1e299],
+    ["evolve", "--mode", "thermo", "--rmax", 3, "--J", 1e300, "--tmax", 1e300, "--dt", 1e299],
+    ["evolve", "--mode", "thermo", "--rmax", 3, "--tmax", 1e308, "--dt", 1e307],
+    # exited 2 after overflow warnings
+    ["entropy", "--mode", "single", "--N", 3, "--tmax", 1e308, "--dt", 1e307],
+    # exact steps grow until dt E overflows: exited 1 with a LinAlgError traceback
+    ["manybody", "--L", 4, "--J", 1e100, "--tmax", 1e300, "--dt", 1e299],
+    # the evolution stays in range, its single-particle comparison does not:
+    # exited 0 with a NaN deviation in the manifest; the tables now come
+    # after the comparison, so none is left behind
+    ["manybody", "--L", 2, "--J", 1e11, "--h", 1, "--tmax", 1e298, "--dt", 1e297,
+     "--compare-single-particle"],
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", FLOAT_TRAP_PROBES,
+                         ids=["fast", "finite", "dense", "thermo-J", "thermo-t", "entropy",
+                              "manybody", "manybody-compare"])
+def test_runs_whose_floats_overflow_are_refused(tmp_path, capsys, argv):
+    assert run(tmp_path, *argv, "--out", tmp_path / "o.csv") == 3
+    assert not list(tmp_path.iterdir())
+    assert capsys.readouterr().err.startswith("resource limit: floating-point overflow")
+
+
+@pytest.mark.filterwarnings("error")
+def test_collapse_refuses_an_overflowing_time_scale_before_the_fit(tmp_path, capsys,
+                                                                   no_compute):
+    # 2^(7 r) leaves the double range at r = 147: refused before the exponent fit
+    out = tmp_path / "col.csv"
+    assert run(tmp_path, "collapse", "--sigma", 7, "--rmax", 150, "--out", out) == 3
+    assert not list(tmp_path.iterdir())
+    assert capsys.readouterr().err.startswith("resource limit:")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    # the Lanczos gate's leading term overflowed with a warning; it is a
+    # Python float, whose inf keeps the gate closed
+    ["--tmax", 0.1, "--J", 1e120],
+    ["--tmax", 1e300, "--dt", 1e299],
+], ids=["J", "tmax"])
+def test_many_body_runs_whose_step_gate_overflows_are_admitted(tmp_path, argv):
+    assert run(tmp_path, "manybody", "--L", 4, *argv, "--out", tmp_path / "mb") == 0
+    for table in ("mb_n.csv", "mb_P.csv", "mb_S.csv"):
+        _, rows = read_csv(tmp_path / table)
+        assert rows and all(math.isfinite(v) for row in rows for v in row.values())
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["spectrum", "--N", 2], 0),
+    (FLOAT_TRAP_PROBES[0], 3),
+    (["spectrum", "--N", -1], 2),
+])
+def test_float_trap_is_scoped_to_main(tmp_path, argv, code):
+    before = np.geterr()
+    assert run(tmp_path, *argv, "--out", tmp_path / "o.csv") == code
+    assert np.geterr() == before
+    # a later library call warns as numpy does by default, and does not raise
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        psi_thermo(3, 1e300, 1.0, 1e300)
+    assert any(issubclass(w.category, RuntimeWarning) for w in caught)
+
+
 def test_collapse_rejects_a_flat_exponent_scan(tmp_path, capsys):
     # at J = 0 every trial exponent costs the same: z_estimate 0.100137 was stored
     out = tmp_path / "col.csv"
@@ -894,17 +965,22 @@ def table_values(path: Path, fmt: str) -> list[float]:
     return [float(cell) for line in text.splitlines()[1:] for cell in line.split(",")]
 
 
-@settings(max_examples=150, deadline=None)
-@given(fuzz_argv())
-def test_cli_fuzz_exit_codes(argv):
-    # any argv ends in a documented exit code, with no traceback and, on
-    # success, only finite numbers in the tables
+def check_fuzz_run(argv) -> tuple[str, list]:
+    """Run main(argv) in a fresh directory and check the CLI contract.
+
+    The exit code is documented (argparse's usage exit included), stderr
+    holds no traceback, and on success every table cell is finite.  Returns
+    stderr and the warnings the run raised.
+    """
     stderr = io.StringIO()
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(stderr), \
+                    warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
                 try:
                     code = main(argv)
                 except SystemExit as exc:  # argparse usage errors
@@ -921,3 +997,49 @@ def test_cli_fuzz_exit_codes(argv):
                         assert values and all(math.isfinite(v) for v in values), (argv, path)
         finally:
             os.chdir(cwd)
+    return stderr.getvalue(), caught
+
+
+@settings(max_examples=150, deadline=None)
+@given(fuzz_argv())
+def test_cli_fuzz_exit_codes(argv):
+    # any argv ends in a documented exit code, with no traceback and, on
+    # success, only finite numbers in the tables
+    check_fuzz_run(argv)
+
+
+MAGNITUDE_KEYS = ("sigma", "J", "h", "tmax", "dt")
+
+
+@st.composite
+def magnitude(draw):
+    """A float flag: one time in five 0, +-inf or nan, else +-10^d with d
+    uniform on [-310, 308], positive three times in four (most flags must
+    be), so that runs whose numbers overflow are often drawn."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.sampled_from(["0", "inf", "-inf", "nan"]))
+    sign = -1.0 if draw(st.integers(0, 3)) == 0 else 1.0
+    return repr(sign * 10.0 ** draw(st.floats(-310.0, 308.0)))
+
+
+@st.composite
+def magnitude_argv(draw):
+    base = draw(st.sampled_from(FUZZ_BASES))
+    keys = [key for key in MAGNITUDE_KEYS if key in SUBCOMMANDS[base[0]].settings]
+    argv = list(base)
+    for key in draw(st.lists(st.sampled_from(keys), unique=True)):
+        argv.append(f"--{key}={draw(magnitude())}")
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(magnitude_argv())
+def test_cli_magnitude_fuzz_exit_codes(argv):
+    # any magnitude of the float flags keeps the contract, and no run
+    # warns: an overflow is exit 3.  The table-row cap is lowered so that
+    # no drawn grid runs long, as a many-body run pays one Lanczos
+    # interval per output time.
+    with mock.patch.object(cli, "MAX_TABLE_ROWS", 1 << 10):
+        stderr, caught = check_fuzz_run(argv)
+    assert "RuntimeWarning" not in stderr
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], argv
