@@ -43,7 +43,9 @@ Conventions: hbar = 1, times in units of 1/J, natural logarithms.  The
 thermodynamic-limit amplitudes drop a k-independent phase (the additive
 constant -J/(1 - 2^-sigma) of the reindexed spectrum), so they match the
 finite-L amplitudes up to the gauge factor exp(-i J t / (1 - 2^-sigma)).
-All time-dependent evaluators accept scalar or array t.
+All time-dependent evaluators accept scalar or array t.  `check_times` is
+the one test of a time argument in the library (`oracle` and `manybody`
+call it too): NaN and +-inf are InputError.
 """
 
 from __future__ import annotations
@@ -64,6 +66,7 @@ __all__ = [
     "SIGMA_NEAR_ZERO",
     "TruncationPolicy",
     "time_steps",
+    "check_times",
     "psi_finite",
     "psi_thermo",
     "scaling_function",
@@ -134,9 +137,17 @@ def time_steps(span: float, dt: float) -> int:
     return max(1, int(round(span / dt))) if span > 0 else 0
 
 
-def _as_time_array(t) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(t, dtype=float)
-    return arr, arr.ndim == 0
+def check_times(t, ndim: int | None = None) -> np.ndarray:
+    """t as a float array of rank ndim (any if None), every element finite, else InputError."""
+    times = np.asarray(t)
+    if times.dtype.kind == "c":  # a cast to float would drop the imaginary parts
+        raise InputError(f"times must be real, got dtype {times.dtype}")
+    times = times.astype(float, copy=False)
+    if ndim is not None and times.ndim != ndim:
+        raise InputError(f"times must be {ndim}-d, got shape {times.shape}")
+    if not np.isfinite(times).all():
+        raise InputError("times must be finite: NaN and +-inf are not times")
+    return times
 
 
 def _check_sigma(sigma: float, J: float) -> None:
@@ -178,9 +189,9 @@ def psi_finite(r: int, t, params: ModelParams):
     r, n = check_shell(r), params.geom.levels
     if r > n:
         raise InputError(f"shell index {r} outside 0..{n}")
+    tarr = check_times(t)
     eps = eigenvalues(params)
     L = params.geom.length
-    tarr, scalar = _as_time_array(t)
     acc = np.full(tarr.shape, 1.0 / L, dtype=complex) * np.exp(-1j * eps[0] * tarr)
     weights = shell_weights(n)
     k_top = n if r == 0 else n - r
@@ -188,7 +199,7 @@ def psi_finite(r: int, t, params: ModelParams):
         acc += (weights[k] / L) * np.exp(-1j * eps[k] * tarr)
     if r >= 1:
         acc -= 2.0 ** (-r) * np.exp(-1j * eps[n - r + 1] * tarr)
-    return complex(acc[()]) if scalar else acc
+    return complex(acc[()]) if tarr.ndim == 0 else acc
 
 
 def wave_profile_finite(t, params: ModelParams) -> np.ndarray:
@@ -366,9 +377,9 @@ def scaling_function(s, sigma: float, J: float = 1.0,
             "the scaling function has no sigma -> 0 limit; "
             "use sigma_zero for the amplitudes"
         )
-    sarr, scalar = _as_time_array(s)
+    sarr = check_times(s)
     out = _return_series(sarr, sigma, J, policy, closing=True)
-    return complex(out[()]) if scalar else out
+    return complex(out[()]) if sarr.ndim == 0 else out
 
 
 def _warn_sigma_zero(sigma: float) -> None:
@@ -391,12 +402,12 @@ def psi_thermo(r: int, t, sigma: float, J: float = 1.0,
     """
     r = check_shell(r)
     _check_sigma(sigma, J)
+    tarr = check_times(t)
     if _near_zero(sigma):
         _warn_sigma_zero(sigma)
-        return sigma_zero(r, t, J)
-    tarr, scalar = _as_time_array(t)
+        return sigma_zero(r, tarr, J)
     out = _return_series(tarr, sigma, J, policy, shell=r, closing=r > 0)
-    return complex(out[()]) if scalar else out
+    return complex(out[()]) if tarr.ndim == 0 else out
 
 
 def wave_profile_thermo(t, sigma: float, J: float = 1.0,
@@ -677,7 +688,7 @@ def sigma_zero(r: int, t, J: float = 1.0):
     r = check_shell(r)
     if not math.isfinite(J):
         raise InputError(f"J must be finite, got {J}")
-    tarr, scalar = _as_time_array(t)
+    tarr = check_times(t)
     # a 1-d view keeps a scalar t on numpy's array loops: its scalar complex
     # arithmetic rounds some products differently
     rotor = np.exp(1j * J * tarr.reshape(-1))
@@ -686,7 +697,7 @@ def sigma_zero(r: int, t, J: float = 1.0):
     else:
         out = 2.0 ** (1 - r) * rotor ** r * (1.0 - np.conj(rotor)) / (2.0 - rotor)
     out = out.reshape(tarr.shape)
-    return complex(out[()]) if scalar else out
+    return complex(out[()]) if tarr.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -797,9 +808,9 @@ def estimate_dynamical_exponent(psi_fn, r_values, s_grid,
         raise InputError(f"z_min must be finite and positive, got {z_min}")
     if not (math.isfinite(z_max) and z_max > z_min):
         raise InputError(f"need a finite z_max > z_min, got {z_min}..{z_max}")
-    s_grid = np.asarray(s_grid, dtype=float).ravel()
-    if s_grid.size == 0 or not np.all(np.isfinite(s_grid)):
-        raise InputError("s_grid must be nonempty and finite")
+    s_grid = check_times(s_grid).ravel()
+    if s_grid.size == 0:
+        raise InputError("s_grid must be nonempty")
     # 2^x is a finite double exactly when x < sys.float_info.max_exp = 1024
     exponent = max(r_values[-1], z_max * r_values[-1])
     if exponent >= sys.float_info.max_exp:

@@ -4,7 +4,8 @@ The spin Hamiltonian couples every pair through the hierarchical distance,
 
     H = - sum_{i<j} J_{r(i,j)-1} sx_i sx_j - h sum_i sz_i,
 
-acting on the full 2^L space (L <= 16).  Basis convention: basis state s
+acting on the full 2^L space (L <= SPARSE_CAP = 16, which `check_sites`
+tests before any 2^L array exists).  Basis convention: basis state s
 has site x spin-down exactly when bit x-1 of s is set, so spin-up carries
 bit 0 and the polarized state |up...up> is index 0; the local excitation
 number is n(x) = (1 - <sz_x>)/2 = Prob(bit x-1 set).
@@ -53,7 +54,9 @@ so evolution loads no scipy.  Each step is judged by an a-posteriori
 bound on its error, computed from that same eigendecomposition, not by
 an estimate.  The Krylov dimension is adaptive too: a step stops adding
 vectors once its bound is below 1e-11, at most 30.  At L = 16, h = 40
-an output interval of 0.005 takes one step of 9 vectors.  Full
+an output interval of 0.005 takes one step of 9 vectors.  A horizon that
+predicts more than MAX_SUBSTEPS substeps is refused before the first (see
+`evolve_spin`).  Full
 diagonalization stays feasible up to L = 10 and is used as a
 cross-check in the test suite.
 """
@@ -66,6 +69,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .analytic import check_times
 from .errors import ConvergenceError, InputError, ResourceLimitError
 from .geometry import pair_level, shell_sums
 from .spectral import ModelParams
@@ -75,6 +79,8 @@ if TYPE_CHECKING:  # scipy loads on first use, off the import path of hdyson
 
 __all__ = [
     "SPARSE_CAP",
+    "MAX_SUBSTEPS",
+    "check_sites",
     "SpinState",
     "SparseHamiltonian",
     "SigmaXOperator",
@@ -93,6 +99,9 @@ __all__ = [
 
 SPARSE_CAP = 16
 KRYLOV_DIM = 30
+# most Lanczos substeps a run may be predicted to take (see `evolve_spin`):
+# at L = 8, h = 40 it admits t = 1.2e4, which took 14,055 substeps in 25 s
+MAX_SUBSTEPS = 1 << 17
 # local error target of a Lanczos substep: accepted when its error bound is
 # at most LOCAL_TOL; its Krylov space stops growing, and the step size
 # grows, below LOCAL_TOL / 100
@@ -123,22 +132,18 @@ class SpinState:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    @classmethod
-    def single_flip(cls, sites: int, site: int = 1) -> "SpinState":
-        if not 1 <= site <= sites:
+    @staticmethod
+    def single_flip(sites: int, site: int = 1) -> "SpinState":
+        if not 1 <= site <= check_sites(sites):
             raise InputError(f"site {site} outside 1..{sites}")
-        amp = np.zeros(1 << sites, dtype=complex)
-        amp[1 << (site - 1)] = 1.0
-        return cls(amp)
+        return one_defect_state(np.arange(1, sites + 1) == site)
 
 
 def one_defect_state(site_amplitudes: np.ndarray) -> SpinState:
     """Superposition of single-flip states with the given site amplitudes."""
     site_amplitudes = np.asarray(site_amplitudes, dtype=complex)
-    sites = site_amplitudes.size
-    amp = np.zeros(1 << sites, dtype=complex)
-    for x in range(sites):
-        amp[1 << x] = site_amplitudes[x]
+    amp = np.zeros(1 << check_sites(site_amplitudes.size), dtype=complex)
+    amp[1 << np.arange(site_amplitudes.size)] = site_amplitudes
     return SpinState(amp)
 
 
@@ -162,9 +167,7 @@ def build_spin_hamiltonian(params: ModelParams) -> SparseHamiltonian:
     """
     import scipy.sparse as sp
 
-    L = params.geom.length
-    if L > SPARSE_CAP:
-        raise ResourceLimitError(f"L = {L} exceeds the sparse cap {SPARSE_CAP}")
+    L = check_sites(params.geom.length)
     dim = 1 << L
     couplings = params.level_coupling_array()
     first, second = np.triu_indices(L, 1)
@@ -187,6 +190,13 @@ def build_spin_hamiltonian(params: ModelParams) -> SparseHamiltonian:
     indptr = np.arange(0, indices.size + 1, len(flips), dtype=np.int32)
     matrix = sp.csr_matrix((data.ravel(), indices.ravel(), indptr), shape=(dim, dim))
     return SparseHamiltonian(matrix, params)
+
+
+def check_sites(sites: int) -> int:
+    """sites, else ResourceLimitError above SPARSE_CAP; called before any 2^L array exists."""
+    if sites > SPARSE_CAP:
+        raise ResourceLimitError(f"L = {sites} exceeds the sparse cap {SPARSE_CAP}")
+    return sites
 
 
 def _spin_count(size: int) -> int:
@@ -333,9 +343,7 @@ class SigmaXOperator:
     @classmethod
     def from_params(cls, params: ModelParams, parity: int) -> "SigmaXOperator":
         """The operator of `params` on one sector; E(s) comes from `_sector_diagonal`."""
-        L = params.geom.length
-        if L > SPARSE_CAP:
-            raise ResourceLimitError(f"L = {L} exceeds the sparse cap {SPARSE_CAP}")
+        check_sites(params.geom.length)
         couplings = tuple(float(c) for c in params.level_coupling_array())
         return cls(_sector_diagonal(couplings), params.h, parity)
 
@@ -687,27 +695,29 @@ def evolve_spin(model: ModelParams | SparseHamiltonian, psi0: SpinState, times,
     the sx basis (`SigmaXOperator`).  Sampled states are full 2^L vectors,
     exactly zero outside the sector.  A model whose energies, squared,
     leave the double range (`ModelParams.spectral_bound`) is refused with
-    ResourceLimitError before any work.
+    ResourceLimitError before any work, and so is a run predicted to take
+    more than MAX_SUBSTEPS substeps: KRYLOV_DIM vectors advance a state
+    spread over the spectrum [-b, b], b that bound, by about KRYLOV_DIM / b
+    per substep, so a horizon t predicts b t / KRYLOV_DIM of them.  A sector
+    of at most KRYLOV_DIM states is spanned by every Krylov space, whose
+    steps are exact whatever their length, and is not capped.
     """
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size == 0:
-        raise InputError("times must be a nonempty 1-d ascending grid")
-    if not np.all(np.isfinite(times)):
-        raise InputError("times must be finite")
-    if times[0] < 0 or np.any(np.diff(times) <= 0):
-        raise InputError("times must be ascending and nonnegative")
-    if not np.all(np.isfinite(psi0.amplitudes)):
-        raise InputError("initial state has non-finite amplitudes")
-    if abs(psi0.norm() - 1.0) > 1e-8:
-        raise InputError("initial state is not normalized")
+    times = check_times(times, 1)
+    if times.size == 0 or times[0] < 0 or np.any(np.diff(times) <= 0):
+        raise InputError("times must be a nonempty, ascending and nonnegative grid")
+    if not abs(psi0.norm() - 1.0) <= 1e-8:  # also false for a NaN or inf norm
+        raise InputError("initial state is not finite and normalized")
     params = model.params if isinstance(model, SparseHamiltonian) else model
     if not isinstance(params, ModelParams):
         raise InputError(f"model must be ModelParams or SparseHamiltonian, got {model!r}")
     if psi0.amplitudes.size != 1 << params.geom.length:
         raise InputError("state dimension does not match the Hamiltonian")
-    params.spectral_bound(many_body=True)
-
+    bound = params.spectral_bound(many_body=True)
     sites = params.geom.length
+    substeps = bound * float(times[-1]) / KRYLOV_DIM
+    if 1 << (sites - 1) > KRYLOV_DIM and substeps > MAX_SUBSTEPS:
+        raise ResourceLimitError(f"t = {times[-1]:g} at energy bound {bound:g} predicts "
+                                 f"{substeps:.3g} Lanczos substeps, above {MAX_SUBSTEPS}")
     parity, z = _sector_amplitudes(psi0.amplitudes)
     operator = SigmaXOperator.from_params(params, parity)
     applied = np.empty(z.size, dtype=complex)

@@ -43,6 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analytic import check_times
 from .errors import InputError
 from .geometry import TreeGeometry, block_bounds
 from .spectral import ModelParams, build_hopping_matrix, eigenvalues
@@ -210,13 +211,6 @@ def _check_sum(total, what: str) -> None:
         raise InputError(f"{what} must be finite: an entry or the sum of all is {total}")
 
 
-def _check_times(times, ndim: int) -> np.ndarray:
-    times = np.asarray(times, dtype=float)
-    if times.ndim != ndim or not np.all(np.isfinite(times)):
-        raise InputError(f"times must be finite and {ndim}-d, got {times!r}")
-    return times
-
-
 def dense_evolve_series(params: ModelParams, times, initial: np.ndarray) -> np.ndarray:
     """Amplitudes at every time of a finite 1-d grid, shape (len(times), L).
 
@@ -225,7 +219,7 @@ def dense_evolve_series(params: ModelParams, times, initial: np.ndarray) -> np.n
     hopping matrix and one matmul per call; nothing is cached between
     calls, so evaluate many times in one call.
     """
-    times = _check_times(times, 1)
+    times = check_times(times, 1)
     amp = np.asarray(initial, dtype=complex)
     _check_length(params, amp)
     _check_normalized(amp, "initial state")
@@ -331,7 +325,7 @@ def fast_evolve(params: ModelParams, t: float, initial: np.ndarray,
     inverse cascade.
     """
     out = _prepare_out(out, params.geom.length, complex, initial)
-    _evolve_rows(params, _check_times(t, 0).reshape(1), initial, [out])
+    _evolve_rows(params, check_times(t, 0).reshape(1), initial, [out])
     return out
 
 
@@ -343,7 +337,7 @@ def fast_evolve_series(params: ModelParams, times, initial: np.ndarray) -> np.nd
     times exp(-i eps_k t) 2^(k-N-1) and one inverse cascade into its row,
     which is bit-identical to a `fast_evolve` call at that time.
     """
-    times = _check_times(times, 1)
+    times = check_times(times, 1)
     result = np.empty((times.size, params.geom.length), dtype=complex)
     _evolve_rows(params, times, initial, result)
     return result

@@ -259,18 +259,28 @@ def test_shell_steps_keep_the_composed_bytes(r, sigma, J, K, special, shape, lay
     size = math.prod(shape)
     values = np.where(rng.random(size) < 0.5, rng.choice(special, size),
                       10.0 ** rng.uniform(-3.0, 4.0, size))
-    t = _laid_out(values, shape, layout)
     policy = TruncationPolicy(K)
-    with np.errstate(invalid="ignore"):  # NaN and inf times warn on both sides
-        pairs = [(psi_thermo(r, t, sigma, J, policy),
-                  composed_psi_thermo(r, t, sigma, J, policy)),
-                 (scaling_function(t, sigma, J, policy),
-                  composed_scaling_function(t, sigma, J, policy))]
-        if not shape:  # a Python float as well as a 0-d array
-            pairs += [(psi_thermo(r, float(t), sigma, J, policy),
-                       composed_psi_thermo(r, float(t), sigma, J, policy)),
-                      (scaling_function(float(t), sigma, J, policy),
-                       composed_scaling_function(float(t), sigma, J, policy))]
+    if not np.isfinite(values).all():
+        # NaN and inf times are refused, without a warning; the rest of the
+        # draw is compared with them set to 0
+        t = _laid_out(values, shape, layout)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError):
+                psi_thermo(r, t, sigma, J, policy)
+            with pytest.raises(InputError):
+                scaling_function(t, sigma, J, policy)
+        values = np.where(np.isfinite(values), values, 0.0)
+    t = _laid_out(values, shape, layout)
+    pairs = [(psi_thermo(r, t, sigma, J, policy),
+              composed_psi_thermo(r, t, sigma, J, policy)),
+             (scaling_function(t, sigma, J, policy),
+              composed_scaling_function(t, sigma, J, policy))]
+    if not shape:  # a Python float as well as a 0-d array
+        pairs += [(psi_thermo(r, float(t), sigma, J, policy),
+                   composed_psi_thermo(r, float(t), sigma, J, policy)),
+                  (scaling_function(float(t), sigma, J, policy),
+                   composed_scaling_function(float(t), sigma, J, policy))]
     for got, want in pairs:
         assert type(got) is type(want)
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
@@ -406,6 +416,32 @@ def test_thermo_entry_points_reject_non_finite_sigma_and_J(call, bad):
         call(bad, 1.0)
     with pytest.raises(InputError):
         call(1.0, bad)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1j])
+@pytest.mark.parametrize("call", [
+    lambda t: psi_thermo(1, t, 1.0),
+    lambda t: psi_thermo(0, t, analytic.SIGMA_NEAR_ZERO / 2),
+    lambda t: psi_finite(1, t, params_for(3)),
+    lambda t: scaling_function(t, 1.0),
+    lambda t: sigma_zero(1, t),
+    lambda t: probability_thermo(1, t, 1.0),
+    lambda t: wave_profile_thermo(t, 1.0),
+    lambda t: wave_profile_finite(t, params_for(3)),
+], ids=["psi_thermo", "psi_thermo_sigma_to_0", "psi_finite", "scaling_function",
+        "sigma_zero", "probability_thermo", "wave_profile_thermo", "wave_profile_finite"])
+def test_time_evaluators_reject_non_finite_and_complex_times(call, bad):
+    # each returned NaN, and at +-inf warned once per mode; a complex array
+    # lost its imaginary parts with a ComplexWarning.  The sigma -> 0
+    # reroute refuses before its warning.
+    for t in (bad, [0.5, bad], [[1.0], [bad]]):
+        with pytest.raises(InputError):
+            call(t)
+    # elements are tested one by one: the sum of these overflows to inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the sigma -> 0 reroute's
+        assert np.all(np.isfinite(call(np.full(1000, 1e306))))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -941,11 +977,13 @@ def test_exponent_scan_rejects_overflowing_scales():
     assert calls == []
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("kwargs", [
     {"scan": 1}, {"scan": 0}, {"refine": -1},
     {"z_min": 0.0}, {"z_min": -1.0}, {"z_min": float("nan")},
     {"z_max": 0.1}, {"z_max": 0.05}, {"z_max": float("inf")},
     {"s_grid": []}, {"s_grid": [1.0, float("nan")]}, {"s_grid": [float("inf")]},
+    {"s_grid": [float("-inf"), 1.0]},
 ])
 def test_estimate_dynamical_exponent_validation(kwargs):
     calls = []

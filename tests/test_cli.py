@@ -699,6 +699,42 @@ def test_collapse_rejects_a_flat_exponent_scan(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("input error:")
 
 
+@pytest.mark.parametrize("J", [1e-3, 2.5, 1e10, 1e20])
+def test_collapse_fit_window_is_in_units_of_one_over_J(tmp_path, J):
+    # on a fixed t in (0, 6] the fit found z = 4.835852 at J = 1e10 and
+    # z = 0.229110 at J = 1e20, with exit 0
+    out = tmp_path / "col.csv"
+    assert run(tmp_path, "collapse", "--J", J, "--rmax", 2, "--points", 2, "--tmax", 1,
+               "--out", out) == 0
+    manifest = json.loads((tmp_path / "col.csv.manifest.json").read_text())
+    assert abs(manifest["z_estimate"] - 1.0) <= 0.02
+
+
+def test_collapse_fit_grid_spans_six_over_J(tmp_path, monkeypatch):
+    grids = []
+
+    def fit(psi_fn, shells, s_grid):
+        grids.append(s_grid)
+        return 1.0
+
+    monkeypatch.setattr(cli, "estimate_dynamical_exponent", fit)
+    for J in (1, 4):
+        assert run(tmp_path, "collapse", "--J", J, "--out", tmp_path / "col.csv") == 0
+    # the J = 1 grid keeps its bits
+    assert grids[0].tobytes() == np.linspace(0.0, 6.0, 61)[1:].tobytes()
+    assert grids[1].tobytes() == np.linspace(0.0, 1.5, 61)[1:].tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", [["manybody"], ["entropy", "--mode", "manybody"]])
+def test_many_body_horizons_past_the_substep_cap_are_refused(tmp_path, capsys, command):
+    # at L = 8, h = 40 this never ended: 327 * 1e200 / 30 predicted substeps
+    assert run(tmp_path, *command, "--tmax", 1e200, "--dt", 1e199,
+               "--out", tmp_path / "mb.csv") == 3
+    assert not list(tmp_path.iterdir())
+    assert "Lanczos substeps" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("tmax", [0, -2])
 def test_collapse_rejects_non_positive_tmax(tmp_path, capsys, no_compute, tmax):
     # a zero horizon made an all-zero fit grid (z = 0.100137, exit 0), and a

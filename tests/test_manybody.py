@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -22,7 +23,7 @@ from hdyson import (
     quasi_conservation_report,
     wave_profile_finite,
 )
-from hdyson import manybody
+from hdyson import cli, manybody
 from hdyson.geometry import expand_shells_to_sites, shell_sums
 from hdyson.manybody import (
     LOCAL_TOL,
@@ -530,12 +531,41 @@ def test_energy_product_starts_the_next_interval(krylov_dim, h, times, saved):
     assert series.lanczos == fresh.lanczos
 
 
-def test_sparse_cap():
-    # L = 32 is over the cap: both raise before any 2^L array is built
-    with pytest.raises(ResourceLimitError):
-        build_spin_hamiltonian(params_for(32))
-    with pytest.raises(ResourceLimitError):
-        SigmaXOperator.from_params(params_for(32), -1)
+def test_sparse_cap(tmp_path):
+    # over the cap, every constructor raises before any 2^L array is built:
+    # a 2^17 state would take 2 MiB.  At 17 sites the two states were built,
+    # at 40 numpy raised MemoryError for 16 TiB and at 70 a ValueError.
+    tracemalloc.start()
+    try:
+        for build in (lambda: build_spin_hamiltonian(params_for(32)),
+                      lambda: SigmaXOperator.from_params(params_for(32), -1),
+                      lambda: SpinState.single_flip(17),
+                      lambda: one_defect_state(np.full(17, 17 ** -0.5))):
+            with pytest.raises(ResourceLimitError):
+                build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert cli.main(["manybody", "--L", "32", "--out", str(tmp_path / "mb")]) == 3
+    assert not list(tmp_path.iterdir())
+
+
+def test_substep_cap():
+    # at L = 8, h = 40 the energy bound is 327, so the default horizon t = 10
+    # predicts 327 * 10 / KRYLOV_DIM = 109 substeps; the cap is inclusive
+    params = params_for(8, h=40.0)
+    assert params.spectral_bound(many_body=True) * 10.0 / manybody.KRYLOV_DIM == 109.0
+    with mock.patch.object(manybody, "MAX_SUBSTEPS", 109):
+        evolve_spin(params, SpinState.single_flip(8), [0.0, 10.0])
+    with mock.patch.object(manybody, "MAX_SUBSTEPS", 108), pytest.raises(ResourceLimitError):
+        evolve_spin(params, SpinState.single_flip(8), [0.0, 10.0])
+    with pytest.raises(ResourceLimitError):  # ran without end
+        evolve_spin(params, SpinState.single_flip(8), [0.0, 1e200])
+    # one Krylov space spans the 8-state sector of L = 4: its steps are
+    # exact, and the horizon is not capped
+    series = evolve_spin(params_for(4, h=40.0), SpinState.single_flip(4), [0.0, 1e200])
+    assert abs(series.norms[-1] - 1.0) <= 1e-8
 
 
 def test_paramagnetic_ground_state_overlap():
@@ -798,6 +828,7 @@ def test_entropy_column_during_evolution():
             assert series.entropy[i, cut - 1] == pytest.approx(direct, abs=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
 def test_evolve_input_validation():
     params = params_for(4, h=1.0)
     ham = build_spin_hamiltonian(params)
@@ -810,7 +841,8 @@ def test_evolve_input_validation():
         evolve_spin(ham, SpinState(np.full(16, 0.5 + 0j)), np.array([0.0, 1.0]))
     with pytest.raises(InputError):
         evolve_spin(ham, SpinState.single_flip(2), np.array([0.0, 1.0]))
-    for times in ([np.nan], [np.inf], [0.0, np.nan], [0.5, np.inf]):
+    for times in ([np.nan], [np.inf], [-np.inf], [0.0, np.nan], [0.5, np.inf],
+                  [-np.inf, 0.5]):
         with pytest.raises(InputError):
             evolve_spin(ham, good, times)
     nan_state = good.amplitudes.copy()

@@ -340,14 +340,17 @@ def test_fast_evolve_series_rows_are_fast_evolve_calls(params, times, seed):
         assert np.array_equal(row, fast_evolve(params, t, v))
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("t, scale, bad_entry", [
     (np.nan, 1.0, None),
     (np.inf, 1.0, None),
+    (-np.inf, 1.0, None),
     (1.0, 3.0, None),
     (1.0, 1.0 + 1e-7, None),
     (1.0, 1.0, np.nan),
     (1.0, 1.0, np.inf),
-], ids=["nan-time", "inf-time", "norm-3", "norm-off-by-2e-7", "nan-entry", "inf-entry"])
+], ids=["nan-time", "inf-time", "minus-inf-time", "norm-3", "norm-off-by-2e-7", "nan-entry",
+        "inf-entry"])
 def test_fast_evolve_input_contract(t, scale, bad_entry):
     # the dense route takes the same times and initial states
     params = params_for(4)

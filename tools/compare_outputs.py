@@ -30,8 +30,9 @@ from perfbench.workloads import CLI_RUNS  # noqa: E402  (after the path entry)
 # Table paths the benchmark's commands do not take: the other evolve modes,
 # JSON tables, the single-particle comparison, a larger entropy table, the
 # many-body entropy table, sigma -> 0 time averages, the one-time,
-# one-shell and one-cut edges, and the deepest spectrum (block sizes up to
-# 2^62) as CSV and as JSON.
+# one-shell and one-cut edges, the deepest spectrum (block sizes up to
+# 2^62) as CSV and as JSON, and a collapse at large J, whose exponent fit
+# runs on t in (0, 6/J].
 EXTRA_RUNS = [
     ("evolve_finite", ["evolve", "--mode", "finite", "--out", "evolve_finite.csv"]),
     ("evolve_dense", ["evolve", "--mode", "dense", "--out", "evolve_dense.csv"]),
@@ -48,6 +49,7 @@ EXTRA_RUNS = [
     ("spectrum_n63", ["spectrum", "--N", "63", "--out", "spectrum_n63.csv"]),
     ("spectrum_n63_json", ["spectrum", "--N", "63", "--format", "json",
                            "--out", "spectrum_n63.json"]),
+    ("collapse_large_J", ["collapse", "--J", "1e10", "--out", "collapse_large_J.csv"]),
 ]
 
 
